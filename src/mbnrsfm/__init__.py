@@ -5,7 +5,7 @@ spectral clustering of the learned self-expression coefficients."""
 from .admm import SolverConfig, SolverTrace, solve
 from .clustering import build_affinity, spectral_cluster
 from .errors import ManifestError, NumericalError, ParseError, SingularPencilError
-from .linalg import soft_threshold, solve_sylvester, svd, svt
+from .linalg import SymmetricOperand, soft_threshold, solve_sylvester, svd, svt
 from .metrics import (
     reconstruction_error,
     reconstruction_error_whole,
@@ -48,6 +48,7 @@ __all__ = [
     "SingularPencilError",
     "SolverConfig",
     "SolverTrace",
+    "SymmetricOperand",
     "SynthConfig",
     "build_affinity",
     "build_neighbor_matrix",

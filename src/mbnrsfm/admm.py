@@ -15,6 +15,12 @@ zeroing), then performs dual ascent with a geometrically growing penalty
 capped at ``beta_max``. Convergence is declared when all four constraint
 residuals fall below ``epsilon`` in the elementwise max norm.
 
+Both Sylvester equations have symmetric operands and are solved in their
+eigenbases (``linalg.SymmetricOperand``). The shape step's 3F x 3F left
+operand is block diagonal, so it is factored as F separate 3 x 3 blocks and
+the camera is only ever applied per frame. The coefficient step's right
+operand D D^T is constant over a run and is factored once per ``solve``.
+
 The camera motion is held fixed throughout; rotations are an input.
 """
 
@@ -25,12 +31,13 @@ from math import sqrt
 
 import numpy as np
 
-from .linalg import solve_sylvester, soft_threshold, svt
+from .linalg import SymmetricOperand, solve_sylvester, soft_threshold, svt
 from .scene import (
     CameraMotion,
     NeighborMatrix,
     ShapeState,
     extend_with_identity,
+    project,
     to_frame_rows,
     to_point_columns,
     validate_measurements,
@@ -171,21 +178,24 @@ def update_shapes(state: AdmmState, w: np.ndarray, camera: CameraMotion) -> np.n
     Solves the Sylvester equation stationarity condition of the shape
     subproblem,
 
-        (R^T R + beta I) / beta . S + S (I - C)(I - C^T)
+        (R^T R / beta + I) S + S (I - C)(I - C^T)
             = R^T W / beta + ginv(lowrank) + ginv(y_reshuffle) / beta
               - (y_selfexpr / beta)(I - C^T),
 
-    where ginv is the frame-row-to-stack reshuffle.
+    where R is the 2F x 3F block-diagonal camera and ginv is the
+    frame-row-to-stack reshuffle. R is never assembled: the left operand is
+    the stack of F blocks R_f^T R_f / beta + I, R^T W is formed frame by
+    frame, and both symmetric operands are solved in their eigenbases.
     """
     beta = state.duals.beta
-    r = camera.block_diagonal()
-    n = r.shape[1]
-    points = state.coeffs.shape[0]
-    left = (r.T @ r) / beta + np.eye(n)
+    blocks = camera.blocks
+    frames, points = blocks.shape[0], w.shape[1]
+    left = SymmetricOperand(np.einsum("fji,fjk->fik", blocks, blocks) / beta + np.eye(3))
     ic = np.eye(points) - state.coeffs
-    right = ic @ ic.T
+    right = SymmetricOperand(ic @ ic.T)
+    backprojected = np.einsum("fji,fjp->fip", blocks, w.reshape(frames, 2, points))
     rhs = (
-        (r.T @ w) / beta
+        backprojected.reshape(3 * frames, points) / beta
         + to_point_columns(state.lowrank)
         + to_point_columns(state.duals.y_reshuffle) / beta
         - (state.duals.y_selfexpr / beta) @ ic.T
@@ -216,38 +226,43 @@ def update_slack(state: AdmmState, merged: np.ndarray, config: SolverConfig) -> 
     return soft_threshold(target, config.lambda1 / beta)
 
 
-def solve_coeff_subproblem(state: AdmmState, merged: np.ndarray) -> np.ndarray:
+def solve_coeff_subproblem(
+    state: AdmmState, merged: np.ndarray, merged_gram: SymmetricOperand | None = None
+) -> np.ndarray:
     """Closed-form coefficient update before diagonal zeroing.
 
     Solves
 
         (S^T S + 1 1^T) C + C (D D^T)
-            = S^T S + S^T y_selfexpr / beta + E D^T - (y_slack / beta) D^T
+            = S^T (S + y_selfexpr / beta) + (E - y_slack / beta) D^T
               + 1 1^T - 1 y_colsum / beta
 
     with D the merged operator and E the slack; a tiny diagonal shift keeps
-    the left operand strictly positive definite.
+    the left operand strictly positive definite. Both operands are symmetric
+    and solved in their eigenbases. ``merged_gram`` is D D^T as a
+    SymmetricOperand; it is constant over a run, so ``solve`` factors it
+    once and passes it in. When omitted it is factored here.
     """
     beta = state.duals.beta
     points = state.coeffs.shape[0]
+    if merged_gram is None:
+        merged_gram = SymmetricOperand(merged @ merged.T)
     gram = state.shapes.T @ state.shapes
-    ones = np.ones((points, points))
-    left = gram + ones + COEFF_STABILIZER * np.eye(points)
-    right = merged @ merged.T
+    left = SymmetricOperand(gram + 1.0 + COEFF_STABILIZER * np.eye(points))
     rhs = (
-        gram
-        + state.shapes.T @ (state.duals.y_selfexpr / beta)
-        + state.slack @ merged.T
-        - (state.duals.y_slack / beta) @ merged.T
-        + ones
-        - np.outer(np.ones(points), state.duals.y_colsum) / beta
+        state.shapes.T @ (state.shapes + state.duals.y_selfexpr / beta)
+        + (state.slack - state.duals.y_slack / beta) @ merged.T
+        + 1.0
+        - state.duals.y_colsum / beta
     )
-    return solve_sylvester(left, right, rhs)
+    return solve_sylvester(left, merged_gram, rhs)
 
 
-def update_coefficients(state: AdmmState, merged: np.ndarray) -> np.ndarray:
+def update_coefficients(
+    state: AdmmState, merged: np.ndarray, merged_gram: SymmetricOperand | None = None
+) -> np.ndarray:
     """Coefficient update: subproblem solution with the diagonal zeroed exactly."""
-    coeffs = solve_coeff_subproblem(state, merged)
+    coeffs = solve_coeff_subproblem(state, merged, merged_gram)
     np.fill_diagonal(coeffs, 0.0)
     return coeffs
 
@@ -281,7 +296,7 @@ def objective_value(
     frames = state.lowrank.shape[0]
     points = state.coeffs.shape[0]
     lam2 = config.nuclear_weight(frames, points)
-    fit = 0.5 * np.linalg.norm(w - camera.block_diagonal() @ state.shapes) ** 2
+    fit = 0.5 * np.linalg.norm(w - project(camera, state.shapes)) ** 2
     sparsity = config.lambda1 * np.abs(state.slack).sum()
     nuclear = lam2 * np.linalg.svd(state.lowrank, compute_uv=False).sum()
     return float(fit + sparsity + nuclear)
@@ -351,6 +366,7 @@ def solve(
             f"neighbor matrix covers {neighbors.points} points, scene has {points}"
         )
     merged = extend_with_identity(neighbors, num_points=points)
+    merged_gram = SymmetricOperand(merged @ merged.T)
 
     if init_shapes is None:
         shapes = pseudo_inverse_shapes(w, camera)
@@ -375,7 +391,7 @@ def solve(
         state.shapes = update_shapes(state, w, camera)
         state.lowrank = update_lowrank(state, config)
         state.slack = update_slack(state, merged, config)
-        state.coeffs = update_coefficients(state, merged)
+        state.coeffs = update_coefficients(state, merged, merged_gram)
         residuals = constraint_residuals(state, merged)
         trace.append(
             iteration,

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 from conftest import identity_merged, random_state
 
+import mbnrsfm.admm
 from mbnrsfm.admm import (
     AdmmState,
     DualState,
     SolverConfig,
     augmented_lagrangian,
     constraint_residuals,
+    objective_value,
     pseudo_inverse_shapes,
     solve,
     solve_coeff_subproblem,
@@ -20,8 +22,14 @@ from mbnrsfm.admm import (
     update_slack,
 )
 from mbnrsfm.clustering import build_affinity, spectral_cluster
+from mbnrsfm.linalg import SymmetricOperand
 from mbnrsfm.metrics import reprojection_error, segmentation_error
-from mbnrsfm.scene import to_frame_rows, to_point_columns
+from mbnrsfm.scene import (
+    build_neighbor_matrix,
+    extend_with_identity,
+    to_frame_rows,
+    to_point_columns,
+)
 from mbnrsfm.synth import (
     assemble_body,
     default_two_body,
@@ -243,6 +251,41 @@ class TestUpdateCoefficients:
         direct = kron_solve(a, b, q)
         assert np.abs(raw - direct).max() <= 1e-7 * (1 + np.abs(direct).max())
 
+    def grid_problem(self):
+        merged = extend_with_identity(build_neighbor_matrix(2, 3))
+        rng = np.random.default_rng(53)
+        state = random_state(rng, 3, 6, slack_cols=merged.shape[1])
+        return state, merged
+
+    def test_grid_operator_matches_kronecker_solve(self):
+        # With the spatial term D D^T is no longer the identity.
+        state, merged = self.grid_problem()
+        raw = solve_coeff_subproblem(state, merged)
+        beta = state.duals.beta
+        gram = state.shapes.T @ state.shapes
+        ones = np.ones((6, 6))
+        a = gram + ones + 1e-10 * np.eye(6)
+        b = merged @ merged.T
+        assert np.abs(b - np.eye(6)).max() > 0
+        q = (gram + state.shapes.T @ (state.duals.y_selfexpr / beta)
+             + state.slack @ merged.T
+             - (state.duals.y_slack / beta) @ merged.T
+             + ones - np.outer(np.ones(6), state.duals.y_colsum) / beta)
+        direct = kron_solve(a, b, q)
+        assert np.abs(raw - direct).max() <= 1e-7 * (1 + np.abs(direct).max())
+
+    def test_precomputed_merged_gram_is_bit_identical(self):
+        state, merged = self.grid_problem()
+        merged_gram = SymmetricOperand(merged @ merged.T)
+        np.testing.assert_array_equal(
+            solve_coeff_subproblem(state, merged, merged_gram),
+            solve_coeff_subproblem(state, merged),
+        )
+        np.testing.assert_array_equal(
+            update_coefficients(state, merged, merged_gram),
+            update_coefficients(state, merged),
+        )
+
 
 class TestUpdateDuals:
     def make_feasible_state(self, frames=3, points=4):
@@ -459,6 +502,28 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(scene.w, scene.camera, None, SolverConfig(),
                   init_shapes=np.zeros((9, 10)))
+
+    def test_two_sylvester_calls_per_iteration(self, monkeypatch):
+        # The benchmark's tracing wraps mbnrsfm.admm.solve_sylvester and reads
+        # the sizes of the two positional operands.
+        calls = []
+        original = mbnrsfm.admm.solve_sylvester
+
+        def counting(*args, **kwargs):
+            calls.append((args[0].shape[0], args[1].shape[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mbnrsfm.admm, "solve_sylvester", counting)
+        scene = generate_scene(default_two_body(frames=6, points_per_body=5))
+        _, _, trace = solve(scene.w, scene.camera, None, SolverConfig(max_iters=7))
+        assert len(trace) == 7
+        assert calls == [(18, 10), (10, 10)] * 7
+
+    def test_objective_fit_matches_block_diagonal_oracle(self):
+        _, camera, w, state = small_problem(seed=61)
+        cfg = SolverConfig(lambda1=0.0, lambda2=0.0)
+        fit = 0.5 * np.linalg.norm(w - camera.block_diagonal() @ state.shapes) ** 2
+        assert objective_value(w, camera, state, cfg) == pytest.approx(fit, rel=1e-12)
 
     def test_objective_recorded_each_iteration(self, default_run):
         scene, _, _, trace = default_run

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from mbnrsfm.errors import NumericalError, SingularPencilError
-from mbnrsfm.linalg import as_matrix, soft_threshold, solve_sylvester, svd, svt
+from mbnrsfm.linalg import (
+    SYLVESTER_RTOL,
+    SymmetricOperand,
+    as_matrix,
+    soft_threshold,
+    solve_sylvester,
+    svd,
+    svt,
+)
+from mbnrsfm.scene import CameraMotion
+from mbnrsfm.synth import _smooth_random_camera
 
 finite_reals = st.floats(min_value=-1e100, max_value=1e100,
                          allow_nan=False, allow_infinity=False)
@@ -178,6 +189,120 @@ class TestSolveSylvester:
     def test_nonsquare_operand(self):
         with pytest.raises(ValueError):
             solve_sylvester(np.zeros((3, 2)), np.eye(2), np.zeros((3, 2)))
+
+
+def random_spd(rng, n, shift=0.1):
+    g = rng.normal(size=(n, n))
+    return g @ g.T + shift * np.eye(n)
+
+
+def kron_solve(a, b, q):
+    n, m = q.shape
+    system = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
+    return np.linalg.solve(system, q.flatten(order="F")).reshape(n, m, order="F")
+
+
+class TestSymmetricOperandSylvester:
+    def test_dense_operands_match_bartels_stewart_and_kronecker(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(1, 16))
+            m = int(rng.integers(1, 16))
+            a, b = random_spd(rng, n), random_spd(rng, m)
+            q = rng.normal(size=(n, m))
+            x = solve_sylvester(SymmetricOperand(a), SymmetricOperand(b), q)
+            dense = solve_sylvester(a, b, q)
+            direct = kron_solve(a, b, q)
+            scale = 1 + np.abs(direct).max()
+            assert np.abs(x - dense).max() <= 1e-9 * scale
+            assert np.abs(x - direct).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_block_stack_matches_bartels_stewart_and_kronecker(self, side):
+        rng = np.random.default_rng(8 if side == "left" else 9)
+        for _ in range(20):
+            k = int(rng.integers(1, 8))
+            m = int(rng.integers(1, 12))
+            blocks = np.stack([random_spd(rng, 3) for _ in range(k)])
+            block_matrix = scipy.linalg.block_diag(*blocks)
+            other = random_spd(rng, m)
+            if side == "left":
+                a, b, q = block_matrix, other, rng.normal(size=(3 * k, m))
+                x = solve_sylvester(SymmetricOperand(blocks), SymmetricOperand(b), q)
+            else:
+                a, b, q = other, block_matrix, rng.normal(size=(m, 3 * k))
+                x = solve_sylvester(SymmetricOperand(a), SymmetricOperand(blocks), q)
+            dense = solve_sylvester(a, b, q)
+            direct = kron_solve(a, b, q)
+            scale = 1 + np.abs(direct).max()
+            assert np.abs(x - dense).max() <= 1e-9 * scale
+            assert np.abs(x - direct).max() <= 1e-9 * scale
+
+    def test_nearly_orthonormal_cameras_meet_the_residual_bound(self):
+        # Camera rows orthonormal only to ~1e-9 are accepted by CameraMotion;
+        # the per-block eigendecomposition must still meet the bound at the
+        # smallest penalty the solver starts from.
+        rng = np.random.default_rng(12)
+        frames, points, beta = 40, 25, 1e-2
+        exact = _smooth_random_camera(rng, frames).blocks
+        camera = CameraMotion(exact + 1e-9 * rng.normal(size=exact.shape))
+        defect = np.abs(np.einsum("fij,fkj->fik", camera.blocks, camera.blocks)
+                        - np.eye(2)).max()
+        assert 1e-10 < defect <= 1e-8
+        blocks = np.einsum("fji,fjk->fik", camera.blocks, camera.blocks) / beta + np.eye(3)
+        ic = np.eye(points) - 0.1 * rng.normal(size=(points, points))
+        right = ic @ ic.T
+        q = 100.0 * rng.normal(size=(3 * frames, points))
+        x = solve_sylvester(SymmetricOperand(blocks), SymmetricOperand(right), q)
+        left = scipy.linalg.block_diag(*blocks)
+        residual = np.linalg.norm(left @ x + x @ right - q)
+        assert residual <= SYLVESTER_RTOL * (1 + np.linalg.norm(q))
+
+    def test_singular_pencil_names_the_pair(self):
+        a = SymmetricOperand(np.diag([1.0, -3.0]))
+        b = SymmetricOperand(np.diag([3.0, -1.0]))
+        with pytest.raises(SingularPencilError) as err:
+            solve_sylvester(a, b, np.ones((2, 2)))
+        assert ("eigenvalue -3.0 of the left operand and 3.0 of the right "
+                "operand sum to 0.0") in str(err.value)
+
+    def test_singular_pencil_in_a_block_stack(self):
+        blocks = np.stack([np.eye(3), np.diag([1.0, 2.0, -2.0])])
+        a = SymmetricOperand(blocks)
+        b = SymmetricOperand(np.diag([2.0, 5.0]))
+        with pytest.raises(SingularPencilError) as err:
+            solve_sylvester(a, b, np.ones((6, 2)))
+        assert "eigenvalue -2.0 of the left operand and 2.0" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rhs_raises_numerical_error(self, bad):
+        rng = np.random.default_rng(5)
+        a = SymmetricOperand(random_spd(rng, 4))
+        b = SymmetricOperand(np.stack([random_spd(rng, 3), random_spd(rng, 3)]))
+        q = rng.normal(size=(4, 6))
+        q[2, 3] = bad
+        with pytest.raises(NumericalError) as err:
+            solve_sylvester(a, b, q)
+        assert not isinstance(err.value, SingularPencilError)
+
+    def test_shape_is_the_full_matrix(self):
+        assert SymmetricOperand(np.stack([np.eye(3)] * 4)).shape == (12, 12)
+        assert SymmetricOperand(np.eye(5)).shape == (5, 5)
+
+    def test_mixed_operands_rejected(self):
+        with pytest.raises(TypeError):
+            solve_sylvester(SymmetricOperand(np.eye(2)), np.eye(2), np.ones((2, 2)))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            solve_sylvester(SymmetricOperand(np.eye(3)), SymmetricOperand(np.eye(2)),
+                            np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros((2, 3, 3, 3)),
+                                        np.zeros((0, 0)), np.array([[np.nan]])])
+    def test_rejects_malformed_operands(self, matrix):
+        with pytest.raises(ValueError):
+            SymmetricOperand(matrix)
 
 
 class TestAsMatrix:
