@@ -5,7 +5,7 @@ spectral clustering of the learned self-expression coefficients."""
 from .admm import SolverConfig, SolverTrace, solve
 from .clustering import build_affinity, spectral_cluster
 from .errors import ManifestError, NumericalError, ParseError, SingularPencilError
-from .linalg import SymmetricOperand, soft_threshold, solve_sylvester, svd, svt
+from .linalg import SymmetricOperand, soft_threshold, solve_sylvester, svt
 from .metrics import (
     reconstruction_error,
     reconstruction_error_whole,
@@ -68,7 +68,6 @@ __all__ = [
     "solve",
     "solve_sylvester",
     "spectral_cluster",
-    "svd",
     "svt",
     "to_frame_rows",
     "to_point_columns",

@@ -59,8 +59,8 @@ class SolverConfig:
     ``beta_max``. These defaults are tuning starting points, not values
     carried over from any reference; override freely.
 
-    ``seed`` feeds downstream clustering and run manifests; the ADMM itself
-    is deterministic.
+    The ADMM is deterministic, so there is no seed here; the run manifest's
+    ``seed`` drives scene generation and the k-means restarts of clustering.
     """
 
     lambda1: float = 1e-4
@@ -70,7 +70,6 @@ class SolverConfig:
     beta_max: float = 1e6
     epsilon: float = 1e-4
     max_iters: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if self.lambda1 < 0:
@@ -89,8 +88,6 @@ class SolverConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def nuclear_weight(self, frames: int, points: int) -> float:
         """The nuclear-norm weight in effect for an F x P scene."""
@@ -404,4 +401,4 @@ def solve(
             trace.converged = True
             break
 
-    return ShapeState.from_shapes(state.shapes), state.coeffs, trace
+    return ShapeState(state.shapes), state.coeffs, trace

@@ -11,7 +11,8 @@ Label files:
 Floats are written with Python's shortest round-trip repr, '.' decimal
 separator, LF line endings; reading back reproduces the in-memory values
 bit for bit. Zero-sized matrices are rejected on both ends. All parse
-failures raise ParseError with the offending 1-based line number.
+failures, bytes that are not UTF-8 included, raise ParseError with the
+offending 1-based line number.
 """
 
 from __future__ import annotations
@@ -31,6 +32,33 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _read_header(path, kind: str, fields: tuple[str, ...]) -> tuple[list[str], list[int]]:
+    """Read a UTF-8 text file and check its ``MBNR1 <kind> <fields...>`` header.
+
+    Returns the file's lines and the header's integer fields, each at least 1.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
+    if not lines:
+        raise ParseError(path, 1, f"empty file, expected {MAGIC} {kind} header")
+    header = lines[0].split()
+    if len(header) != 2 + len(fields) or header[:2] != [MAGIC, kind]:
+        expected = " ".join([MAGIC, kind] + [f"<{name}>" for name in fields])
+        raise ParseError(path, 1, f"malformed header {lines[0]!r}, expected {expected!r}")
+    try:
+        values = [int(tok) for tok in header[2:]]
+    except ValueError:
+        raise ParseError(path, 1, f"non-integer {kind} size in header {lines[0]!r}") from None
+    if min(values) < 1:
+        raise ParseError(path, 1, f"degenerate {kind} size {' x '.join(header[2:])}")
+    return lines, values
+
+
 def write_matrix(path, matrix) -> None:
     """Write a matrix in the MBNR1 text format."""
     mat = as_matrix(matrix, "matrix")
@@ -43,20 +71,7 @@ def write_matrix(path, matrix) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """Read an MBNR1 matrix file; raises ParseError on any format violation."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected MBNR1 matrix header")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != MAGIC or header[1] != "matrix":
-        raise ParseError(path, 1, f"malformed header {lines[0]!r}, expected "
-                                  f"'{MAGIC} matrix <rows> <cols>'")
-    try:
-        rows, cols = int(header[2]), int(header[3])
-    except ValueError:
-        raise ParseError(path, 1, f"non-integer dimensions in header {lines[0]!r}") from None
-    if rows < 1 or cols < 1:
-        raise ParseError(path, 1, f"degenerate dimensions {rows} x {cols}")
+    lines, (rows, cols) = _read_header(path, "matrix", ("rows", "cols"))
     if len(lines) < rows + 1:
         raise ParseError(path, len(lines) + 1,
                          f"expected {rows} data rows, file ends after {len(lines) - 1}")
@@ -92,20 +107,7 @@ def write_labels(path, labels) -> None:
 
 def read_labels(path) -> np.ndarray:
     """Read an MBNR1 label file; raises ParseError on any format violation."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected MBNR1 labels header")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != MAGIC or header[1] != "labels":
-        raise ParseError(path, 1, f"malformed header {lines[0]!r}, expected "
-                                  f"'{MAGIC} labels <count>'")
-    try:
-        count = int(header[2])
-    except ValueError:
-        raise ParseError(path, 1, f"non-integer count in header {lines[0]!r}") from None
-    if count < 1:
-        raise ParseError(path, 1, f"degenerate label count {count}")
+    lines, (count,) = _read_header(path, "labels", ("count",))
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count:
         raise ParseError(path, min(len(lines), count + 1),

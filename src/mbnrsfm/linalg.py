@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels used by every solver step.
 
-Decompositions are delegated to LAPACK through numpy and scipy: SVD via
-``numpy.linalg.svd`` and symmetric eigendecompositions via
+Decompositions are delegated to LAPACK through numpy and scipy: the SVD
+inside ``svt`` via ``numpy.linalg.svd`` and symmetric eigendecompositions via
 ``numpy.linalg.eigh``. The solver's two Sylvester equations have symmetric
 operands, so ``solve_sylvester`` solves them in the operands' eigenbases
 (``SymmetricOperand``, a single matrix or a stack of diagonal blocks).
@@ -55,36 +55,23 @@ def soft_threshold(x, tau: float):
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of a finite matrix.
-
-    Returns ``(u, sigma, v)`` with orthonormal-column ``u`` and ``v``,
-    ``sigma`` sorted nonincreasing, and ``m = u @ diag(sigma) @ v.T``.
-
-    Raises NumericalError if the underlying eigenroutine does not converge.
-    """
-    mat = as_matrix(m, "svd input")
-    try:
-        u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge on a {mat.shape} matrix") from exc
-    return u, sigma, vh.T
-
-
 def svt(m, tau: float) -> np.ndarray:
     """Singular value thresholding, the proximal operator of the nuclear norm.
 
     Returns the unique minimizer of ``tau * ||X||_* + 0.5 * ||X - m||_F^2``,
-    computed as ``u @ diag(soft_threshold(sigma, tau)) @ v.T``. A zero
-    threshold is the identity and skips the decomposition.
+    computed from the thin SVD ``m = u @ diag(sigma) @ vh`` as
+    ``u @ diag(soft_threshold(sigma, tau)) @ vh``. A zero threshold is the
+    identity and skips the decomposition. Non-finite input raises
+    ValueError; an SVD that does not converge raises NumericalError.
     """
+    mat = as_matrix(m, "svt input")
     if tau == 0:
-        return as_matrix(m, "svt input").copy()
-    u, sigma, v = svd(m)
-    shrunk = soft_threshold(sigma, tau)
-    return (u * shrunk) @ v.T
-
-
+        return mat.copy()
+    try:
+        u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge on a {mat.shape} matrix") from exc
+    return (u * soft_threshold(sigma, tau)) @ vh
 
 
 class SymmetricOperand:

@@ -8,16 +8,10 @@ takes the best bijection between estimated and ground-truth cluster ids.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .scene import CameraMotion, project, validate_labels, validate_shapes
-
-# Exhaustive assignment is cheap up to this many clusters; beyond it the
-# Hungarian algorithm takes over.
-_EXHAUSTIVE_CLUSTER_LIMIT = 8
 
 
 def reconstruction_error(s_est, s_gt) -> float:
@@ -72,14 +66,8 @@ def segmentation_error(labels_est, labels_gt) -> float:
     k = int(max(est_c.max(), gt_c.max())) + 1
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (est_c, gt_c), 1)
-    if k <= _EXHAUSTIVE_CLUSTER_LIMIT:
-        best = max(
-            confusion[list(perm), range(k)].sum()
-            for perm in permutations(range(k))
-        )
-    else:
-        rows, cols = linear_sum_assignment(-confusion)
-        best = confusion[rows, cols].sum()
+    rows, cols = linear_sum_assignment(-confusion)
+    best = confusion[rows, cols].sum()
     return float(est.size - best) / est.size
 
 

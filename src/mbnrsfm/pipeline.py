@@ -27,7 +27,7 @@ import numpy as np
 from . import fileio
 from .admm import SolverConfig, solve
 from .clustering import build_affinity, spectral_cluster
-from .errors import ManifestError, ParseError
+from .errors import ManifestError, NumericalError, ParseError
 from .metrics import (
     reconstruction_error,
     reconstruction_error_whole,
@@ -56,6 +56,8 @@ class RunManifest:
     version: str = VERSION
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ManifestError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.version != VERSION:
             raise ManifestError(f"unsupported manifest version {self.version!r}")
         if self.command not in COMMANDS:
@@ -78,13 +80,11 @@ class RunManifest:
                 raise ManifestError("eval requires inputs.labels_est and inputs.labels_gt")
 
 
-def _build_solver_config(block: dict, seed: int) -> SolverConfig:
+def _build_solver_config(block: dict) -> SolverConfig:
     allowed = {f.name for f in fields(SolverConfig)}
     unknown = set(block) - allowed
     if unknown:
         raise ManifestError(f"unknown solver options: {sorted(unknown)}")
-    block = dict(block)
-    block.setdefault("seed", seed)
     try:
         return SolverConfig(**block)
     except (TypeError, ValueError) as exc:
@@ -125,7 +125,6 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
                            "solver", "synth", "inputs"}
     if unknown:
         raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
-    seed = data.get("seed", 0)
     base = Path(base_dir)
     inputs = {}
     for key, value in dict(data.get("inputs", {})).items():
@@ -138,9 +137,9 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
     manifest = RunManifest(
         command=data.get("command", ""),
         output_dir=str(base / data["output_dir"]) if data.get("output_dir") else "",
-        seed=seed,
+        seed=data.get("seed", 0),
         clusters=data.get("clusters"),
-        solver=_build_solver_config(data.get("solver", {}), seed),
+        solver=_build_solver_config(data.get("solver", {})),
         synth=_build_synth_config(data["synth"]) if data.get("synth") else None,
         inputs=inputs,
         version=data.get("version", ""),
@@ -189,9 +188,8 @@ class _Stage:
             return False
         if isinstance(exc, ParseError):
             raise ParseError(exc.path, exc.line, f"[{self.name}] {exc.reason}") from exc
-        if isinstance(exc, (ManifestError, ValueError)):
+        if isinstance(exc, (ManifestError, NumericalError, ValueError)):
             raise type(exc)(f"[{self.name}] {exc}") from exc
-        exc.args = (f"[{self.name}] {exc}",)
         return False
 
 
@@ -239,7 +237,7 @@ def run_pipeline(manifest: RunManifest) -> dict:
     with _Stage("cluster"):
         affinity = build_affinity(coeffs)
         fileio.write_matrix(out / "A.mtx", affinity)
-        labels = spectral_cluster(affinity, manifest.clusters, manifest.solver.seed)
+        labels = spectral_cluster(affinity, manifest.clusters, manifest.seed)
         fileio.write_labels(out / "labels.txt", labels)
 
     with _Stage("eval"):

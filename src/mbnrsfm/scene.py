@@ -150,32 +150,19 @@ def project(camera: CameraMotion, shapes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShapeState:
-    """A published solver shape: the stack and its frame-row reshuffle.
+    """A published solver shape: the 3F x P stack.
 
-    The two layouts must agree entry for entry (the reshuffle is a pure
-    permutation, so agreement is checked to 1e-12).
+    ``frame_rows`` derives the F x 3P frame-row layout on demand.
     """
 
     shapes: np.ndarray
-    frame_rows: np.ndarray
 
     def __post_init__(self):
-        shapes = validate_shapes(self.shapes)
-        rows = as_matrix(self.frame_rows, "frame rows")
-        expected = to_frame_rows(shapes)
-        if rows.shape != expected.shape:
-            raise ValueError(
-                f"frame rows shape {rows.shape} does not match shapes {shapes.shape}"
-            )
-        if np.abs(rows - expected).max() > 1e-12:
-            raise ValueError("frame rows are not the reshuffle of the shape stack")
-        object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "frame_rows", rows)
+        object.__setattr__(self, "shapes", validate_shapes(self.shapes))
 
-    @classmethod
-    def from_shapes(cls, shapes) -> "ShapeState":
-        mat = validate_shapes(shapes)
-        return cls(mat, to_frame_rows(mat))
+    @property
+    def frame_rows(self) -> np.ndarray:
+        return to_frame_rows(self.shapes)
 
     @property
     def frames(self) -> int:

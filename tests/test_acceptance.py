@@ -199,13 +199,13 @@ def test_criterion_4_joint_reconstruction_and_segmentation():
     for seed in TWO_BODY_SEEDS:
         scene = generate_scene(default_two_body(seed=seed))
         shape_state, coeffs, _ = solve(scene.w, scene.camera, None, cfg)
-        labels = spectral_cluster(build_affinity(coeffs), 2, cfg.seed)
+        labels = spectral_cluster(build_affinity(coeffs), 2, 0)
         worst_ems = max(worst_ems, segmentation_error(labels, scene.labels))
         worst_e3d = max(worst_e3d, reconstruction_error(shape_state.shapes, scene.shapes))
     for seed in THREE_BODY_SEEDS:
         scene = generate_scene(default_three_body(seed=seed))
         shape_state, coeffs, _ = solve(scene.w, scene.camera, None, cfg)
-        labels = spectral_cluster(build_affinity(coeffs), 3, cfg.seed)
+        labels = spectral_cluster(build_affinity(coeffs), 3, 0)
         worst_ems = max(worst_ems, segmentation_error(labels, scene.labels))
         worst_e3d = max(worst_e3d, reconstruction_error(shape_state.shapes, scene.shapes))
     elapsed = time.perf_counter() - start
@@ -230,7 +230,7 @@ def test_criterion_5_noise_degradation(default_scene):
                 if fraction > 0 else 0.0
             )
             shape_state, coeffs, _ = solve(w, default_scene.camera, None, cfg)
-            labels = spectral_cluster(build_affinity(coeffs), 2, cfg.seed)
+            labels = spectral_cluster(build_affinity(coeffs), 2, 0)
             es.append(reconstruction_error(shape_state.shapes, default_scene.shapes))
             ms.append(segmentation_error(labels, default_scene.labels))
         mean_e3d.append(float(np.mean(es)))
@@ -272,7 +272,7 @@ def test_criterion_6_real_sequence_reproduction():
         s_gt = read_matrix(sequence / "S_gt.mtx")
         clusters = int(labels_gt.max()) + 1
         shape_state, coeffs, _ = solve(w, camera, None, cfg)
-        labels = spectral_cluster(build_affinity(coeffs), clusters, cfg.seed)
+        labels = spectral_cluster(build_affinity(coeffs), clusters, 0)
         ems = segmentation_error(labels, labels_gt)
         e3d = reconstruction_error(shape_state.shapes, s_gt)
         seq_ok = (ems == expected["ems"]

@@ -73,6 +73,14 @@ class TestMatrixFormat:
             read_matrix(path)
         assert err.value.line == 3
 
+    def test_non_utf8_bytes_report_line(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(b"MBNR1 matrix 2 2\n1.0 2.0\n\xff\xfe 1\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert err.value.line == 3
+        assert "UTF-8" in str(err.value)
+
     def test_writer_rejects_nonfinite(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "m.mtx", np.array([[np.nan]]))
@@ -109,6 +117,14 @@ class TestLabelFormat:
         path.write_text("MBNR1 matrix 1\n0\n")
         with pytest.raises(ParseError):
             read_labels(path)
+
+    def test_non_utf8_bytes_report_line(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_bytes(b"MBNR1 labels 2\n0\n1\xe9\n")
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert err.value.line == 3
+        assert "UTF-8" in str(err.value)
 
 
 class TestAuxiliaryWriters:

@@ -10,7 +10,6 @@ from mbnrsfm.linalg import (
     as_matrix,
     soft_threshold,
     solve_sylvester,
-    svd,
     svt,
 )
 from mbnrsfm.scene import CameraMotion
@@ -52,45 +51,20 @@ class TestSoftThreshold:
         assert float(soft_threshold(x, tau)) == np.sign(x) * max(abs(x) - tau, 0.0)
 
 
-class TestSvd:
-    def test_identity(self):
-        _, sigma, _ = svd(np.eye(3))
-        np.testing.assert_allclose(sigma, np.ones(3), atol=1e-12)
-
-    def test_diagonal(self):
-        _, sigma, _ = svd(np.diag([3.0, 0.0]))
-        np.testing.assert_allclose(sigma, [3.0, 0.0], atol=1e-12)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(6, 4))
-        u, sigma, v = svd(m)
-        scale = np.linalg.norm(m)
-        assert np.linalg.norm((u * sigma) @ v.T - m) <= 1e-10 * scale
-        assert np.abs(u.T @ u - np.eye(4)).max() <= 1e-10
-        assert np.abs(v.T @ v - np.eye(4)).max() <= 1e-10
-
-    def test_sigma_nonincreasing(self):
-        rng = np.random.default_rng(5)
-        _, sigma, _ = svd(rng.normal(size=(8, 5)))
-        assert np.all(np.diff(sigma) <= 0)
-
-    @pytest.mark.parametrize("shape", [(10, 10), (50, 20), (20, 50), (50, 50)])
-    def test_tolerances_at_size(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        m = rng.normal(size=shape)
-        u, sigma, v = svd(m)
-        k = min(shape)
-        assert np.linalg.norm((u * sigma) @ v.T - m) <= 1e-10 * np.linalg.norm(m)
-        assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-10
-        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-10
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
 class TestSvt:
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_rejects_nonfinite(self, tau):
+        with pytest.raises(ValueError):
+            svt(np.array([[1.0, np.nan], [0.0, 1.0]]), tau)
+
+    def test_svd_failure_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError):
+            svt(np.eye(3), 0.5)
+
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(5, 4))

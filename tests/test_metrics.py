@@ -69,6 +69,10 @@ class TestSegmentationError:
         est = np.array([2, 2, 0, 0, 1, 1])
         gt = np.array([0, 0, 1, 1, 2, 2])
         assert segmentation_error(est, gt) == 0.0
+        # k = 12: more clusters than any brute-force oracle can enumerate.
+        gt = np.repeat(np.arange(12), 3)
+        perm = np.random.default_rng(12).permutation(12)
+        assert segmentation_error(perm[gt], gt) == 0.0
 
     def test_single_mistake_fraction(self):
         gt = np.array([0] * 5 + [1] * 5)

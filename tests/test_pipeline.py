@@ -91,6 +91,18 @@ class TestManifestValidation:
         with pytest.raises(ManifestError):
             manifest_from_dict(data)
 
+    @pytest.mark.parametrize("seed", [-1, "3", True])
+    def test_bad_seed_rejected(self, seed):
+        data = pipeline_manifest("x")
+        data["seed"] = seed
+        with pytest.raises(ManifestError):
+            manifest_from_dict(data)
+
+    def test_solver_block_has_no_seed(self):
+        data = pipeline_manifest("x", solver={"seed": 3})
+        with pytest.raises(ManifestError):
+            manifest_from_dict(data)
+
     def test_load_from_json_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(pipeline_manifest(tmp_path / "out")))
@@ -230,7 +242,21 @@ class TestCliExitCodes:
             "--w", str(bad), "--rotations", "rigid-init",
         ])
         assert code == 2
-        assert "parse error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "parse error" in err
+        assert "[scene]" in err
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "W.mtx"
+        bad.write_bytes(b"MBNR1 matrix 2 2\n\xff\xfe 1\n")
+        code = cli.main([
+            "solve", "--out", str(tmp_path / "out"),
+            "--w", str(bad), "--rotations", "rigid-init",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err
+        assert f"{bad}:2:" in err
 
     def test_degenerate_input_exit_4(self, tmp_path, capsys):
         # Rank-deficient tracks make the rigid initializer refuse; input
@@ -257,7 +283,9 @@ class TestCliExitCodes:
             "--bodies", "2", "--frames", "8", "--points-per-body", "5",
         ])
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "[solve]" in err
 
     def test_bad_manifest_exit_4(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

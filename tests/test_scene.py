@@ -115,17 +115,10 @@ class TestShapeState:
     def test_accepts_consistent_pair(self):
         rng = np.random.default_rng(6)
         s = rng.normal(size=(9, 4))
-        state = ShapeState(s, to_frame_rows(s))
+        state = ShapeState(s)
         assert state.frames == 3
         assert state.points == 4
-
-    def test_rejects_mismatched_pair(self):
-        rng = np.random.default_rng(7)
-        s = rng.normal(size=(9, 4))
-        rows = to_frame_rows(s)
-        rows[0, 0] += 1e-6
-        with pytest.raises(ValueError):
-            ShapeState(s, rows)
+        np.testing.assert_array_equal(state.frame_rows, to_frame_rows(s))
 
 
 class TestNeighborMatrix:
