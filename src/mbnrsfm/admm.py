@@ -21,6 +21,13 @@ operand is block diagonal, so it is factored as F separate 3 x 3 blocks and
 the camera is only ever applied per frame. The coefficient step's right
 operand D D^T is constant over a run and is factored once per ``solve``.
 
+With a spatial term the merged operator [I | D] has at most two nonzeros
+per column, so ``solve`` holds it as a ``scipy.sparse.csr_array`` and each
+product with it costs O(P) per row of the left factor instead of O(P^2).
+The step functions only use ``@`` and ``.T`` on it, so they accept a dense
+or a sparse operator alike. Without a spatial term it stays the dense
+identity.
+
 The camera motion is held fixed throughout; rotations are an input.
 """
 
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
+import scipy.sparse
 
 from .linalg import SymmetricOperand, solve_sylvester, soft_threshold, svt
 from .scene import (
@@ -243,7 +251,10 @@ def solve_coeff_subproblem(
     beta = state.duals.beta
     points = state.coeffs.shape[0]
     if merged_gram is None:
-        merged_gram = SymmetricOperand(merged @ merged.T)
+        product = merged @ merged.T
+        if scipy.sparse.issparse(product):
+            product = product.toarray()
+        merged_gram = SymmetricOperand(product)
     gram = state.shapes.T @ state.shapes
     left = SymmetricOperand(gram + 1.0 + COEFF_STABILIZER * np.eye(points))
     rhs = (
@@ -364,6 +375,8 @@ def solve(
         )
     merged = extend_with_identity(neighbors, num_points=points)
     merged_gram = SymmetricOperand(merged @ merged.T)
+    if neighbors is not None:
+        merged = scipy.sparse.csr_array(merged)
 
     if init_shapes is None:
         shapes = pseudo_inverse_shapes(w, camera)

@@ -47,12 +47,14 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 def soft_threshold(x, tau: float):
     """Shrink ``x`` toward zero: sign(x) * max(|x| - tau, 0).
 
-    Works elementwise on arrays and on plain scalars. ``tau`` must be
-    nonnegative.
+    Computed in two array passes as ``x - clip(x, -tau, tau)``, which gives
+    the same bits as the formula above except that a negative value inside
+    the dead zone maps to +0.0 instead of -0.0. Works elementwise on arrays
+    and on plain scalars. ``tau`` must be nonnegative.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    return x - np.clip(x, -tau, tau)
 
 
 def svt(m, tau: float) -> np.ndarray:

@@ -56,8 +56,7 @@ class RunManifest:
     version: str = VERSION
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ManifestError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.version != VERSION:
             raise ManifestError(f"unsupported manifest version {self.version!r}")
         if self.command not in COMMANDS:
@@ -80,6 +79,11 @@ class RunManifest:
                 raise ManifestError("eval requires inputs.labels_est and inputs.labels_gt")
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ManifestError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def _build_solver_config(block: dict) -> SolverConfig:
     allowed = {f.name for f in fields(SolverConfig)}
     unknown = set(block) - allowed
@@ -91,8 +95,8 @@ def _build_solver_config(block: dict) -> SolverConfig:
         raise ManifestError(f"bad solver block: {exc}") from exc
 
 
-def _build_synth_config(block: dict) -> SynthConfig:
-    block = dict(block)
+def _build_synth_config(block: dict, seed: int) -> SynthConfig:
+    block = {"seed": seed, **block}
     bodies_raw = block.pop("bodies", None)
     if not bodies_raw:
         raise ManifestError("synth block requires a non-empty bodies list")
@@ -117,7 +121,8 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
     """Build and validate a manifest from parsed JSON.
 
     Relative input paths are resolved against ``base_dir`` (the manifest's
-    own directory when loaded from disk).
+    own directory when loaded from disk). A ``synth`` block without its own
+    ``seed`` generates its scene from the top-level ``seed``.
     """
     if not isinstance(data, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -126,6 +131,8 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
     if unknown:
         raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
     base = Path(base_dir)
+    seed = data.get("seed", 0)
+    _check_seed(seed)  # before a synth block without its own seed inherits it
     inputs = {}
     for key, value in dict(data.get("inputs", {})).items():
         if key == "grid":
@@ -137,10 +144,10 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
     manifest = RunManifest(
         command=data.get("command", ""),
         output_dir=str(base / data["output_dir"]) if data.get("output_dir") else "",
-        seed=data.get("seed", 0),
+        seed=seed,
         clusters=data.get("clusters"),
         solver=_build_solver_config(data.get("solver", {})),
-        synth=_build_synth_config(data["synth"]) if data.get("synth") else None,
+        synth=_build_synth_config(data["synth"], seed) if data.get("synth") else None,
         inputs=inputs,
         version=data.get("version", ""),
     )
@@ -175,7 +182,12 @@ def _center_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Stage:
-    """Context manager that tags errors with the failing pipeline stage."""
+    """Context manager that tags errors with the failing pipeline stage.
+
+    A LAPACK failure (``LinAlgError``, itself a ``ValueError``) becomes a
+    ``NumericalError``. Any other ``ValueError`` subclass is wrapped as a
+    plain ``ValueError``, because its constructor may take other arguments.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -188,8 +200,13 @@ class _Stage:
             return False
         if isinstance(exc, ParseError):
             raise ParseError(exc.path, exc.line, f"[{self.name}] {exc.reason}") from exc
-        if isinstance(exc, (ManifestError, NumericalError, ValueError)):
-            raise type(exc)(f"[{self.name}] {exc}") from exc
+        message = f"[{self.name}] {exc}"
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise NumericalError(message) from exc
+        if isinstance(exc, (ManifestError, NumericalError)):
+            raise type(exc)(message) from exc
+        if isinstance(exc, ValueError):
+            raise ValueError(message) from exc
         return False
 
 

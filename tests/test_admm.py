@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from dataclasses import replace
 
 from conftest import identity_merged, random_state
@@ -338,6 +339,59 @@ class TestUpdateDuals:
         assert np.count_nonzero(delta) == 1
 
 
+def assert_close_rel(actual, expected, rtol):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+class TestSparseMergedOperator:
+    """Every step accepts the grid operator [I | D] dense or as csr_array."""
+
+    @pytest.fixture
+    def problem(self):
+        merged = extend_with_identity(build_neighbor_matrix(3, 4))
+        rng = np.random.default_rng(71)
+        _, camera, w, _ = small_problem(seed=71, frames=4, points=12)
+        state = random_state(rng, 4, 12, slack_cols=merged.shape[1])
+        return camera, w, state, merged, scipy.sparse.csr_array(merged)
+
+    def test_update_slack(self, problem):
+        _, _, state, dense, sparse = problem
+        cfg = SolverConfig(lambda1=0.3)
+        out = update_slack(state, sparse, cfg)
+        assert isinstance(out, np.ndarray)
+        assert_close_rel(out, update_slack(state, dense, cfg), 1e-12)
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_coefficient_steps(self, problem, precomputed):
+        _, _, state, dense, sparse = problem
+        gram = SymmetricOperand(dense @ dense.T) if precomputed else None
+        assert_close_rel(solve_coeff_subproblem(state, sparse, gram),
+                         solve_coeff_subproblem(state, dense, gram), 1e-12)
+        assert_close_rel(update_coefficients(state, sparse, gram),
+                         update_coefficients(state, dense, gram), 1e-12)
+
+    def test_constraint_residuals(self, problem):
+        _, _, state, dense, sparse = problem
+        assert_close_rel(constraint_residuals(state, sparse),
+                         constraint_residuals(state, dense), 1e-12)
+
+    def test_update_duals(self, problem):
+        _, _, state, dense, sparse = problem
+        cfg = SolverConfig()
+        out, expected = update_duals(state, sparse, cfg), update_duals(state, dense, cfg)
+        for name in ("y_reshuffle", "y_selfexpr", "y_slack", "y_colsum"):
+            assert isinstance(getattr(out, name), np.ndarray)
+            assert_close_rel(getattr(out, name), getattr(expected, name), 1e-12)
+        assert out.beta == expected.beta
+
+    def test_augmented_lagrangian(self, problem):
+        camera, w, state, dense, sparse = problem
+        cfg = SolverConfig(lambda1=0.3)
+        assert_close_rel(augmented_lagrangian(w, camera, state, sparse, cfg),
+                         augmented_lagrangian(w, camera, state, dense, cfg), 1e-12)
+
+
 class TestSolverConfig:
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
@@ -518,6 +572,71 @@ class TestSolve:
         _, _, trace = solve(scene.w, scene.camera, None, SolverConfig(max_iters=7))
         assert len(trace) == 7
         assert calls == [(18, 10), (10, 10)] * 7
+
+    def grid_scene(self):
+        # 12 points on a 3 x 4 grid; the grid order is arbitrary here, the
+        # point is to exercise the spatial-term path.
+        scene = generate_scene(default_two_body(frames=8, points_per_body=6))
+        return scene, build_neighbor_matrix(3, 4)
+
+    def test_grid_mode_equals_manual_dense_operator_path(self):
+        # solve holds [I | D] sparse; a sweep over the update functions with
+        # the dense operator must agree up to summation order.
+        scene, neighbors = self.grid_scene()
+        cfg = SolverConfig(lambda1=1e-2)
+        shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
+        assert trace.converged
+
+        points = scene.w.shape[1]
+        frames = scene.camera.frames
+        merged = extend_with_identity(neighbors)
+        merged_gram = SymmetricOperand(merged @ merged.T)
+        shapes = pseudo_inverse_shapes(scene.w, scene.camera)
+        state = AdmmState(
+            shapes=shapes,
+            lowrank=to_frame_rows(shapes),
+            slack=np.zeros((points, 5 * points)),
+            coeffs=np.zeros((points, points)),
+            duals=DualState.zeros(frames, points, 5 * points, cfg.beta0),
+        )
+        iterations = 0
+        for _ in range(cfg.max_iters):
+            iterations += 1
+            state.shapes = update_shapes(state, scene.w, scene.camera)
+            state.lowrank = update_lowrank(state, cfg)
+            state.slack = update_slack(state, merged, cfg)
+            state.coeffs = update_coefficients(state, merged, merged_gram)
+            residuals = constraint_residuals(state, merged)
+            state.duals = update_duals(state, merged, cfg)
+            if max(residuals) <= cfg.epsilon:
+                break
+        assert len(trace) == iterations
+        assert_close_rel(shape_state.shapes, state.shapes, 1e-9)
+        assert_close_rel(coeffs, state.coeffs, 1e-9)
+
+    def test_grid_mode_traced_calls_per_iteration(self, monkeypatch):
+        # The benchmark's tracing contract in grid mode: two Sylvester solves
+        # with .shape operands and one shrinkage call per iteration, all
+        # looked up on mbnrsfm.admm.
+        sylvester, shrink = [], []
+        original_sylvester = mbnrsfm.admm.solve_sylvester
+        original_shrink = mbnrsfm.admm.soft_threshold
+
+        def counting_sylvester(*args, **kwargs):
+            sylvester.append((args[0].shape[0], args[1].shape[0]))
+            return original_sylvester(*args, **kwargs)
+
+        def counting_shrink(*args, **kwargs):
+            shrink.append(np.shape(args[0]))
+            return original_shrink(*args, **kwargs)
+
+        monkeypatch.setattr(mbnrsfm.admm, "solve_sylvester", counting_sylvester)
+        monkeypatch.setattr(mbnrsfm.admm, "soft_threshold", counting_shrink)
+        scene, neighbors = self.grid_scene()
+        _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=7))
+        assert len(trace) == 7
+        assert sylvester == [(24, 12), (12, 12)] * 7
+        assert shrink == [(12, 60)] * 7
 
     def test_objective_fit_matches_block_diagonal_oracle(self):
         _, camera, w, state = small_problem(seed=61)

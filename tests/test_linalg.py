@@ -50,6 +50,22 @@ class TestSoftThreshold:
     def test_matches_formula(self, x, tau):
         assert float(soft_threshold(x, tau)) == np.sign(x) * max(abs(x) - tau, 0.0)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 3.0])
+    def test_two_pass_form_matches_sign_formula(self, tau):
+        # array_equal counts -0.0 equal to +0.0, the one place the two differ.
+        rng = np.random.default_rng(11)
+        x = rng.normal(scale=2.0, size=360)
+        x[:9] = [tau, -tau, 0.0, -0.0, np.inf, -np.inf, np.nan,
+                 np.nextafter(tau, 0.0), -np.nextafter(tau, np.inf)]
+        x = rng.permutation(x).reshape(12, 30)
+        expected = np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+        assert np.array_equal(soft_threshold(x, tau), expected, equal_nan=True)
+
+    def test_negative_dead_zone_gives_positive_zero(self):
+        out = soft_threshold(np.array([-0.25, 0.25]), 0.5)
+        assert np.array_equal(out, [0.0, 0.0])
+        assert not np.signbit(out).any()
+
 
 class TestSvt:
     @pytest.mark.parametrize("tau", [0.0, 0.5])

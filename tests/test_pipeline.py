@@ -98,6 +98,26 @@ class TestManifestValidation:
         with pytest.raises(ManifestError):
             manifest_from_dict(data)
 
+    def test_synth_block_without_seed_inherits_top_level_seed(self):
+        data = pipeline_manifest("x", seed=5)
+        del data["synth"]["seed"]
+        manifest = manifest_from_dict(data)
+        assert manifest.seed == 5 and manifest.synth.seed == 5
+
+    def test_synth_block_seed_wins_over_top_level_seed(self):
+        data = pipeline_manifest("x", seed=5)
+        data["synth"]["seed"] = 2
+        manifest = manifest_from_dict(data)
+        assert manifest.seed == 5 and manifest.synth.seed == 2
+
+    @pytest.mark.parametrize("seed", [-1, "3", True])
+    def test_bad_seed_rejected_before_synth_inherits_it(self, seed):
+        data = pipeline_manifest("x")
+        del data["synth"]["seed"]
+        data["seed"] = seed
+        with pytest.raises(ManifestError, match="seed must be a nonnegative integer"):
+            manifest_from_dict(data)
+
     def test_solver_block_has_no_seed(self):
         data = pipeline_manifest("x", solver={"seed": 3})
         with pytest.raises(ManifestError):
@@ -286,6 +306,45 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "[solve]" in err
+
+    def test_lapack_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError; it must not read as a bad input.
+        import mbnrsfm.pipeline as pipeline_module
+
+        def explode(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(pipeline_module, "solve", explode)
+        code = cli.main([
+            "pipeline", "--out", str(tmp_path / "out"), "--clusters", "2",
+            "--bodies", "2", "--frames", "8", "--points-per-body", "5",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "[solve] SVD did not converge" in err
+
+    def test_value_error_subclass_exit_4(self, tmp_path, capsys, monkeypatch):
+        # A subclass whose constructor takes other arguments cannot be
+        # rebuilt from a message; it is wrapped as a plain ValueError.
+        import mbnrsfm.pipeline as pipeline_module
+
+        class TwoArgumentError(ValueError):
+            def __init__(self, what, where):
+                super().__init__(f"{what} in {where}")
+
+        def explode(*args, **kwargs):
+            raise TwoArgumentError("degenerate tracks", "W")
+
+        monkeypatch.setattr(pipeline_module, "solve", explode)
+        code = cli.main([
+            "pipeline", "--out", str(tmp_path / "out"), "--clusters", "2",
+            "--bodies", "2", "--frames", "8", "--points-per-body", "5",
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "bad manifest or inputs: [solve] degenerate tracks in W" in err
+        assert "Traceback" not in err
 
     def test_bad_manifest_exit_4(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
