@@ -5,7 +5,14 @@ spectral clustering of the learned self-expression coefficients."""
 from .admm import SolverConfig, SolverTrace, solve
 from .clustering import build_affinity, spectral_cluster
 from .errors import ManifestError, NumericalError, ParseError, SingularPencilError
-from .linalg import SymmetricOperand, soft_threshold, solve_sylvester, svt
+from .linalg import (
+    CholeskyOperand,
+    GramOperand,
+    SymmetricOperand,
+    soft_threshold,
+    solve_sylvester,
+    svt,
+)
 from .metrics import (
     reconstruction_error,
     reconstruction_error_whole,
@@ -39,6 +46,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BodySpec",
     "CameraMotion",
+    "CholeskyOperand",
+    "GramOperand",
     "ManifestError",
     "NeighborMatrix",
     "NumericalError",

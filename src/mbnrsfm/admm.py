@@ -15,11 +15,18 @@ zeroing), then performs dual ascent with a geometrically growing penalty
 capped at ``beta_max``. Convergence is declared when all four constraint
 residuals fall below ``epsilon`` in the elementwise max norm.
 
-Both Sylvester equations have symmetric operands and are solved in their
-eigenbases (``linalg.SymmetricOperand``). The shape step's 3F x 3F left
-operand is block diagonal, so it is factored as F separate 3 x 3 blocks and
-the camera is only ever applied per frame. The coefficient step's right
-operand D D^T is constant over a run and is factored once per ``solve``.
+Both Sylvester equations have symmetric operands, and no P x P matrix is
+eigendecomposed inside the loop. The shape step's 3F x 3F left operand is
+block diagonal, so it is factored as F separate 3 x 3 blocks and the camera
+is only ever applied per frame; the blocks' eigenvalues sit near 1 and
+1 + 1/beta, so the P x P right operand (I - C)(I - C^T) is solved through
+one Cholesky factor per cluster, shifted by the cluster's center
+(``linalg.CholeskyOperand``). The coefficient step's left operand is the
+Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P (``linalg.GramOperand``):
+when 3F+1 < P only the (3F+1)-square M M^T is factored and the solve uses
+the Woodbury identity, otherwise the P x P operand is factored as before.
+Its right operand D D^T is constant over a run and is factored once per
+``solve``.
 
 With a spatial term the merged operator [I | D] has at most two nonzeros
 per column, so ``solve`` holds it as a ``scipy.sparse.csr_array`` and each
@@ -39,7 +46,14 @@ from math import sqrt
 import numpy as np
 import scipy.sparse
 
-from .linalg import SymmetricOperand, solve_sylvester, soft_threshold, svt
+from .linalg import (
+    CholeskyOperand,
+    GramOperand,
+    SymmetricOperand,
+    solve_sylvester,
+    soft_threshold,
+    svt,
+)
 from .scene import (
     CameraMotion,
     NeighborMatrix,
@@ -189,15 +203,17 @@ def update_shapes(state: AdmmState, w: np.ndarray, camera: CameraMotion) -> np.n
 
     where R is the 2F x 3F block-diagonal camera and ginv is the
     frame-row-to-stack reshuffle. R is never assembled: the left operand is
-    the stack of F blocks R_f^T R_f / beta + I, R^T W is formed frame by
-    frame, and both symmetric operands are solved in their eigenbases.
+    the stack of F blocks R_f^T R_f / beta + I, factored per block, and
+    R^T W is formed frame by frame. The right operand is solved by Cholesky
+    factors shifted by the clusters of the left eigenvalues (about 1 and
+    1 + 1/beta for orthonormal camera rows).
     """
     beta = state.duals.beta
     blocks = camera.blocks
     frames, points = blocks.shape[0], w.shape[1]
     left = SymmetricOperand(np.einsum("fji,fjk->fik", blocks, blocks) / beta + np.eye(3))
     ic = np.eye(points) - state.coeffs
-    right = SymmetricOperand(ic @ ic.T)
+    right = CholeskyOperand(ic @ ic.T)
     backprojected = np.einsum("fji,fjp->fip", blocks, w.reshape(frames, 2, points))
     rhs = (
         backprojected.reshape(3 * frames, points) / beta
@@ -232,7 +248,9 @@ def update_slack(state: AdmmState, merged: np.ndarray, config: SolverConfig) -> 
 
 
 def solve_coeff_subproblem(
-    state: AdmmState, merged: np.ndarray, merged_gram: SymmetricOperand | None = None
+    state: AdmmState,
+    merged: np.ndarray,
+    merged_gram: GramOperand | SymmetricOperand | None = None,
 ) -> np.ndarray:
     """Closed-form coefficient update before diagonal zeroing.
 
@@ -243,20 +261,18 @@ def solve_coeff_subproblem(
               + 1 1^T - 1 y_colsum / beta
 
     with D the merged operator and E the slack; a tiny diagonal shift keeps
-    the left operand strictly positive definite. Both operands are symmetric
-    and solved in their eigenbases. ``merged_gram`` is D D^T as a
-    SymmetricOperand; it is constant over a run, so ``solve`` factors it
-    once and passes it in. When omitted it is factored here.
+    the left operand strictly positive definite. The left operand is held as
+    the Gram of M = [S; 1^T], so with fewer than P rows in M it is solved by
+    the Woodbury identity without forming it. ``merged_gram`` is D D^T as a
+    GramOperand of D^T (or a SymmetricOperand); it is constant over a run,
+    so ``solve`` factors it once and passes it in. When omitted it is
+    factored here.
     """
     beta = state.duals.beta
     points = state.coeffs.shape[0]
     if merged_gram is None:
-        product = merged @ merged.T
-        if scipy.sparse.issparse(product):
-            product = product.toarray()
-        merged_gram = SymmetricOperand(product)
-    gram = state.shapes.T @ state.shapes
-    left = SymmetricOperand(gram + 1.0 + COEFF_STABILIZER * np.eye(points))
+        merged_gram = GramOperand(merged.T)
+    left = GramOperand(np.vstack([state.shapes, np.ones(points)]), COEFF_STABILIZER)
     rhs = (
         state.shapes.T @ (state.shapes + state.duals.y_selfexpr / beta)
         + (state.slack - state.duals.y_slack / beta) @ merged.T
@@ -267,7 +283,9 @@ def solve_coeff_subproblem(
 
 
 def update_coefficients(
-    state: AdmmState, merged: np.ndarray, merged_gram: SymmetricOperand | None = None
+    state: AdmmState,
+    merged: np.ndarray,
+    merged_gram: GramOperand | SymmetricOperand | None = None,
 ) -> np.ndarray:
     """Coefficient update: subproblem solution with the diagonal zeroed exactly."""
     coeffs = solve_coeff_subproblem(state, merged, merged_gram)
@@ -374,9 +392,9 @@ def solve(
             f"neighbor matrix covers {neighbors.points} points, scene has {points}"
         )
     merged = extend_with_identity(neighbors, num_points=points)
-    merged_gram = SymmetricOperand(merged @ merged.T)
     if neighbors is not None:
         merged = scipy.sparse.csr_array(merged)
+    merged_gram = GramOperand(merged.T)
 
     if init_shapes is None:
         shapes = pseudo_inverse_shapes(w, camera)

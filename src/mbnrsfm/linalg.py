@@ -1,24 +1,37 @@
 """Dense linear-algebra kernels used by every solver step.
 
 Decompositions are delegated to LAPACK through numpy and scipy: the SVD
-inside ``svt`` via ``numpy.linalg.svd`` and symmetric eigendecompositions via
-``numpy.linalg.eigh``. The solver's two Sylvester equations have symmetric
-operands, so ``solve_sylvester`` solves them in the operands' eigenbases
-(``SymmetricOperand``, a single matrix or a stack of diagonal blocks).
-Plain-array operands go through scipy's general Bartels-Stewart
-implementation, which stays the reference for the structured path.
+inside ``svt`` via ``numpy.linalg.svd``, symmetric eigendecompositions via
+``numpy.linalg.eigh`` and Cholesky factors via ``scipy.linalg.cho_factor``.
+The solver's two Sylvester equations have symmetric operands, and
+``solve_sylvester`` picks its method from the operand types:
+
+* two ``SymmetricOperand`` (a matrix or a stack of diagonal blocks held with
+  its eigendecomposition): rotate into both eigenbases and divide;
+* a ``GramOperand`` on the left (``m^T m + shift I`` held as its k x n
+  factor ``m``): when k < n only the k x k Gram ``m m^T`` is factored, and
+  each column of the right operand's eigenbasis is solved by the Woodbury
+  identity, so the n x n operand is never formed;
+* a ``CholeskyOperand`` on the right of a ``SymmetricOperand`` (an
+  unfactored positive-semidefinite matrix): rows whose left eigenvalues
+  cluster share one Cholesky factor of the right operand shifted by the
+  cluster's center, and refinement sweeps against the exact operators
+  remove the spread inside a cluster when the residual bound asks for it;
+* two plain arrays: scipy's general Bartels-Stewart implementation, which
+  stays the reference for the structured paths.
+
 This module owns the contracts the rest of the package relies on: validated
 inputs, explicit failures instead of silent garbage, and a verified residual
 on every Sylvester solve.
 
-All functions are pure; a SymmetricOperand is computed once and never
-changed.
+All functions are pure; an operand is computed once and never changed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import NumericalError, SingularPencilError
 
@@ -26,6 +39,13 @@ from .errors import NumericalError, SingularPencilError
 SYLVESTER_RTOL = 1e-8
 # Eigenvalue-pair sums below this magnitude mean the pencil is singular.
 SINGULAR_PENCIL_TOL = 1e-12
+# Left eigenvalues within this relative distance of a cluster's smallest
+# share one shifted Cholesky factor. Solving a row with its cluster's center
+# instead of its own eigenvalue then leaves an error of at most half this
+# fraction, and each refinement sweep shrinks it by that factor again.
+SHIFT_CLUSTER_RTOL = 1e-3
+# Refinement sweeps a shifted-Cholesky solve may take to meet the bound.
+MAX_REFINEMENT_SWEEPS = 3
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -76,6 +96,20 @@ def svt(m, tau: float) -> np.ndarray:
     return (u * soft_threshold(sigma, tau)) @ vh
 
 
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` with a LAPACK failure raised as NumericalError."""
+    try:
+        return np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"symmetric eigendecomposition did not converge on shape {mat.shape}"
+        ) from exc
+
+
+def _dense(mat) -> np.ndarray:
+    return mat.toarray() if scipy.sparse.issparse(mat) else mat
+
+
 class SymmetricOperand:
     """A symmetric Sylvester operand held with its eigendecomposition.
 
@@ -100,12 +134,7 @@ class SymmetricOperand:
             )
         if not np.all(np.isfinite(mat)):
             raise ValueError("symmetric operand contains non-finite entries")
-        try:
-            values, vectors = np.linalg.eigh(mat)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"symmetric eigendecomposition did not converge on shape {mat.shape}"
-            ) from exc
+        values, vectors = _eigh(mat)
         self.matrix = mat
         self.eigenvalues = values.reshape(-1)
         self.eigenvectors = vectors
@@ -116,21 +145,125 @@ class SymmetricOperand:
         return n, n
 
 
-def _left(op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``op @ x`` for a dense matrix or a (k, m, m) stack of diagonal blocks."""
+class GramOperand:
+    """The symmetric operand ``m^T m + shift * I`` held as its k x n factor ``m``.
+
+    ``m`` is a dense array or a scipy sparse array. The smaller of the two
+    Grams is factored by ``np.linalg.eigh``:
+
+    * k < n (low rank): the k x k ``m m^T = W diag(s) W^T``. ``matrix`` is
+      None, ``eigenvalues`` holds s and ``eigenvectors`` holds ``m^T W``
+      (n x k). ``solve_sylvester`` inverts each shifted copy by the Woodbury
+      identity ``(m^T m + c I)^-1 = (I - m^T W diag(1 / (s + c)) W^T m) / c``.
+    * k >= n: ``matrix`` is the n x n operand itself, factored and solved
+      exactly like a SymmetricOperand holding that matrix.
+
+    Products with the operand (the residual check) go through ``m`` when
+    ``matrix`` is None or ``m`` is sparse, and through ``matrix`` otherwise.
+    ``shape`` is n x n.
+    """
+
+    __slots__ = ("factor", "shift", "matrix", "eigenvalues", "eigenvectors")
+
+    def __init__(self, factor, shift: float = 0.0):
+        m = factor if scipy.sparse.issparse(factor) else np.asarray(factor, dtype=float)
+        if m.ndim != 2 or 0 in m.shape:
+            raise ValueError(f"Gram factor must be a non-empty k x n matrix, got shape {m.shape}")
+        entries = m.data if scipy.sparse.issparse(m) else m
+        if not (np.all(np.isfinite(entries)) and np.isfinite(shift)):
+            raise ValueError("Gram operand contains non-finite entries")
+        k, n = m.shape
+        self.factor, self.shift = m, float(shift)
+        if k < n:
+            values, vectors = _eigh(_dense(m @ m.T))
+            self.matrix = None
+            self.eigenvalues = values
+            self.eigenvectors = np.asarray(m.T @ vectors)
+        else:
+            mat = _dense(m.T @ m)
+            if shift:
+                mat = mat + shift * np.eye(n)
+            self.matrix = mat
+            self.eigenvalues, self.eigenvectors = _eigh(mat)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.factor.shape[1]
+        return n, n
+
+
+class CholeskyOperand:
+    """A symmetric positive-semidefinite n x n operand, left unfactored.
+
+    It stands on the right of a SymmetricOperand; ``solve_sylvester`` then
+    factors ``matrix + c I`` by Cholesky once per cluster ``c`` of the left
+    eigenvalues. Nothing is decomposed at construction.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
+        mat = np.asarray(matrix, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValueError(f"Cholesky operand must be n x n, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("Cholesky operand contains non-finite entries")
+        self.matrix = mat
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+
+_OPERANDS = (SymmetricOperand, GramOperand, CholeskyOperand)
+
+
+def _through_factor(op) -> bool:
+    return isinstance(op, GramOperand) and (
+        op.matrix is None or scipy.sparse.issparse(op.factor)
+    )
+
+
+def _left(op, x: np.ndarray) -> np.ndarray:
+    """``op @ x`` for an operand, a dense matrix or a (k, m, m) block stack."""
+    if _through_factor(op):
+        return op.factor.T @ (op.factor @ x) + op.shift * x
+    if isinstance(op, _OPERANDS):
+        op = op.matrix
     if op.ndim == 2:
         return op @ x
     k, m, _ = op.shape
     return np.matmul(op, x.reshape(k, m, -1)).reshape(k * m, -1)
 
 
-def _right(x: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """``x @ op`` for a dense matrix or a (k, m, m) stack of diagonal blocks."""
+def _right(x: np.ndarray, op) -> np.ndarray:
+    """``x @ op`` for an operand, a dense matrix or a (k, m, m) block stack."""
+    if _through_factor(op):
+        return (x @ op.factor.T) @ op.factor + op.shift * x
+    if isinstance(op, _OPERANDS):
+        op = op.matrix
     if op.ndim == 2:
         return x @ op
     k, m, _ = op.shape
     per_block = np.matmul(x.reshape(-1, k, m).swapaxes(0, 1), op)
     return per_block.swapaxes(0, 1).reshape(x.shape[0], k * m)
+
+
+def _spectrum(op) -> np.ndarray:
+    """All n eigenvalues of an operand (used to diagnose a failed solve)."""
+    if isinstance(op, CholeskyOperand):
+        return np.linalg.eigvalsh(op.matrix)
+    if isinstance(op, GramOperand) and op.matrix is None:
+        n = op.shape[0]
+        flat = np.full(n - op.eigenvalues.size, op.shift)
+        return np.concatenate([op.eigenvalues + op.shift, flat])
+    return op.eigenvalues
+
+
+def _has_eigenbasis(op) -> bool:
+    return isinstance(op, SymmetricOperand) or (
+        isinstance(op, GramOperand) and op.matrix is not None
+    )
 
 
 def _check_operand_shapes(a_shape, b_shape, q_shape) -> None:
@@ -153,29 +286,51 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     paths in this package guarantee that by construction (a positive-definite
     left operand against a positive-semidefinite right one).
 
-    Two paths:
+    The operand pair picks the method:
 
-    * both operands SymmetricOperand: with ``a = U diag(l) U^T`` and
-      ``b = V diag(m) V^T``, ``x = U [(U^T q V) / (l_i + m_j)] V^T``, using
-      the stored factorizations. Block-stack operands are applied per block.
+    * ``a`` and ``b`` each a SymmetricOperand or a GramOperand with k >= n:
+      with ``a = U diag(l) U^T`` and ``b = V diag(m) V^T``,
+      ``x = U [(U^T q V) / (l_i + m_j)] V^T``, using the stored
+      factorizations. Block-stack operands are applied per block.
+    * ``a`` a low-rank GramOperand, ``b`` as above: column j of ``q V`` is
+      solved against ``m^T m + (shift + m_j) I`` by the Woodbury identity.
+    * ``a`` a SymmetricOperand, ``b`` a CholeskyOperand: row i of ``U^T q``
+      is solved against ``b + l_i I`` through the Cholesky factor of ``b``
+      shifted by the center of the cluster holding l_i (eigenvalues within
+      SHIFT_CLUSTER_RTOL of the cluster's smallest). While the residual
+      misses the bound, up to MAX_REFINEMENT_SWEEPS sweeps solve the same
+      way for the residual taken against the exact operators and subtract
+      the result.
     * both operands plain arrays: scipy's Bartels-Stewart (real Schur forms
       of both operands plus back-substitution). This is the general routine
-      and the reference the structured path is tested against.
+      and the reference the structured paths are tested against.
 
-    Mixing the two kinds raises TypeError.
+    Any other pair, plain arrays mixed with operands included, raises
+    TypeError.
 
     The returned solution always satisfies
     ``||a x + x b - q||_F <= SYLVESTER_RTOL * (1 + ||q||_F)``, checked
-    against the original operand matrices. A violation, or a non-finite
-    solution, raises SingularPencilError (naming the offending eigenvalue
-    pair) when the pencil is singular, NumericalError otherwise.
+    against the original operators. A violation, or a non-finite solution,
+    raises SingularPencilError (naming the offending eigenvalue pair) when
+    the pencil is singular, NumericalError otherwise.
     """
-    structured = isinstance(a, SymmetricOperand), isinstance(b, SymmetricOperand)
-    if all(structured):
-        return _solve_in_eigenbases(a, b, q)
-    if any(structured):
-        raise TypeError("solve_sylvester needs both operands symmetric-factored or both plain")
+    if not isinstance(a, _OPERANDS) and not isinstance(b, _OPERANDS):
+        return _solve_bartels_stewart(a, b, q)
+    if _has_eigenbasis(b):
+        if _has_eigenbasis(a):
+            return _solve_in_eigenbases(a, b, q)
+        if isinstance(a, GramOperand):
+            return _solve_woodbury(a, b, q)
+    if isinstance(a, SymmetricOperand) and isinstance(b, CholeskyOperand):
+        return _solve_shifted_cholesky(a, b, q)
+    raise TypeError(
+        f"solve_sylvester has no method for a {type(a).__name__} left operand "
+        f"and a {type(b).__name__} right operand"
+    )
 
+
+def _solve_bartels_stewart(a, b, q) -> np.ndarray:
+    """The plain-array path of solve_sylvester."""
     a = as_matrix(a, "left operand")
     b = as_matrix(b, "right operand")
     q = as_matrix(q, "right-hand side")
@@ -191,36 +346,118 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     return _verified(a, b, q, x, eigenvalues)
 
 
-def _solve_in_eigenbases(a: SymmetricOperand, b: SymmetricOperand, q) -> np.ndarray:
-    """The SymmetricOperand path of solve_sylvester."""
+def _structured_rhs(a, b, q) -> np.ndarray:
+    """The right-hand side of an operand path as a 2-D float array.
+
+    Its finiteness is left to the residual check: a non-finite ``q`` gives
+    a non-finite solution, which ``_verified`` rejects.
+    """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
         raise ValueError(f"right-hand side must be 2-D, got shape {q.shape}")
     _check_operand_shapes(a.shape, b.shape, q.shape)
+    return q
+
+
+def _spectra(a, b):
+    return lambda: (_spectrum(a), _spectrum(b))
+
+
+def _solve_in_eigenbases(a, b, q) -> np.ndarray:
+    """Both operands held with their full eigendecompositions."""
+    q = _structured_rhs(a, b, q)
     u, v = a.eigenvectors, b.eigenvectors
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inner = _right(_left(u.swapaxes(-1, -2), q), v)
         inner /= a.eigenvalues[:, None] + b.eigenvalues[None, :]
         x = _right(_left(u, inner), v.swapaxes(-1, -2))
-    return _verified(a.matrix, b.matrix, q, x, lambda: (a.eigenvalues, b.eigenvalues))
+    return _verified(a, b, q, x, _spectra(a, b))
 
 
-def _verified(a, b, q, x, eigenvalues) -> np.ndarray:
+def _solve_woodbury(a: GramOperand, b, q) -> np.ndarray:
+    """A low-rank GramOperand left of an operand with a full eigenbasis."""
+    q = _structured_rhs(a, b, q)
+    v, basis = b.eigenvectors, a.eigenvectors
+    shifts = a.shift + b.eigenvalues
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rotated = _right(q, v)
+        inner = basis.T @ rotated
+        inner /= a.eigenvalues[:, None] + shifts[None, :]
+        x = _right((rotated - basis @ inner) / shifts, v.swapaxes(-1, -2))
+    return _verified(a, b, q, x, _spectra(a, b))
+
+
+def _eigenvalue_clusters(values: np.ndarray) -> list:
+    """Group ``values`` into (indices, center) clusters.
+
+    Scanning in ascending order, a cluster takes every value within
+    SHIFT_CLUSTER_RTOL of its smallest; its center is the midpoint of its
+    range.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    clusters, start = [], 0
+    while start < ordered.size:
+        low = ordered[start]
+        stop = int(np.searchsorted(ordered, low + SHIFT_CLUSTER_RTOL * abs(low), side="right"))
+        clusters.append((np.sort(order[start:stop]), 0.5 * (low + ordered[stop - 1])))
+        start = stop
+    return clusters
+
+
+def _solve_shifted_cholesky(a: SymmetricOperand, b: CholeskyOperand, q) -> np.ndarray:
+    """A SymmetricOperand left of an unfactored positive-semidefinite operand."""
+    q = _structured_rhs(a, b, q)
+    u = a.eigenvectors
+    eigenvalues = _spectra(a, b)
+    factors = []
+    for rows, center in _eigenvalue_clusters(a.eigenvalues):
+        shifted = b.matrix.copy()
+        shifted.flat[:: shifted.shape[0] + 1] += center
+        try:
+            factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True,
+                                             check_finite=False)
+        except np.linalg.LinAlgError:
+            _raise_sylvester_failure(
+                eigenvalues, f"right operand shifted by {center} is not positive definite"
+            )
+        factors.append((rows, factor))
+
+    def solve_rows(r: np.ndarray) -> np.ndarray:
+        rotated = _left(u.swapaxes(-1, -2), r)
+        out = np.empty_like(rotated)
+        for rows, factor in factors:
+            out[rows] = scipy.linalg.cho_solve(factor, rotated[rows].T, overwrite_b=True,
+                                               check_finite=False).T
+        return _left(u, out)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = solve_rows(q)
+    return _verified(a, b, q, x, eigenvalues, correction=solve_rows)
+
+
+def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:
     """Return ``x`` if it meets the residual bound, else diagnose and raise.
 
-    ``a`` and ``b`` are dense matrices or block stacks; ``eigenvalues`` is a
-    zero-argument callable giving both operands' eigenvalues, only called on
-    failure.
+    ``a`` and ``b`` are operands, dense matrices or block stacks;
+    ``eigenvalues`` is a zero-argument callable giving both operands'
+    eigenvalues, only called on failure. ``correction``, when given, maps a
+    residual to the solution error it implies; while the bound is missed it
+    is subtracted from ``x``, at most MAX_REFINEMENT_SWEEPS times.
     """
-    finite = bool(np.all(np.isfinite(x)))
+    sweeps = 0 if correction is None else MAX_REFINEMENT_SWEEPS
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(_left(a, x) + _right(x, b) - q) if finite else np.inf
         bound = SYLVESTER_RTOL * (1.0 + np.linalg.norm(q))
-    if not (np.isfinite(residual) and residual <= bound):
-        detail = (f"residual {residual:.3e} exceeds bound {bound:.3e}" if finite
-                  else "non-finite solution")
-        _raise_sylvester_failure(eigenvalues, detail)
-    return x
+        for sweep in range(sweeps + 1):
+            if not np.all(np.isfinite(x)):
+                _raise_sylvester_failure(eigenvalues, "non-finite solution")
+            residual = _left(a, x) + _right(x, b) - q
+            norm = np.linalg.norm(residual)
+            if norm <= bound:
+                return x
+            if sweep < sweeps:
+                x = x - correction(residual)
+    _raise_sylvester_failure(eigenvalues, f"residual {norm:.3e} exceeds bound {bound:.3e}")
 
 
 def _raise_sylvester_failure(eigenvalues, detail: str):

@@ -130,11 +130,14 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
                            "solver", "synth", "inputs"}
     if unknown:
         raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
+    for key in ("solver", "synth", "inputs"):
+        if data.get(key) is not None and not isinstance(data[key], dict):
+            raise ManifestError(f"{key} block must be a JSON object, got {data[key]!r}")
     base = Path(base_dir)
     seed = data.get("seed", 0)
     _check_seed(seed)  # before a synth block without its own seed inherits it
     inputs = {}
-    for key, value in dict(data.get("inputs", {})).items():
+    for key, value in (data.get("inputs") or {}).items():
         if key == "grid":
             inputs[key] = value
         elif key == "rotations" and value == RIGID_INIT:
@@ -146,7 +149,7 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
         output_dir=str(base / data["output_dir"]) if data.get("output_dir") else "",
         seed=seed,
         clusters=data.get("clusters"),
-        solver=_build_solver_config(data.get("solver", {})),
+        solver=_build_solver_config(data.get("solver") or {}),
         synth=_build_synth_config(data["synth"], seed) if data.get("synth") else None,
         inputs=inputs,
         version=data.get("version", ""),

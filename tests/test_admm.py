@@ -23,7 +23,8 @@ from mbnrsfm.admm import (
     update_slack,
 )
 from mbnrsfm.clustering import build_affinity, spectral_cluster
-from mbnrsfm.linalg import SymmetricOperand
+import mbnrsfm.linalg
+from mbnrsfm.linalg import SymmetricOperand, solve_sylvester
 from mbnrsfm.metrics import reprojection_error, segmentation_error
 from mbnrsfm.scene import (
     build_neighbor_matrix,
@@ -390,6 +391,107 @@ class TestSparseMergedOperator:
         cfg = SolverConfig(lambda1=0.3)
         assert_close_rel(augmented_lagrangian(w, camera, state, sparse, cfg),
                          augmented_lagrangian(w, camera, state, dense, cfg), 1e-12)
+
+
+def eigenbasis_shape_step(state, w, camera):
+    """The shape step with both operands eigendecomposed: the oracle."""
+    beta = state.duals.beta
+    blocks = camera.blocks
+    frames, points = blocks.shape[0], w.shape[1]
+    ic = np.eye(points) - state.coeffs
+    backprojected = np.einsum("fji,fjp->fip", blocks, w.reshape(frames, 2, points))
+    rhs = (backprojected.reshape(3 * frames, points) / beta
+           + to_point_columns(state.lowrank)
+           + to_point_columns(state.duals.y_reshuffle) / beta
+           - (state.duals.y_selfexpr / beta) @ ic.T)
+    left = SymmetricOperand(np.einsum("fji,fjk->fik", blocks, blocks) / beta + np.eye(3))
+    return solve_sylvester(left, SymmetricOperand(ic @ ic.T), rhs)
+
+
+def eigenbasis_coefficient_step(state, merged):
+    """The coefficient step with the P x P left operand eigendecomposed."""
+    beta = state.duals.beta
+    shapes = state.shapes
+    points = shapes.shape[1]
+    left = SymmetricOperand(shapes.T @ shapes + 1.0 + 1e-10 * np.eye(points))
+    rhs = (shapes.T @ (shapes + state.duals.y_selfexpr / beta)
+           + (state.slack - state.duals.y_slack / beta) @ merged.T
+           + 1.0 - state.duals.y_colsum / beta)
+    coeffs = solve_sylvester(left, SymmetricOperand(merged @ merged.T), rhs)
+    np.fill_diagonal(coeffs, 0.0)
+    return coeffs
+
+
+def eigenbasis_sweep(w, camera, merged, cfg):
+    """A whole ADMM run over the eigenbasis oracles; returns (state, iterations)."""
+    points, frames = w.shape[1], camera.frames
+    shapes = pseudo_inverse_shapes(w, camera)
+    state = AdmmState(
+        shapes=shapes,
+        lowrank=to_frame_rows(shapes),
+        slack=np.zeros((points, merged.shape[1])),
+        coeffs=np.zeros((points, points)),
+        duals=DualState.zeros(frames, points, merged.shape[1], cfg.beta0),
+    )
+    for iteration in range(1, cfg.max_iters + 1):
+        state.shapes = eigenbasis_shape_step(state, w, camera)
+        state.lowrank = update_lowrank(state, cfg)
+        state.slack = update_slack(state, merged, cfg)
+        state.coeffs = eigenbasis_coefficient_step(state, merged)
+        residuals = constraint_residuals(state, merged)
+        state.duals = update_duals(state, merged, cfg)
+        if max(residuals) <= cfg.epsilon:
+            return state, iteration
+    return state, cfg.max_iters
+
+
+class TestWideScenes:
+    """P > 3F + 1: the coefficient step takes the Woodbury branch."""
+
+    SCENES = {
+        "sparse": (4, 10, None),   # 20 points, 3F + 1 = 13
+        "grid": (3, 6, (3, 4)),    # 12 points on a 3 x 4 grid, 3F + 1 = 10
+    }
+
+    def scene(self, name):
+        frames, per_body, grid = self.SCENES[name]
+        scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
+        assert 3 * frames + 1 < scene.w.shape[1]
+        return scene, build_neighbor_matrix(*grid) if grid else None
+
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_solve_matches_eigenbasis_oracle(self, name):
+        scene, neighbors = self.scene(name)
+        cfg = SolverConfig()
+        shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
+        assert trace.converged
+
+        merged = extend_with_identity(neighbors, num_points=scene.w.shape[1])
+        oracle, iterations = eigenbasis_sweep(scene.w, scene.camera, merged, cfg)
+        assert len(trace) == iterations
+        assert_close_rel(shape_state.shapes, oracle.shapes, 1e-9)
+        assert_close_rel(coeffs, oracle.coeffs, 1e-9)
+        np.testing.assert_array_equal(
+            spectral_cluster(build_affinity(coeffs), 2, seed=0),
+            spectral_cluster(build_affinity(oracle.coeffs), 2, seed=0),
+        )
+
+    def test_no_points_by_points_eigh_inside_the_loop(self, monkeypatch):
+        # Per iteration only the F 3 x 3 camera blocks and the (3F+1)-square
+        # Gram of [S; 1^T] are eigendecomposed; the constant D D^T is
+        # factored once per solve.
+        shapes = []
+        original = np.linalg.eigh
+
+        def recording(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(mbnrsfm.linalg.np.linalg, "eigh", recording)
+        scene, neighbors = self.scene("grid")
+        _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=9))
+        assert len(trace) == 9
+        assert shapes == [(12, 12)] + [(3, 3, 3), (10, 10)] * 9
 
 
 class TestSolverConfig:

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, strategies as st
 
+import mbnrsfm.linalg
 from mbnrsfm.errors import NumericalError, SingularPencilError
 from mbnrsfm.linalg import (
     SYLVESTER_RTOL,
+    CholeskyOperand,
+    GramOperand,
     SymmetricOperand,
     as_matrix,
     soft_threshold,
     solve_sylvester,
     svt,
 )
-from mbnrsfm.scene import CameraMotion
+from mbnrsfm.scene import CameraMotion, build_neighbor_matrix, extend_with_identity
 from mbnrsfm.synth import _smooth_random_camera
 
 finite_reals = st.floats(min_value=-1e100, max_value=1e100,
@@ -293,6 +297,225 @@ class TestSymmetricOperandSylvester:
     def test_rejects_malformed_operands(self, matrix):
         with pytest.raises(ValueError):
             SymmetricOperand(matrix)
+
+
+def coefficient_factor(rng, rows, points):
+    """M = [S; 1^T] as the coefficient step builds it, S with ``rows`` rows."""
+    return np.vstack([rng.normal(size=(rows, points)), np.ones(points)])
+
+
+def merged_gram_operands(merged):
+    """The right operand D D^T as the solver and the older tests hold it."""
+    return {
+        "gram": GramOperand(merged.T),
+        "sparse_gram": GramOperand(scipy.sparse.csr_array(merged).T),
+        "symmetric": SymmetricOperand(merged @ merged.T),
+    }
+
+
+class TestGramOperandSylvester:
+    """The coefficient step's left operand M^T M + eps I, in both branches."""
+
+    @pytest.mark.parametrize("rows,lowrank", [(6, True), (12, False), (15, False)])
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("kind", ["gram", "sparse_gram", "symmetric"])
+    def test_matches_bartels_stewart_and_kronecker(self, rows, lowrank, grid, kind):
+        # 12 points: 3F + 1 = 7 < 12 takes the Woodbury branch, 13 and 16
+        # rows the P x P eigenbasis. The right operand is the identity of
+        # sparse mode or I + D D^T of a 3 x 4 grid.
+        rng = np.random.default_rng(rows + 2 * grid)
+        points = 12
+        neighbors = build_neighbor_matrix(3, 4) if grid else None
+        merged = extend_with_identity(neighbors, num_points=points)
+        m = coefficient_factor(rng, rows, points)
+        a = GramOperand(m, 1e-10)
+        assert (a.matrix is None) == lowrank
+        assert a.shape == (points, points)
+        b = merged_gram_operands(merged)[kind]
+        q = rng.normal(size=(points, points))
+        x = solve_sylvester(a, b, q)
+        dense_a = m.T @ m + 1e-10 * np.eye(points)
+        dense_b = merged @ merged.T
+        if grid:
+            assert np.abs(dense_b - np.eye(points)).max() > 0
+        direct = kron_solve(dense_a, dense_b, q)
+        scale = 1 + np.abs(direct).max()
+        assert np.abs(x - solve_sylvester(dense_a, dense_b, q)).max() <= 1e-9 * scale
+        assert np.abs(x - direct).max() <= 1e-9 * scale
+
+    def test_full_branch_is_the_symmetric_operand_path(self):
+        # With at least as many rows as columns the operand is today's P x P
+        # eigenbasis: same matrix, same bits as a SymmetricOperand of it.
+        rng = np.random.default_rng(31)
+        m = coefficient_factor(rng, 30, 20)
+        a = GramOperand(m, 1e-10)
+        np.testing.assert_array_equal(a.matrix, m.T @ m + 1e-10 * np.eye(20))
+        b = SymmetricOperand(random_spd(rng, 20))
+        q = rng.normal(size=(20, 20))
+        np.testing.assert_array_equal(solve_sylvester(a, b, q),
+                                      solve_sylvester(SymmetricOperand(a.matrix), b, q))
+
+    def test_lowrank_branch_factors_only_the_small_gram(self, monkeypatch):
+        shapes = []
+        original = np.linalg.eigh
+
+        def recording(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(mbnrsfm.linalg.np.linalg, "eigh", recording)
+        rng = np.random.default_rng(32)
+        a = GramOperand(coefficient_factor(rng, 9, 40), 1e-10)
+        solve_sylvester(a, SymmetricOperand(np.eye(40)), rng.normal(size=(40, 40)))
+        assert shapes == [(10, 10), (40, 40)]
+
+    def test_block_stack_right_operand(self):
+        rng = np.random.default_rng(33)
+        m = coefficient_factor(rng, 3, 9)
+        blocks = np.stack([random_spd(rng, 3) for _ in range(3)])
+        q = rng.normal(size=(9, 9))
+        x = solve_sylvester(GramOperand(m, 0.5), SymmetricOperand(blocks), q)
+        direct = kron_solve(m.T @ m + 0.5 * np.eye(9), scipy.linalg.block_diag(*blocks), q)
+        assert np.abs(x - direct).max() <= 1e-9 * (1 + np.abs(direct).max())
+
+    def test_singular_pencil_names_the_pair(self):
+        # m^T m has eigenvalues 4 and 0 (twice); the shift moves them to 3 and
+        # -1, and the right operand's 1 cancels the -1.
+        a = GramOperand(np.array([[2.0, 0.0, 0.0]]), -1.0)
+        b = SymmetricOperand(np.diag([1.0, 5.0, 6.0]))
+        with pytest.raises(SingularPencilError) as err:
+            solve_sylvester(a, b, np.ones((3, 3)))
+        assert "eigenvalue -1.0 of the left operand and 1.0 of the right" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rhs_raises_numerical_error(self, bad):
+        rng = np.random.default_rng(34)
+        q = rng.normal(size=(8, 8))
+        q[1, 2] = bad
+        with pytest.raises(NumericalError) as err:
+            solve_sylvester(GramOperand(coefficient_factor(rng, 3, 8), 1e-10),
+                            SymmetricOperand(np.eye(8)), q)
+        assert not isinstance(err.value, SingularPencilError)
+
+    @pytest.mark.parametrize("factor", [np.zeros(4), np.zeros((0, 3)), np.array([[np.nan, 1.0]])])
+    def test_rejects_malformed_factor(self, factor):
+        with pytest.raises(ValueError):
+            GramOperand(factor)
+
+
+def near_orthonormal_camera(rng, frames, defect):
+    """Smooth cameras whose rows are orthonormal only to about ``defect``."""
+    exact = _smooth_random_camera(rng, frames).blocks
+    noise = rng.normal(size=exact.shape)
+    camera = CameraMotion(exact + 0.5 * defect * noise / np.abs(noise).max())
+    measured = np.abs(np.einsum("fij,fkj->fik", camera.blocks, camera.blocks)
+                      - np.eye(2)).max()
+    assert 0.1 * defect < measured <= defect
+    return camera
+
+
+class TestShiftedCholeskySylvester:
+    """The shape step: camera blocks on the left, (I - C)(I - C)^T on the right."""
+
+    @staticmethod
+    def shape_problem(seed, beta, frames=12, points=15):
+        rng = np.random.default_rng(seed)
+        camera = near_orthonormal_camera(rng, frames, 1e-8)
+        blocks = np.einsum("fji,fjk->fik", camera.blocks, camera.blocks) / beta + np.eye(3)
+        ic = np.eye(points) - 0.1 * rng.normal(size=(points, points))
+        q = 100.0 * rng.normal(size=(3 * frames, points))
+        return blocks, ic @ ic.T, q
+
+    @staticmethod
+    def count_cholesky_solves(monkeypatch):
+        calls = []
+        original = scipy.linalg.cho_solve
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mbnrsfm.linalg.scipy.linalg, "cho_solve", counting)
+        return calls
+
+    @pytest.mark.parametrize("beta,clusters,sweeps", [(1e-2, 2, 0), (1e6, 1, 1)])
+    def test_near_orthonormal_cameras_match_kronecker(self, monkeypatch, beta, clusters,
+                                                      sweeps):
+        # At beta = 1e-2 the left eigenvalues form two clusters, near 1 and
+        # near 101, and the centers alone meet the bound. At beta = 1e6 both
+        # lie within 1e-6 of 1 and share one factor; the first solve misses
+        # the bound and one refinement sweep must run.
+        blocks, right, q = self.shape_problem(12, beta)
+        calls = self.count_cholesky_solves(monkeypatch)
+        x = solve_sylvester(SymmetricOperand(blocks), CholeskyOperand(right), q)
+        assert len(calls) == clusters * (1 + sweeps)
+        left = scipy.linalg.block_diag(*blocks)
+        residual = np.linalg.norm(left @ x + x @ right - q)
+        assert residual <= SYLVESTER_RTOL * (1 + np.linalg.norm(q))
+        direct = kron_solve(left, right, q)
+        scale = 1 + np.abs(direct).max()
+        assert np.abs(x - direct).max() <= 1e-9 * scale
+        assert np.abs(x - solve_sylvester(left, right, q)).max() <= 1e-9 * scale
+
+    def test_dense_left_operand_with_spread_spectrum(self):
+        # A generic left operand: every eigenvalue its own cluster.
+        rng = np.random.default_rng(13)
+        a, b = random_spd(rng, 7), random_spd(rng, 9)
+        q = rng.normal(size=(7, 9))
+        x = solve_sylvester(SymmetricOperand(a), CholeskyOperand(b), q)
+        direct = kron_solve(a, b, q)
+        assert np.abs(x - direct).max() <= 1e-9 * (1 + np.abs(direct).max())
+
+    def test_refinement_that_cannot_converge_raises(self):
+        # Left eigenvalues 1 and 1.0009 share one cluster centered at
+        # 1.00045; a right eigenvalue of -0.9999 leaves the shifted factor
+        # only 5.5e-4 from singular, so each sweep removes just 18 % of the
+        # error. The pencil itself is regular (smallest sum 1e-4).
+        a = SymmetricOperand(np.diag([1.0, 1.0009]))
+        b = CholeskyOperand(np.diag([-0.9999, 5.0]))
+        with pytest.raises(NumericalError, match="exceeds bound") as err:
+            solve_sylvester(a, b, np.ones((2, 2)))
+        assert not isinstance(err.value, SingularPencilError)
+
+    def test_singular_pencil_names_the_pair(self):
+        a = SymmetricOperand(np.stack([np.eye(3), np.diag([1.0, 2.0, -2.0])]))
+        b = CholeskyOperand(np.diag([2.0, 5.0]))
+        with pytest.raises(SingularPencilError) as err:
+            solve_sylvester(a, b, np.ones((6, 2)))
+        assert "eigenvalue -2.0 of the left operand and 2.0" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rhs_raises_numerical_error(self, bad):
+        blocks, right, q = self.shape_problem(14, 1e-2, frames=3, points=5)
+        q[4, 2] = bad
+        with pytest.raises(NumericalError) as err:
+            solve_sylvester(SymmetricOperand(blocks), CholeskyOperand(right), q)
+        assert not isinstance(err.value, SingularPencilError)
+
+    def test_shape_is_the_matrix(self):
+        assert CholeskyOperand(np.eye(4)).shape == (4, 4)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros((2, 2, 2)),
+                                        np.zeros((0, 0)), np.array([[np.inf]])])
+    def test_rejects_malformed_operands(self, matrix):
+        with pytest.raises(ValueError):
+            CholeskyOperand(matrix)
+
+    @pytest.mark.parametrize("pair", [
+        "cholesky-symmetric", "cholesky-cholesky", "gram-cholesky",
+        "symmetric-lowrank_gram", "cholesky-plain", "plain-cholesky", "plain-gram",
+    ])
+    def test_unsupported_pairs_rejected(self, pair):
+        operands = {
+            "symmetric": SymmetricOperand(np.eye(4)),
+            "cholesky": CholeskyOperand(np.eye(4)),
+            "gram": GramOperand(np.ones((5, 4))),
+            "lowrank_gram": GramOperand(np.ones((2, 4)), 1.0),
+            "plain": np.eye(4),
+        }
+        left, right = pair.split("-")
+        with pytest.raises(TypeError):
+            solve_sylvester(operands[left], operands[right], np.ones((4, 4)))
 
 
 class TestAsMatrix:

@@ -123,6 +123,13 @@ class TestManifestValidation:
         with pytest.raises(ManifestError):
             manifest_from_dict(data)
 
+    @pytest.mark.parametrize("block", ["synth", "inputs"])
+    def test_block_that_is_not_an_object_rejected(self, block):
+        data = pipeline_manifest("x")
+        data[block] = [1, 2]
+        with pytest.raises(ManifestError, match=f"{block} block must be a JSON object"):
+            manifest_from_dict(data)
+
     def test_load_from_json_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(pipeline_manifest(tmp_path / "out")))
@@ -352,6 +359,18 @@ class TestCliExitCodes:
         code = cli.main(["pipeline", "--manifest", str(manifest)])
         assert code == 4
         assert "bad manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["synth", "inputs"])
+    def test_block_that_is_not_an_object_exit_4(self, tmp_path, capsys, block):
+        data = pipeline_manifest(tmp_path / "out")
+        data[block] = [1, 2]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data))
+        code = cli.main(["pipeline", "--manifest", str(manifest)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"bad manifest or inputs: {block} block must be a JSON object" in err
+        assert "Traceback" not in err
 
     def test_synth_then_solve_then_eval_round_trip(self, tmp_path, capsys):
         scene_dir = tmp_path / "scene"
