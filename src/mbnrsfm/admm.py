@@ -15,6 +15,11 @@ zeroing), then performs dual ascent with a geometrically growing penalty
 capped at ``beta_max``. Convergence is declared when all four constraint
 residuals fall below ``epsilon`` in the elementwise max norm.
 
+The four constraint gaps are written out once, in ``constraint_gaps``, and
+``solve`` evaluates them once per sweep, after the coefficient step; the
+residuals (their max-abs values) go to the trace, and dual ascent moves each
+multiplier by beta times its own gap.
+
 Both Sylvester equations have symmetric operands, and no P x P matrix is
 eigendecomposed inside the loop. The shape step's 3F x 3F left operand is
 block diagonal, so it is factored as F separate 3 x 3 blocks and the camera
@@ -143,6 +148,11 @@ class DualState:
             y_colsum=np.zeros(points),
             beta=beta0,
         )
+
+    @property
+    def multipliers(self) -> tuple:
+        """The four multipliers, in the order of ``constraint_gaps``."""
+        return self.y_reshuffle, self.y_selfexpr, self.y_slack, self.y_colsum
 
 
 @dataclass
@@ -293,26 +303,28 @@ def update_coefficients(
     return coeffs
 
 
-def update_duals(state: AdmmState, merged: np.ndarray, config: SolverConfig) -> DualState:
-    """Dual ascent on all four constraints, then the capped penalty growth."""
-    duals = state.duals
-    beta = duals.beta
-    return DualState(
-        y_reshuffle=duals.y_reshuffle + beta * (state.lowrank - to_frame_rows(state.shapes)),
-        y_selfexpr=duals.y_selfexpr + beta * (state.shapes - state.shapes @ state.coeffs),
-        y_slack=duals.y_slack + beta * (state.coeffs @ merged - state.slack),
-        y_colsum=duals.y_colsum + beta * (state.coeffs.sum(axis=0) - 1.0),
-        beta=min(config.beta_max, config.rho * beta),
+def constraint_gaps(state: AdmmState, merged: np.ndarray) -> tuple:
+    """The four constraint gaps, in ``DualState.multipliers`` order."""
+    return (
+        state.lowrank - to_frame_rows(state.shapes),
+        state.shapes - state.shapes @ state.coeffs,
+        state.coeffs @ merged - state.slack,
+        state.coeffs.sum(axis=0) - 1.0,
     )
 
 
-def constraint_residuals(state: AdmmState, merged: np.ndarray) -> tuple:
+def constraint_residuals(gaps: tuple) -> tuple:
     """The four constraint violations in the elementwise max norm."""
-    r1 = np.abs(state.lowrank - to_frame_rows(state.shapes)).max()
-    r2 = np.abs(state.shapes - state.shapes @ state.coeffs).max()
-    r3 = np.abs(state.coeffs @ merged - state.slack).max()
-    r4 = np.abs(state.coeffs.sum(axis=0) - 1.0).max()
-    return r1, r2, r3, r4
+    return tuple(np.abs(gap).max() for gap in gaps)
+
+
+def update_duals(duals: DualState, gaps: tuple, config: SolverConfig) -> DualState:
+    """Dual ascent y + beta * gap on all four constraints, then the capped penalty growth."""
+    beta = duals.beta
+    return DualState(
+        *(y + beta * gap for y, gap in zip(duals.multipliers, gaps)),
+        beta=min(config.beta_max, config.rho * beta),
+    )
 
 
 def objective_value(
@@ -329,24 +341,13 @@ def objective_value(
 
 
 def augmented_lagrangian(
-    w: np.ndarray,
-    camera: CameraMotion,
-    state: AdmmState,
-    merged: np.ndarray,
-    config: SolverConfig,
+    w: np.ndarray, camera: CameraMotion, state: AdmmState, merged: np.ndarray, config: SolverConfig
 ) -> float:
     """Full augmented Lagrangian value at the given state (diagnostic)."""
-    duals = state.duals
-    beta = duals.beta
-    reshuffle_gap = state.lowrank - to_frame_rows(state.shapes)
-    selfexpr_gap = state.shapes - state.shapes @ state.coeffs
-    slack_gap = state.coeffs @ merged - state.slack
-    colsum_gap = state.coeffs.sum(axis=0) - 1.0
+    beta = state.duals.beta
     value = objective_value(w, camera, state, config)
-    value += np.sum(duals.y_reshuffle * reshuffle_gap) + 0.5 * beta * np.sum(reshuffle_gap**2)
-    value += np.sum(duals.y_selfexpr * selfexpr_gap) + 0.5 * beta * np.sum(selfexpr_gap**2)
-    value += np.sum(duals.y_slack * slack_gap) + 0.5 * beta * np.sum(slack_gap**2)
-    value += np.sum(duals.y_colsum * colsum_gap) + 0.5 * beta * np.sum(colsum_gap**2)
+    for y, gap in zip(state.duals.multipliers, constraint_gaps(state, merged)):
+        value += np.sum(y * gap) + 0.5 * beta * np.sum(gap**2)
     return float(value)
 
 
@@ -420,14 +421,13 @@ def solve(
         state.lowrank = update_lowrank(state, config)
         state.slack = update_slack(state, merged, config)
         state.coeffs = update_coefficients(state, merged, merged_gram)
-        residuals = constraint_residuals(state, merged)
-        trace.append(
-            iteration,
-            objective_value(w, camera, state, config),
-            residuals,
-            state.duals.beta,
-        )
-        state.duals = update_duals(state, merged, config)
+        gaps = constraint_gaps(state, merged)
+        residuals = constraint_residuals(gaps)
+        objective = objective_value(w, camera, state, config)
+        trace.append(iteration, objective, residuals, state.duals.beta)
+        state.duals = update_duals(state.duals, gaps, config)
+        # Freed now so the gaps never coexist with the next sweep's temporaries.
+        del gaps
         if max(residuals) <= config.epsilon:
             trace.converged = True
             break

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import ManifestError, NumericalError, ParseError
-from .pipeline import RIGID_INIT, load_manifest, manifest_from_dict, run_pipeline
+from .pipeline import INPUT_FILES, RIGID_INIT, load_manifest, manifest_from_dict, run_pipeline
 from .synth import DEFAULT_THREE_BODY_SEED, DEFAULT_TWO_BODY_SEED, default_three_body, default_two_body
 
 EXIT_OK = 0
@@ -39,8 +39,6 @@ def _add_scene_source_flags(parser):
     parser.add_argument("--labels-gt", help="ground-truth labels (enables ems)")
     parser.add_argument("--init-s", help="initial shape stack file")
     parser.add_argument("--grid", help="HxW grid enabling the spatial term")
-    parser.add_argument("--sparse", action="store_true",
-                        help="no spatial term (default when --grid is absent)")
     _add_synth_flags(parser)
 
 
@@ -93,17 +91,7 @@ def _synth_block(args, n_bodies: int) -> dict:
 
 
 def _inputs_block(args) -> dict:
-    inputs = {}
-    if getattr(args, "w", None):
-        inputs["w"] = args.w
-    if getattr(args, "rotations", None):
-        inputs["rotations"] = args.rotations
-    if getattr(args, "s_gt", None):
-        inputs["s_gt"] = args.s_gt
-    if getattr(args, "labels_gt", None):
-        inputs["labels_gt"] = args.labels_gt
-    if getattr(args, "init_s", None):
-        inputs["init_s"] = args.init_s
+    inputs = {key: getattr(args, key) for key in INPUT_FILES if getattr(args, key, None)}
     if getattr(args, "grid", None):
         try:
             h, w = args.grid.lower().split("x")
@@ -176,18 +164,9 @@ def main(argv=None) -> int:
         if args.command == "pipeline" and args.manifest:
             manifest = load_manifest(args.manifest)
         elif args.command == "eval":
-            inputs = {"labels_est": args.labels_est, "labels_gt": args.labels_gt}
-            if args.s_est:
-                inputs["s_est"] = args.s_est
-            if args.s_gt:
-                inputs["s_gt"] = args.s_gt
-            if args.w:
-                inputs["w"] = args.w
-            if args.rotations:
-                inputs["rotations"] = args.rotations
             manifest = manifest_from_dict({
                 "version": "MBNR1", "command": "eval",
-                "output_dir": args.out, "inputs": inputs,
+                "output_dir": args.out, "inputs": _inputs_block(args),
             })
         else:
             if args.command == "pipeline" and args.clusters is None:

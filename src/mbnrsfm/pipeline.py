@@ -19,7 +19,7 @@ converged flag lands in metrics.csv.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,28 @@ from .synth import BodySpec, SynthConfig, estimate_rigid_rotations, generate_sce
 VERSION = "MBNR1"
 COMMANDS = ("synth", "solve", "eval", "pipeline")
 RIGID_INIT = "rigid-init"
+# Keys of the inputs block that name files ("rotations" may be RIGID_INIT).
+INPUT_FILES = ("w", "rotations", "s_gt", "labels_gt", "init_s", "labels_est", "s_est")
+
+# The JSON type each manifest key takes, per block; a key not listed is
+# unknown. ``int`` excludes booleans, ``float`` also takes an integer, and a
+# ``None`` in the tuple lets the value be null.
+_TOP_LEVEL_KINDS = {
+    "version": str, "command": str, "output_dir": (str, None), "seed": int,
+    "clusters": (int, None), "solver": (dict, None), "synth": (dict, None),
+    "inputs": (dict, None),
+}
+_SOLVER_KINDS = {
+    "lambda1": float, "lambda2": (float, None), "beta0": float, "rho": float,
+    "beta_max": float, "epsilon": float, "max_iters": int,
+}
+_SYNTH_KINDS = {"frames": int, "bodies": list, "noise_sigma": float, "camera_mode": str, "seed": int}
+_BODY_KINDS = {"points": int, "basis_rank": int, "centroid": list, "scale": float}
+_INPUT_KINDS = {**dict.fromkeys(INPUT_FILES, str), "grid": (list, None)}
+_KIND_NAMES = {
+    int: "must be an integer", float: "must be a number", str: "must be a string",
+    list: "must be a JSON list", dict: "block must be a JSON object",
+}
 
 
 @dataclass
@@ -80,15 +102,32 @@ class RunManifest:
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_kind(seed, int) or seed < 0:
         raise ManifestError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
-def _build_solver_config(block: dict) -> SolverConfig:
-    allowed = {f.name for f in fields(SolverConfig)}
-    unknown = set(block) - allowed
+def _is_kind(value, kind) -> bool:
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):  # JSON true/false: neither an integer nor a number
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_block(block: dict, kinds: dict, where: str) -> None:
+    """Reject unknown keys and values of the wrong JSON type in one manifest block."""
+    unknown = set(block) - set(kinds)
     if unknown:
-        raise ManifestError(f"unknown solver options: {sorted(unknown)}")
+        raise ManifestError(f"unknown {where or 'manifest'} keys: {sorted(unknown)}")
+    for key, value in block.items():
+        allowed = kinds[key] if isinstance(kinds[key], tuple) else (kinds[key],)
+        if not any(_is_kind(value, kind) for kind in allowed):
+            path = f"{where}.{key}" if where else key
+            raise ManifestError(f"{path} {_KIND_NAMES[allowed[0]]}, got {value!r}")
+
+
+def _build_solver_config(block: dict) -> SolverConfig:
+    _check_block(block, _SOLVER_KINDS, "solver")
     try:
         return SolverConfig(**block)
     except (TypeError, ValueError) as exc:
@@ -96,12 +135,20 @@ def _build_solver_config(block: dict) -> SolverConfig:
 
 
 def _build_synth_config(block: dict, seed: int) -> SynthConfig:
+    _check_block(block, _SYNTH_KINDS, "synth")
     block = {"seed": seed, **block}
     bodies_raw = block.pop("bodies", None)
     if not bodies_raw:
         raise ManifestError("synth block requires a non-empty bodies list")
     bodies = []
     for i, body in enumerate(bodies_raw):
+        where = f"synth.bodies[{i}]"
+        if not isinstance(body, dict):
+            raise ManifestError(f"{where} {_KIND_NAMES[dict]}, got {body!r}")
+        _check_block(body, _BODY_KINDS, where)
+        for j, component in enumerate(body.get("centroid", ())):
+            if not _is_kind(component, float):
+                raise ManifestError(f"{where}.centroid[{j}] must be a number, got {component!r}")
         try:
             bodies.append(BodySpec(
                 points=body["points"],
@@ -126,18 +173,14 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
     """
     if not isinstance(data, dict):
         raise ManifestError("manifest must be a JSON object")
-    unknown = set(data) - {"version", "command", "output_dir", "seed", "clusters",
-                           "solver", "synth", "inputs"}
-    if unknown:
-        raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
-    for key in ("solver", "synth", "inputs"):
-        if data.get(key) is not None and not isinstance(data[key], dict):
-            raise ManifestError(f"{key} block must be a JSON object, got {data[key]!r}")
-    base = Path(base_dir)
     seed = data.get("seed", 0)
-    _check_seed(seed)  # before a synth block without its own seed inherits it
+    _check_seed(seed)  # own message; and before a synth block inherits it
+    _check_block(data, _TOP_LEVEL_KINDS, "")
+    raw_inputs = data.get("inputs") or {}
+    _check_block(raw_inputs, _INPUT_KINDS, "inputs")
+    base = Path(base_dir)
     inputs = {}
-    for key, value in (data.get("inputs") or {}).items():
+    for key, value in raw_inputs.items():
         if key == "grid":
             inputs[key] = value
         elif key == "rotations" and value == RIGID_INIT:
@@ -307,7 +350,7 @@ def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
 
     if grid is not None:
         if (not isinstance(grid, (list, tuple)) or len(grid) != 2
-                or not all(isinstance(g, int) and g > 0 for g in grid)):
+                or not all(_is_kind(g, int) and g > 0 for g in grid)):
             raise ManifestError(f"grid must be two positive integers, got {grid!r}")
         if grid[0] * grid[1] != w.shape[1]:
             raise ManifestError(

@@ -46,6 +46,39 @@ def pipeline_manifest(out_dir, seed=3, solver=None):
     }
 
 
+# Manifest values of the wrong JSON type, and unknown keys in the inputs
+# block and in a body spec: (path into pipeline_manifest, value).
+BAD_MANIFEST_VALUES = [
+    (("clusters",), "2"),
+    (("clusters",), 2.0),
+    (("output_dir",), 5),
+    (("synth", "bodies"), 5),
+    (("synth", "frames"), 6.5),
+    (("synth", "noise_sigma"), True),
+    (("solver", "max_iters"), 2.5),
+    (("synth", "bodies", 0, "points"), 5.5),
+    (("synth", "bodies", 0, "centroid", 1), "0.1"),
+    (("inputs", "w"), 5),
+    (("inputs", "lables_gt"), __file__),  # an existing file under a misspelt key
+    (("synth", "bodies", 0, "scael"), 0.1),
+]
+BAD_MANIFEST_IDS = [".".join(map(str, path)) for path, _ in BAD_MANIFEST_VALUES]
+
+
+def with_value(data, path, value):
+    """Set the value at ``path`` in a manifest dict, creating a missing block."""
+    block = data
+    for key in path[:-1]:
+        block = block.setdefault(key, {}) if isinstance(key, str) else block[key]
+    block[path[-1]] = value
+    return data
+
+
+def named_key(path):
+    """The manifest key an error about ``path`` must name."""
+    return [k for k in path if isinstance(k, str)][-1]
+
+
 def hash_tree(root):
     digest = {}
     for base, _, names in os.walk(root):
@@ -128,6 +161,12 @@ class TestManifestValidation:
         data = pipeline_manifest("x")
         data[block] = [1, 2]
         with pytest.raises(ManifestError, match=f"{block} block must be a JSON object"):
+            manifest_from_dict(data)
+
+    @pytest.mark.parametrize("path, value", BAD_MANIFEST_VALUES, ids=BAD_MANIFEST_IDS)
+    def test_bad_value_or_unknown_key_rejected(self, path, value):
+        data = with_value(pipeline_manifest("x"), path, value)
+        with pytest.raises(ManifestError, match=named_key(path)):
             manifest_from_dict(data)
 
     def test_load_from_json_file(self, tmp_path):
@@ -371,6 +410,18 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"bad manifest or inputs: {block} block must be a JSON object" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path, value", BAD_MANIFEST_VALUES, ids=BAD_MANIFEST_IDS)
+    def test_bad_value_or_unknown_key_exit_4(self, tmp_path, capsys, path, value):
+        data = with_value(pipeline_manifest(tmp_path / "out"), path, value)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data))
+        code = cli.main(["pipeline", "--manifest", str(manifest)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "bad manifest or inputs" in err and named_key(path) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_synth_then_solve_then_eval_round_trip(self, tmp_path, capsys):
         scene_dir = tmp_path / "scene"
