@@ -18,7 +18,10 @@ residuals fall below ``epsilon`` in the elementwise max norm.
 The four constraint gaps are written out once, in ``constraint_gaps``, and
 ``solve`` evaluates them once per sweep, after the coefficient step; the
 residuals (their max-abs values) go to the trace, and dual ascent moves each
-multiplier by beta times its own gap.
+multiplier by beta times its own gap. The trace's objective takes its
+nuclear norm from the low-rank step: the singular values that SVT
+thresholded are the spectrum of the new low-rank copy, so each sweep takes
+one SVD, and none when ``lambda2`` is 0.
 
 Both Sylvester equations have symmetric operands, and no P x P matrix is
 eigendecomposed inside the loop. The shape step's 3F x 3F left operand is
@@ -57,7 +60,8 @@ from .linalg import (
     SymmetricOperand,
     solve_sylvester,
     soft_threshold,
-    svt,
+    svt,  # noqa: F401  unused here; bench/tracing.py wraps mbnrsfm.admm.svt by name
+    svt_with_spectrum,
 )
 from .scene import (
     CameraMotion,
@@ -234,17 +238,21 @@ def update_shapes(state: AdmmState, w: np.ndarray, camera: CameraMotion) -> np.n
     return solve_sylvester(left, right, rhs)
 
 
-def update_lowrank(state: AdmmState, config: SolverConfig) -> np.ndarray:
+def update_lowrank(
+    state: AdmmState, config: SolverConfig
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Nuclear-norm proximal update of the frame-row copy.
 
-    Returns svt(g(S) - y_reshuffle / beta, lambda2 / beta).
+    Returns svt(g(S) - y_reshuffle / beta, lambda2 / beta) together with its
+    singular values, the thresholded spectrum of the SVT (None when
+    lambda2 is 0, where no SVD is taken).
     """
     beta = state.duals.beta
     frames = state.lowrank.shape[0]
     points = state.coeffs.shape[0]
     lam2 = config.nuclear_weight(frames, points)
     target = to_frame_rows(state.shapes) - state.duals.y_reshuffle / beta
-    return svt(target, lam2 / beta)
+    return svt_with_spectrum(target, lam2 / beta)
 
 
 def update_slack(state: AdmmState, merged: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -328,15 +336,29 @@ def update_duals(duals: DualState, gaps: tuple, config: SolverConfig) -> DualSta
 
 
 def objective_value(
-    w: np.ndarray, camera: CameraMotion, state: AdmmState, config: SolverConfig
+    w: np.ndarray,
+    camera: CameraMotion,
+    state: AdmmState,
+    config: SolverConfig,
+    spectrum: np.ndarray | None = None,
 ) -> float:
-    """The unconstrained cost: reprojection fit plus both structural penalties."""
+    """The unconstrained cost: reprojection fit plus both structural penalties.
+
+    ``spectrum`` is the singular values of ``state.lowrank`` when the caller
+    already has them, as ``solve`` does from the low-rank step; without it
+    they are computed here by SVD. A zero nuclear weight needs neither.
+    """
     frames = state.lowrank.shape[0]
     points = state.coeffs.shape[0]
     lam2 = config.nuclear_weight(frames, points)
     fit = 0.5 * np.linalg.norm(w - project(camera, state.shapes)) ** 2
     sparsity = config.lambda1 * np.abs(state.slack).sum()
-    nuclear = lam2 * np.linalg.svd(state.lowrank, compute_uv=False).sum()
+    if lam2 == 0:
+        nuclear = 0.0
+    elif spectrum is None:
+        nuclear = lam2 * np.linalg.svd(state.lowrank, compute_uv=False).sum()
+    else:
+        nuclear = lam2 * spectrum.sum()
     return float(fit + sparsity + nuclear)
 
 
@@ -418,12 +440,12 @@ def solve(
 
     for iteration in range(1, config.max_iters + 1):
         state.shapes = update_shapes(state, w, camera)
-        state.lowrank = update_lowrank(state, config)
+        state.lowrank, spectrum = update_lowrank(state, config)
         state.slack = update_slack(state, merged, config)
         state.coeffs = update_coefficients(state, merged, merged_gram)
         gaps = constraint_gaps(state, merged)
         residuals = constraint_residuals(gaps)
-        objective = objective_value(w, camera, state, config)
+        objective = objective_value(w, camera, state, config, spectrum)
         trace.append(iteration, objective, residuals, state.duals.beta)
         state.duals = update_duals(state.duals, gaps, config)
         # Freed now so the gaps never coexist with the next sweep's temporaries.

@@ -63,8 +63,9 @@ def write_matrix(path, matrix) -> None:
     """Write a matrix in the MBNR1 text format."""
     mat = as_matrix(matrix, "matrix")
     lines = [f"{MAGIC} matrix {mat.shape[0]} {mat.shape[1]}"]
-    for row in mat:
-        lines.append(" ".join(_fmt(v) for v in row))
+    # One row at a time: tolist() gives Python floats, whose repr is _fmt's,
+    # without a whole-matrix list in memory.
+    lines.extend(" ".join(map(repr, row.tolist())) for row in mat)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -82,18 +83,28 @@ def read_matrix(path) -> np.ndarray:
         if len(tokens) != cols:
             raise ParseError(path, line_no,
                              f"expected {cols} values, got {len(tokens)}")
-        for c, tok in enumerate(tokens):
-            try:
-                value = float(tok)
-            except ValueError:
-                raise ParseError(path, line_no, f"not a number: {tok!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(path, line_no, f"non-finite entry: {tok!r}")
-            out[r, c] = value
+        try:
+            values = list(map(float, tokens))
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            _raise_bad_token(path, line_no, tokens)
+        out[r] = values
     for extra in range(rows + 1, len(lines)):
         if lines[extra].strip():
             raise ParseError(path, extra + 1, "unexpected content after data rows")
     return out
+
+
+def _raise_bad_token(path, line_no: int, tokens: list[str]) -> None:
+    """Raise the ParseError for the first token of a row that is not a finite float."""
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ParseError(path, line_no, f"not a number: {tok!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(path, line_no, f"non-finite entry: {tok!r}")
 
 
 def write_labels(path, labels) -> None:
@@ -169,12 +180,13 @@ def write_pointcloud_frames(directory, shapes, labels) -> list:
     frames = shapes.shape[0] // 3
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    label_tokens = [str(label) for label in arr.tolist()]
     paths = []
     for f in range(frames):
-        block = shapes[3 * f : 3 * f + 3]
+        xs, ys, zs = shapes[3 * f : 3 * f + 3].tolist()
         lines = [
-            f"{_fmt(block[0, p])} {_fmt(block[1, p])} {_fmt(block[2, p])} {int(arr[p])}"
-            for p in range(shapes.shape[1])
+            f"{x!r} {y!r} {z!r} {label}"
+            for x, y, z, label in zip(xs, ys, zs, label_tokens)
         ]
         path = directory / f"frame_{f:04d}.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,8 +1,9 @@
 """Dense linear-algebra kernels used by every solver step.
 
 Decompositions are delegated to LAPACK through numpy and scipy: the SVD
-inside ``svt`` via ``numpy.linalg.svd``, symmetric eigendecompositions via
-``numpy.linalg.eigh`` and Cholesky factors via ``scipy.linalg.cho_factor``.
+inside ``svt_with_spectrum`` (which ``svt`` wraps) via ``numpy.linalg.svd``,
+symmetric eigendecompositions via ``numpy.linalg.eigh`` and Cholesky
+factors via ``scipy.linalg.cho_factor``.
 The solver's two Sylvester equations have symmetric operands, and
 ``solve_sylvester`` picks its method from the operand types:
 
@@ -86,14 +87,25 @@ def svt(m, tau: float) -> np.ndarray:
     identity and skips the decomposition. Non-finite input raises
     ValueError; an SVD that does not converge raises NumericalError.
     """
+    return svt_with_spectrum(m, tau)[0]
+
+
+def svt_with_spectrum(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """``svt`` plus the thresholded singular values it scaled ``u`` by.
+
+    Those values are the spectrum of the returned matrix, so its nuclear
+    norm is their sum and needs no second SVD. With a zero threshold no
+    SVD is taken and the spectrum is None.
+    """
     mat = as_matrix(m, "svt input")
     if tau == 0:
-        return mat.copy()
+        return mat.copy(), None
     try:
         u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge on a {mat.shape} matrix") from exc
-    return (u * soft_threshold(sigma, tau)) @ vh
+    shrunk = soft_threshold(sigma, tau)
+    return (u * shrunk) @ vh, shrunk
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -146,6 +146,9 @@ def _build_synth_config(block: dict, seed: int) -> SynthConfig:
         if not isinstance(body, dict):
             raise ManifestError(f"{where} {_KIND_NAMES[dict]}, got {body!r}")
         _check_block(body, _BODY_KINDS, where)
+        for key in ("points", "basis_rank"):
+            if key not in body:
+                raise ManifestError(f"{where}.{key} is required")
         for j, component in enumerate(body.get("centroid", ())):
             if not _is_kind(component, float):
                 raise ManifestError(f"{where}.centroid[{j}] must be a number, got {component!r}")
@@ -156,7 +159,7 @@ def _build_synth_config(block: dict, seed: int) -> SynthConfig:
                 centroid=tuple(body.get("centroid", (0.0, 0.0, 0.0))),
                 scale=body.get("scale", 1.0),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ManifestError(f"bad body spec at index {i}: {exc}") from exc
     try:
         return SynthConfig(bodies=tuple(bodies), **block)
@@ -331,12 +334,6 @@ def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
         scene = generate_scene(manifest.synth)
         w, camera = scene.w, scene.camera
         shapes_gt, labels_gt = scene.shapes, scene.labels
-        if out is not None:
-            fileio.write_matrix(out / "W.mtx", w)
-            fileio.write_matrix(out / "rotations.mtx", camera.stacked())
-            fileio.write_matrix(out / "S_gt.mtx", shapes_gt)
-            fileio.write_labels(out / "labels_gt.txt", labels_gt)
-            written = ["W.mtx", "rotations.mtx", "S_gt.mtx", "labels_gt.txt"]
     else:
         w = fileio.read_matrix(inputs["w"])
         rotations = inputs["rotations"]
@@ -359,6 +356,15 @@ def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
         neighbors = build_neighbor_matrix(grid[0], grid[1])
 
     init_shapes = fileio.read_matrix(inputs["init_s"]) if "init_s" in inputs else None
+
+    # Written last, so a run rejected by the checks above leaves no ground truth behind.
+    if manifest.synth is not None and out is not None:
+        fileio.write_matrix(out / "W.mtx", w)
+        fileio.write_matrix(out / "rotations.mtx", camera.stacked())
+        fileio.write_matrix(out / "S_gt.mtx", shapes_gt)
+        fileio.write_labels(out / "labels_gt.txt", labels_gt)
+        written = ["W.mtx", "rotations.mtx", "S_gt.mtx", "labels_gt.txt"]
+
     return {
         "w": w,
         "camera": camera,

@@ -125,8 +125,8 @@ class TestUpdateLowrank:
         state.duals = replace(state.duals,
                               y_reshuffle=np.zeros_like(state.duals.y_reshuffle))
         cfg = SolverConfig(lambda2=0.0)
-        np.testing.assert_array_equal(update_lowrank(state, cfg),
-                                      to_frame_rows(state.shapes))
+        lowrank, _ = update_lowrank(state, cfg)
+        np.testing.assert_array_equal(lowrank, to_frame_rows(state.shapes))
 
     def test_full_shrinkage_of_small_rank_one(self):
         rng = np.random.default_rng(13)
@@ -139,12 +139,13 @@ class TestUpdateLowrank:
         state.shapes = to_point_columns(rank_one)
         state.duals = DualState.zeros(frames, points, points, 1.0)
         cfg = SolverConfig(lambda2=sigma * 1.01)
-        assert np.abs(update_lowrank(state, cfg)).max() <= 1e-12
+        lowrank, _ = update_lowrank(state, cfg)
+        assert np.abs(lowrank).max() <= 1e-12
 
     def test_perturbation_oracle(self):
         rng, _, _, state = small_problem(seed=21)
         cfg = SolverConfig(lambda2=0.5)
-        out = update_lowrank(state, cfg)
+        out, _ = update_lowrank(state, cfg)
         beta = state.duals.beta
 
         def subproblem(x):
@@ -437,7 +438,7 @@ def eigenbasis_sweep(w, camera, merged, cfg):
     )
     for iteration in range(1, cfg.max_iters + 1):
         state.shapes = eigenbasis_shape_step(state, w, camera)
-        state.lowrank = update_lowrank(state, cfg)
+        state.lowrank, _ = update_lowrank(state, cfg)
         state.slack = update_slack(state, merged, cfg)
         state.coeffs = eigenbasis_coefficient_step(state, merged)
         residuals = constraint_residuals(constraint_gaps(state, merged))
@@ -572,7 +573,7 @@ class TestSolve:
         )
         for _ in range(len(trace)):
             state.shapes = update_shapes(state, scene.w, scene.camera)
-            state.lowrank = update_lowrank(state, cfg)
+            state.lowrank, _ = update_lowrank(state, cfg)
             state.slack = update_slack(state, merged, cfg)
             state.coeffs = update_coefficients(state, merged)
             residuals = constraint_residuals(constraint_gaps(state, merged))
@@ -633,7 +634,7 @@ class TestSolve:
             after_shapes = lagrangian()
             assert after_shapes <= before + 1e-9
 
-            state.lowrank = update_lowrank(state, cfg)
+            state.lowrank, _ = update_lowrank(state, cfg)
             after_lowrank = lagrangian()
             assert after_lowrank <= after_shapes + 1e-9
 
@@ -707,7 +708,7 @@ class TestSolve:
         for _ in range(cfg.max_iters):
             iterations += 1
             state.shapes = update_shapes(state, scene.w, scene.camera)
-            state.lowrank = update_lowrank(state, cfg)
+            state.lowrank, _ = update_lowrank(state, cfg)
             state.slack = update_slack(state, merged, cfg)
             state.coeffs = update_coefficients(state, merged, merged_gram)
             residuals = constraint_residuals(constraint_gaps(state, merged))
@@ -771,6 +772,45 @@ class TestSolve:
         cfg = SolverConfig(lambda1=0.0, lambda2=0.0)
         fit = 0.5 * np.linalg.norm(w - camera.block_diagonal() @ state.shapes) ** 2
         assert objective_value(w, camera, state, cfg) == pytest.approx(fit, rel=1e-12)
+
+    @pytest.mark.parametrize("lambda2", [None, 0.0], ids=["default", "zero"])
+    @pytest.mark.parametrize("grid", [False, True], ids=["sparse", "grid"])
+    def test_one_svd_per_sweep(self, monkeypatch, grid, lambda2):
+        # The objective's nuclear norm is the spectrum the low-rank step
+        # thresholded, so that step's SVD is the only one in a sweep; with
+        # no nuclear weight nothing takes an SVD.
+        shapes = []
+        original = np.linalg.svd
+
+        def recording(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(mbnrsfm.linalg.np.linalg, "svd", recording)
+        scene, neighbors = self.grid_scene()
+        _, _, trace = solve(scene.w, scene.camera, neighbors if grid else None,
+                            SolverConfig(lambda1=1e-2, lambda2=lambda2))
+        assert trace.converged and len(trace) > 1
+        assert shapes == ([] if lambda2 == 0 else [(8, 36)] * len(trace))
+
+    @pytest.mark.parametrize("lambda2", [None, 0.0], ids=["default", "zero"])
+    def test_recorded_objective_matches_svd_reference(self, monkeypatch, lambda2):
+        # Each sweep's recorded objective against objective_value recomputed
+        # on that sweep's state without the low-rank step's spectrum, i.e.
+        # with the SVD of the low-rank copy.
+        reference = []
+        original = mbnrsfm.admm.objective_value
+
+        def recording(w, camera, state, config, *rest):
+            reference.append(original(w, camera, state, config))
+            return original(w, camera, state, config, *rest)
+
+        monkeypatch.setattr(mbnrsfm.admm, "objective_value", recording)
+        scene = generate_scene(default_two_body(frames=6, points_per_body=5))
+        _, _, trace = solve(scene.w, scene.camera, None,
+                            SolverConfig(lambda2=lambda2, max_iters=12))
+        assert len(reference) == len(trace) == 12
+        np.testing.assert_allclose(trace.objective, reference, rtol=1e-12, atol=0)
 
     def test_objective_recorded_each_iteration(self, default_run):
         scene, _, _, trace = default_run

@@ -60,6 +60,19 @@ class TestMatrixFormat:
         with pytest.raises(ParseError):
             read_matrix(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1.0 inf abc", "non-finite entry: 'inf'"),
+        ("nan abc 1.0", "non-finite entry: 'nan'"),
+        ("1.0 abc -inf", "not a number: 'abc'"),
+    ])
+    def test_first_bad_token_of_a_row_is_reported(self, tmp_path, row, message):
+        path = tmp_path / "m.mtx"
+        path.write_text(f"MBNR1 matrix 2 3\n1 2 3\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert err.value.line == 3
+        assert str(err.value).endswith(message)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text("MBNR1 matrix 3 2\n1.0 2.0\n")
@@ -84,6 +97,47 @@ class TestMatrixFormat:
     def test_writer_rejects_nonfinite(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "m.mtx", np.array([[np.nan]]))
+
+
+def edge_values(rows, cols, seed=5):
+    """Random normals with signed zeros, subnormals and extreme magnitudes."""
+    m = np.random.default_rng(seed).normal(size=(rows, cols))
+    m.flat[:7] = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e22, 123456789.0]
+    return m
+
+
+def old_formula(values) -> str:
+    return " ".join(repr(float(v)) for v in values)
+
+
+class TestWriterBytes:
+    """The writers format each float exactly as repr(float(v)) does."""
+
+    def test_matrix_matches_old_formula(self, tmp_path):
+        m = edge_values(9, 5)
+        path = tmp_path / "m.mtx"
+        write_matrix(path, m)
+        expected = "".join(f"{old_formula(row)}\n" for row in m)
+        assert path.read_bytes() == f"MBNR1 matrix 9 5\n{expected}".encode()
+
+    def test_pointcloud_matches_old_formula(self, tmp_path):
+        shapes = edge_values(6, 4)
+        labels = np.array([0, 1, 1, 12])
+        paths = write_pointcloud_frames(tmp_path / "pc", shapes, labels)
+        for f, path in enumerate(paths):
+            block = shapes[3 * f : 3 * f + 3]
+            expected = "".join(
+                f"{old_formula(block[:, p])} {int(labels[p])}\n" for p in range(4)
+            )
+            assert path.read_bytes() == expected.encode()
+
+    def test_read_back_gives_the_same_bits(self, tmp_path):
+        m = edge_values(9, 5)
+        path = tmp_path / "m.mtx"
+        write_matrix(path, m)
+        back = read_matrix(path)
+        assert back.view(np.uint64).tolist() == m.view(np.uint64).tolist()
+        assert np.signbit(back.flat[1]) and not np.signbit(back.flat[0])
 
 
 class TestLabelFormat:

@@ -15,6 +15,7 @@ from mbnrsfm.linalg import (
     soft_threshold,
     solve_sylvester,
     svt,
+    svt_with_spectrum,
 )
 from mbnrsfm.scene import CameraMotion, build_neighbor_matrix, extend_with_identity
 from mbnrsfm.synth import _smooth_random_camera
@@ -121,6 +122,28 @@ class TestSvt:
             tau = rng.uniform(0, 2)
             assert np.linalg.norm(svt(a, tau) - svt(b, tau)) \
                 <= np.linalg.norm(a - b) + 1e-12
+
+    def test_spectrum_is_that_of_the_output(self):
+        # The thresholded singular values are the spectrum of the returned
+        # matrix, so its nuclear norm needs no second SVD; svt returns the
+        # same matrix bit for bit.
+        rng = np.random.default_rng(29)
+        m = rng.normal(size=(6, 15))
+        out, spectrum = svt_with_spectrum(m, 2.5)
+        np.testing.assert_array_equal(out, svt(m, 2.5))
+        np.testing.assert_allclose(np.linalg.svd(out, compute_uv=False), spectrum,
+                                   rtol=0, atol=1e-13)
+        assert 0 < np.count_nonzero(spectrum) < spectrum.size
+
+    def test_zero_threshold_takes_no_svd(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("SVD taken at a zero threshold")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        m = np.arange(6.0).reshape(2, 3)
+        out, spectrum = svt_with_spectrum(m, 0.0)
+        np.testing.assert_array_equal(out, m)
+        assert spectrum is None
 
 
 class TestSolveSylvester:

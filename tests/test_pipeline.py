@@ -79,6 +79,23 @@ def named_key(path):
     return [k for k in path if isinstance(k, str)][-1]
 
 
+GROUND_TRUTH = ["W.mtx", "rotations.mtx", "S_gt.mtx", "labels_gt.txt"]
+
+
+def uncovering_grid_manifest(out_dir):
+    """Two 5-point bodies under a 3 x 5 grid, which covers 15 points, not 10."""
+    data = pipeline_manifest(out_dir)
+    data["synth"] = synth_block(frames=6, ppb=5)
+    data["inputs"] = {"grid": [3, 5]}
+    return data
+
+
+def without_body_key(out_dir, key):
+    data = pipeline_manifest(out_dir)
+    del data["synth"]["bodies"][0][key]
+    return data
+
+
 def hash_tree(root):
     digest = {}
     for base, _, names in os.walk(root):
@@ -168,6 +185,12 @@ class TestManifestValidation:
         data = with_value(pipeline_manifest("x"), path, value)
         with pytest.raises(ManifestError, match=named_key(path)):
             manifest_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["points", "basis_rank"])
+    def test_missing_body_key_is_named(self, key):
+        with pytest.raises(ManifestError) as err:
+            manifest_from_dict(without_body_key("x", key))
+        assert str(err.value) == f"synth.bodies[0].{key} is required"
 
     def test_load_from_json_file(self, tmp_path):
         path = tmp_path / "run.json"
@@ -272,6 +295,13 @@ class TestSolveFromFiles:
         }
         with pytest.raises(ManifestError):
             run_pipeline(manifest_from_dict(data))
+
+
+    def test_uncovering_grid_leaves_no_ground_truth(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ManifestError, match="does not cover 10 points"):
+            run_pipeline(manifest_from_dict(uncovering_grid_manifest(out)))
+        assert not any((out / name).exists() for name in GROUND_TRUTH)
 
 
 class TestEvalCommand:
@@ -422,6 +452,25 @@ class TestCliExitCodes:
         assert "bad manifest or inputs" in err and named_key(path) in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_uncovering_grid_exit_4_leaves_no_ground_truth(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(uncovering_grid_manifest(out)))
+        code = cli.main(["pipeline", "--manifest", str(manifest)])
+        assert code == 4
+        assert "grid 3 x 5 does not cover 10 points" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in GROUND_TRUTH)
+
+    @pytest.mark.parametrize("key", ["points", "basis_rank"])
+    def test_missing_body_key_exit_4(self, tmp_path, capsys, key):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(without_body_key(tmp_path / "out", key)))
+        code = cli.main(["pipeline", "--manifest", str(manifest)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"bad manifest or inputs: synth.bodies[0].{key} is required" in err
+        assert "Traceback" not in err
 
     def test_synth_then_solve_then_eval_round_trip(self, tmp_path, capsys):
         scene_dir = tmp_path / "scene"
