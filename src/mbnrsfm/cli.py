@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import ManifestError, NumericalError, ParseError
-from .pipeline import INPUT_FILES, RIGID_INIT, load_manifest, manifest_from_dict, run_pipeline
-from .synth import DEFAULT_THREE_BODY_SEED, DEFAULT_TWO_BODY_SEED, default_three_body, default_two_body
+from .pipeline import (
+    _SOLVER_KINDS, INPUT_FILES, RIGID_INIT, VERSION, load_manifest, manifest_from_dict,
+    run_pipeline, synth_block,
+)
+from .synth import default_three_body, default_two_body
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,40 +58,17 @@ def _add_synth_flags(parser):
 
 
 def _solver_block(args) -> dict:
-    block = {}
-    for key in ("lambda1", "lambda2", "beta0", "rho", "beta_max",
-                "epsilon", "max_iters"):
-        value = getattr(args, key, None)
-        if value is not None:
-            block[key] = value
-    return block
+    return {key: getattr(args, key) for key in _SOLVER_KINDS
+            if getattr(args, key, None) is not None}
 
 
 def _synth_block(args, n_bodies: int) -> dict:
-    if n_bodies == 2:
-        factory, default_seed = default_two_body, DEFAULT_TWO_BODY_SEED
-        ppb = args.points_per_body if args.points_per_body else 30
-    else:
-        factory, default_seed = default_three_body, DEFAULT_THREE_BODY_SEED
-        ppb = args.points_per_body if args.points_per_body else 20
-    config = factory(
-        seed=args.seed if args.seed is not None else default_seed,
-        frames=args.frames,
-        points_per_body=ppb,
-        basis_rank=args.basis_rank,
-        noise_sigma=args.noise_sigma,
-    )
-    return {
-        "frames": config.frames,
-        "noise_sigma": config.noise_sigma,
-        "camera_mode": args.camera,
-        "seed": config.seed,
-        "bodies": [
-            {"points": b.points, "basis_rank": b.basis_rank,
-             "centroid": list(b.centroid), "scale": b.scale}
-            for b in config.bodies
-        ],
-    }
+    factory = default_two_body if n_bodies == 2 else default_three_body
+    # Unset flags keep the stock scene's own seed and body size.
+    stock = {"seed": args.seed, "points_per_body": args.points_per_body or None}
+    config = factory(frames=args.frames, basis_rank=args.basis_rank, noise_sigma=args.noise_sigma,
+                     **{key: value for key, value in stock.items() if value is not None})
+    return synth_block(replace(config, camera_mode=args.camera))
 
 
 def _inputs_block(args) -> dict:
@@ -103,10 +84,10 @@ def _inputs_block(args) -> dict:
 
 def _manifest_data(args, command: str) -> dict:
     data = {
-        "version": "MBNR1",
+        "version": VERSION,
         "command": command,
         "output_dir": args.out,
-        "seed": args.seed if args.seed is not None else 0,
+        "seed": getattr(args, "seed", None) or 0,
         "solver": _solver_block(args),
         "inputs": _inputs_block(args),
     }
@@ -163,15 +144,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "pipeline" and args.manifest:
             manifest = load_manifest(args.manifest)
-        elif args.command == "eval":
-            manifest = manifest_from_dict({
-                "version": "MBNR1", "command": "eval",
-                "output_dir": args.out, "inputs": _inputs_block(args),
-            })
         else:
             if args.command == "pipeline" and args.clusters is None:
                 raise ManifestError("pipeline requires --clusters (or a manifest)")
-            if not args.out:
+            if args.command != "eval" and not args.out:
                 raise ManifestError(f"{args.command} requires --out")
             manifest = manifest_from_dict(_manifest_data(args, args.command))
         summary = run_pipeline(manifest)

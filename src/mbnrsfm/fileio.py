@@ -8,16 +8,18 @@ Label files:
     MBNR1 labels <count>
     <one nonnegative integer per line>
 
-Floats are written with Python's shortest round-trip repr, '.' decimal
-separator, LF line endings; reading back reproduces the in-memory values
-bit for bit. Zero-sized matrices are rejected on both ends. All parse
-failures, bytes that are not UTF-8 included, raise ParseError with the
-offending 1-based line number.
+Floats are written with Python's shortest round-trip repr and a '.' decimal
+separator; reading back reproduces the in-memory values bit for bit. Every
+writer goes through ``_write_lines``: UTF-8, LF line endings, a final newline.
+Zero-sized matrices are rejected on both ends. All parse failures, bytes
+that are not UTF-8 included, raise ParseError with the offending 1-based
+line number of the file (blank lines between labels are skipped but counted).
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +32,12 @@ MAGIC = "MBNR1"
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _write_lines(path, lines) -> None:
+    """Write text lines as UTF-8 with LF endings and a final newline; every writer ends here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_header(path, kind: str, fields: tuple[str, ...]) -> tuple[list[str], list[int]]:
@@ -66,8 +74,7 @@ def write_matrix(path, matrix) -> None:
     # One row at a time: tolist() gives Python floats, whose repr is _fmt's,
     # without a whole-matrix list in memory.
     lines.extend(" ".join(map(repr, row.tolist())) for row in mat)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -112,45 +119,44 @@ def write_labels(path, labels) -> None:
     arr = validate_labels(labels)
     lines = [f"{MAGIC} labels {arr.size}"]
     lines.extend(str(int(v)) for v in arr)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_labels(path) -> np.ndarray:
-    """Read an MBNR1 label file; raises ParseError on any format violation."""
+    """Read an MBNR1 label file; raises ParseError on any format violation.
+
+    Blank lines are skipped but still counted, so errors name the file's own line.
+    """
     lines, (count,) = _read_header(path, "labels", ("count",))
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(line_no, ln.strip()) for line_no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
-        raise ParseError(path, min(len(lines), count + 1),
-                         f"expected {count} labels, got {len(body)}")
+        # The first surplus label's line, or the line after the end of a short file.
+        line_no = body[count][0] if len(body) > count else len(lines) + 1
+        raise ParseError(path, line_no, f"expected {count} labels, got {len(body)}")
     out = np.empty(count, dtype=np.int64)
-    for i, ln in enumerate(body):
-        tok = ln.strip()
+    for i, (line_no, tok) in enumerate(body):
         try:
             value = int(tok)
         except ValueError:
-            raise ParseError(path, i + 2, f"not an integer: {tok!r}") from None
+            raise ParseError(path, line_no, f"not an integer: {tok!r}") from None
         if value < 0:
-            raise ParseError(path, i + 2, f"negative label id: {value}")
+            raise ParseError(path, line_no, f"negative label id: {value}")
         out[i] = value
     return out
 
 
+# trace.csv columns, in order: (header, SolverTrace attribute, value formatter).
+_TRACE_COLUMNS = [("iteration", "iterations", str)] + [
+    (name, name, _fmt) for name in ("objective", "r1", "r2", "r3", "r4", "beta")
+]
+
+
 def write_trace_csv(path, trace) -> None:
-    """Write the per-iteration solver history as CSV."""
-    lines = ["iteration,objective,r1,r2,r3,r4,beta"]
-    for i in range(len(trace)):
-        lines.append(",".join([
-            str(trace.iterations[i]),
-            _fmt(trace.objective[i]),
-            _fmt(trace.r1[i]),
-            _fmt(trace.r2[i]),
-            _fmt(trace.r3[i]),
-            _fmt(trace.r4[i]),
-            _fmt(trace.beta[i]),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the per-iteration solver history as CSV, one row per iteration."""
+    columns = [map(fmt, getattr(trace, attr)) for _, attr, fmt in _TRACE_COLUMNS]
+    lines = [",".join(header for header, _, _ in _TRACE_COLUMNS)]
+    lines.extend(map(",".join, zip(*columns)))
+    _write_lines(path, lines)
 
 
 def write_metrics_csv(path, metrics: dict) -> None:
@@ -164,8 +170,7 @@ def write_metrics_csv(path, metrics: dict) -> None:
         else:
             rendered = str(value)
         lines.append(f"{key},{rendered}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_pointcloud_frames(directory, shapes, labels) -> list:
@@ -173,8 +178,6 @@ def write_pointcloud_frames(directory, shapes, labels) -> list:
 
     Returns the list of written paths.
     """
-    from pathlib import Path
-
     shapes = as_matrix(shapes, "shapes")
     arr = validate_labels(labels, num_points=shapes.shape[1])
     frames = shapes.shape[0] // 3
@@ -189,7 +192,6 @@ def write_pointcloud_frames(directory, shapes, labels) -> list:
             for x, y, z, label in zip(xs, ys, zs, label_tokens)
         ]
         path = directory / f"frame_{f:04d}.txt"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(path, lines)
         paths.append(path)
     return paths

@@ -14,45 +14,49 @@ from scipy.optimize import linear_sum_assignment
 from .scene import CameraMotion, project, validate_labels, validate_shapes
 
 
+def _shape_pair(s_est, s_gt) -> tuple[np.ndarray, np.ndarray]:
+    est = validate_shapes(s_est, "estimated shapes")
+    gt = validate_shapes(s_gt, "ground-truth shapes")
+    if est.shape != gt.shape:
+        raise ValueError(f"shape mismatch: {est.shape} vs {gt.shape}")
+    return est, gt
+
+
+def _best_global_flip(est, error) -> float:
+    """The smaller ``error`` of ``est`` and of ``est`` with every z row negated."""
+    best = np.inf
+    for flip in (1.0, -1.0):
+        flipped = est.copy()
+        flipped[2::3] *= flip
+        best = min(best, error(flipped))
+    return best
+
+
 def reconstruction_error(s_est, s_gt) -> float:
     """Mean per-frame relative Frobenius error, best global z-flip.
 
     Every ground-truth frame must have a positive norm.
     """
-    est = validate_shapes(s_est, "estimated shapes")
-    gt = validate_shapes(s_gt, "ground-truth shapes")
-    if est.shape != gt.shape:
-        raise ValueError(f"shape mismatch: {est.shape} vs {gt.shape}")
+    est, gt = _shape_pair(s_est, s_gt)
     frames = est.shape[0] // 3
-    gt_frames = gt.reshape(frames, 3, -1)
-    gt_norms = np.linalg.norm(gt_frames, axis=(1, 2))
+    gt_norms = np.linalg.norm(gt.reshape(frames, 3, -1), axis=(1, 2))
     if np.any(gt_norms == 0):
         raise ValueError("ground truth has a zero-norm frame")
-    best = np.inf
-    for flip in (1.0, -1.0):
-        flipped = est.copy()
-        flipped[2::3] *= flip
+
+    def per_frame_mean(flipped):
         diff = (flipped - gt).reshape(frames, 3, -1)
-        per_frame = np.linalg.norm(diff, axis=(1, 2)) / gt_norms
-        best = min(best, float(per_frame.mean()))
-    return best
+        return float((np.linalg.norm(diff, axis=(1, 2)) / gt_norms).mean())
+
+    return _best_global_flip(est, per_frame_mean)
 
 
 def reconstruction_error_whole(s_est, s_gt) -> float:
     """Stacked-matrix relative error, best global z-flip (cross-check value)."""
-    est = validate_shapes(s_est, "estimated shapes")
-    gt = validate_shapes(s_gt, "ground-truth shapes")
-    if est.shape != gt.shape:
-        raise ValueError(f"shape mismatch: {est.shape} vs {gt.shape}")
+    est, gt = _shape_pair(s_est, s_gt)
     denom = np.linalg.norm(gt)
     if denom == 0:
         raise ValueError("ground truth is all zero")
-    best = np.inf
-    for flip in (1.0, -1.0):
-        flipped = est.copy()
-        flipped[2::3] *= flip
-        best = min(best, float(np.linalg.norm(flipped - gt) / denom))
-    return best
+    return _best_global_flip(est, lambda flipped: float(np.linalg.norm(flipped - gt) / denom))
 
 
 def segmentation_error(labels_est, labels_gt) -> float:

@@ -11,6 +11,13 @@ centering.mtx (per-row means subtracted from W before solving), S.mtx,
 Ssharp.mtx, C.mtx, trace.csv, A.mtx, labels.txt, metrics.csv, and
 plot-ready per-frame pointcloud files.
 
+``manifest_from_dict`` checks everything a manifest says on its own: each
+key's JSON type, the ``inputs.grid`` shape (two positive integers, checked by
+``RunManifest`` itself), and that every file input exists. So a rejected
+manifest creates no output directory.
+The one check that needs the scene, whether the grid covers its points, runs
+after the scene is read or generated and before any artifact is written.
+
 Exit-code policy (applied by the CLI): 0 success, 2 parse error,
 3 numerical failure, 4 bad manifest. Non-convergence is not a failure; the
 converged flag lands in metrics.csv.
@@ -79,6 +86,10 @@ class RunManifest:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        grid = self.inputs.get("grid")
+        if grid is not None and not (isinstance(grid, (list, tuple)) and len(grid) == 2
+                                     and all(_is_kind(g, int) and g > 0 for g in grid)):
+            raise ManifestError(f"inputs.grid must be two positive integers, got {grid!r}")
         if self.version != VERSION:
             raise ManifestError(f"unsupported manifest version {self.version!r}")
         if self.command not in COMMANDS:
@@ -167,6 +178,19 @@ def _build_synth_config(block: dict, seed: int) -> SynthConfig:
         raise ManifestError(f"bad synth block: {exc}") from exc
 
 
+def synth_block(config: SynthConfig) -> dict:
+    """The manifest ``synth`` block that ``_build_synth_config`` reads back as ``config``."""
+    bodies = [{"points": b.points, "basis_rank": b.basis_rank, "centroid": list(b.centroid),
+               "scale": b.scale} for b in config.bodies]
+    return {"frames": config.frames, "bodies": bodies, "noise_sigma": config.noise_sigma,
+            "camera_mode": config.camera_mode, "seed": config.seed}
+
+
+def _names_file(key: str, value) -> bool:
+    """Whether an inputs entry is a file path: not the grid, nor a RIGID_INIT rotation."""
+    return key in INPUT_FILES and not (key == "rotations" and value == RIGID_INIT)
+
+
 def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
     """Build and validate a manifest from parsed JSON.
 
@@ -182,14 +206,8 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
     raw_inputs = data.get("inputs") or {}
     _check_block(raw_inputs, _INPUT_KINDS, "inputs")
     base = Path(base_dir)
-    inputs = {}
-    for key, value in raw_inputs.items():
-        if key == "grid":
-            inputs[key] = value
-        elif key == "rotations" and value == RIGID_INIT:
-            inputs[key] = value
-        else:
-            inputs[key] = str(base / value)
+    inputs = {key: str(base / value) if _names_file(key, value) else value
+              for key, value in raw_inputs.items()}
     manifest = RunManifest(
         command=data.get("command", ""),
         output_dir=str(base / data["output_dir"]) if data.get("output_dir") else "",
@@ -200,7 +218,9 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
         inputs=inputs,
         version=data.get("version", ""),
     )
-    _check_input_files(manifest)
+    for key, value in inputs.items():
+        if _names_file(key, value) and not Path(value).exists():
+            raise ManifestError(f"input file for {key!r} does not exist: {value}")
     return manifest
 
 
@@ -215,14 +235,6 @@ def load_manifest(path) -> RunManifest:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     return manifest_from_dict(data, base_dir=path.parent)
-
-
-def _check_input_files(manifest: RunManifest) -> None:
-    for key, value in manifest.inputs.items():
-        if key == "grid" or (key == "rotations" and value == RIGID_INIT):
-            continue
-        if not Path(value).exists():
-            raise ManifestError(f"input file for {key!r} does not exist: {value}")
 
 
 def _center_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,9 +358,6 @@ def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
         labels_gt = fileio.read_labels(inputs["labels_gt"]) if "labels_gt" in inputs else None
 
     if grid is not None:
-        if (not isinstance(grid, (list, tuple)) or len(grid) != 2
-                or not all(_is_kind(g, int) and g > 0 for g in grid)):
-            raise ManifestError(f"grid must be two positive integers, got {grid!r}")
         if grid[0] * grid[1] != w.shape[1]:
             raise ManifestError(
                 f"grid {grid[0]} x {grid[1]} does not cover {w.shape[1]} points"

@@ -154,6 +154,19 @@ class TestLabelFormat:
             read_labels(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text, line, reason", [
+        ("MBNR1 labels 2\n\n0\n-1\n", 4, "negative label id: -1"),
+        ("MBNR1 labels 2\n0\n\n\nx\n", 5, "not an integer: 'x'"),
+        ("MBNR1 labels 1\n\n0\n\n1\n", 5, "expected 1 labels, got 2"),
+        ("MBNR1 labels 3\n0\n\n1\n", 5, "expected 3 labels, got 2"),
+    ], ids=["negative", "non-integer", "surplus-label", "file-ends-early"])
+    def test_blank_lines_keep_line_numbers(self, tmp_path, text, line, reason):
+        path = tmp_path / "l.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert (err.value.line, err.value.reason) == (line, reason)
+
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "l.txt"
         path.write_text("MBNR1 labels 3\n0\n1\n")

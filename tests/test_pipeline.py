@@ -1,17 +1,20 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mbnrsfm import cli
+from mbnrsfm import cli, pipeline
 from mbnrsfm.errors import ManifestError
 from mbnrsfm.fileio import read_labels, read_matrix, write_labels, write_matrix
 from mbnrsfm.metrics import segmentation_error
 from mbnrsfm.pipeline import RunManifest, load_manifest, manifest_from_dict, run_pipeline
 from mbnrsfm.scene import project
-from mbnrsfm.synth import assemble_body, default_two_body, generate_scene, _smooth_random_camera
+from mbnrsfm.synth import (
+    assemble_body, default_three_body, default_two_body, generate_scene, _smooth_random_camera,
+)
 
 PIPELINE_ARTIFACTS = [
     "W.mtx", "rotations.mtx", "S_gt.mtx", "labels_gt.txt", "centering.mtx",
@@ -46,6 +49,9 @@ def pipeline_manifest(out_dir, seed=3, solver=None):
     }
 
 
+# Grids that are not two positive integers; rejected with the rest of the manifest.
+BAD_GRIDS = [[3, "x"], [0, 5], [2, 3, 4], [True, 3]]
+
 # Manifest values of the wrong JSON type, and unknown keys in the inputs
 # block and in a body spec: (path into pipeline_manifest, value).
 BAD_MANIFEST_VALUES = [
@@ -61,7 +67,7 @@ BAD_MANIFEST_VALUES = [
     (("inputs", "w"), 5),
     (("inputs", "lables_gt"), __file__),  # an existing file under a misspelt key
     (("synth", "bodies", 0, "scael"), 0.1),
-]
+] + [(("inputs", "grid"), grid) for grid in BAD_GRIDS]
 BAD_MANIFEST_IDS = [".".join(map(str, path)) for path, _ in BAD_MANIFEST_VALUES]
 
 
@@ -185,6 +191,26 @@ class TestManifestValidation:
         data = with_value(pipeline_manifest("x"), path, value)
         with pytest.raises(ManifestError, match=named_key(path)):
             manifest_from_dict(data)
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=str)
+    def test_bad_grid_message(self, grid):
+        message = f"inputs.grid must be two positive integers, got {grid!r}"
+        data = with_value(pipeline_manifest("x"), ("inputs", "grid"), grid)
+        with pytest.raises(ManifestError) as err:
+            manifest_from_dict(data)
+        assert str(err.value) == message
+        with pytest.raises(ManifestError) as err:  # a manifest built without a dict
+            RunManifest(command="synth", output_dir="x", synth=default_two_body(),
+                        inputs={"grid": grid})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("factory", [default_two_body, default_three_body])
+    @pytest.mark.parametrize("camera_mode", ["identity", "smooth_random"])
+    def test_synth_block_round_trip(self, factory, camera_mode):
+        config = replace(factory(noise_sigma=0.01), camera_mode=camera_mode)
+        data = {"version": "MBNR1", "command": "synth", "output_dir": "x",
+                "synth": pipeline.synth_block(config)}
+        assert manifest_from_dict(json.loads(json.dumps(data))).synth == config
 
     @pytest.mark.parametrize("key", ["points", "basis_rank"])
     def test_missing_body_key_is_named(self, key):
@@ -471,6 +497,19 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"bad manifest or inputs: synth.bodies[0].{key} is required" in err
         assert "Traceback" not in err
+
+    def test_bodies_flags_equal_explicit_manifest(self, tmp_path, capsys):
+        assert cli.main([
+            "pipeline", "--out", str(tmp_path / "flags"), "--clusters", "2", "--bodies", "2",
+            "--frames", "12", "--points-per-body", "8", "--max-iters", "40",
+        ]) == 0
+        data = pipeline_manifest(tmp_path / "manifest", solver={"max_iters": 40})
+        data["synth"] = synth_block(frames=12, ppb=8)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data))
+        assert cli.main(["pipeline", "--manifest", str(manifest)]) == 0
+        flags, explicit = hash_tree(tmp_path / "flags"), hash_tree(tmp_path / "manifest")
+        assert len(flags) > len(PIPELINE_ARTIFACTS) and flags == explicit
 
     def test_synth_then_solve_then_eval_round_trip(self, tmp_path, capsys):
         scene_dir = tmp_path / "scene"
