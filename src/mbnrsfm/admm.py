@@ -30,18 +30,17 @@ is only ever applied per frame; the blocks' eigenvalues sit near 1 and
 1 + 1/beta, so the P x P right operand (I - C)(I - C^T) is solved through
 one Cholesky factor per cluster, shifted by the cluster's center
 (``linalg.CholeskyOperand``). The coefficient step's left operand is the
-Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P (``linalg.GramOperand``):
-when 3F+1 < P only the (3F+1)-square M M^T is factored and the solve uses
-the Woodbury identity, otherwise the P x P operand is factored as before.
-Its right operand D D^T is constant over a run and is factored once per
-``solve``.
+Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P: when 3F+1 < P it is held as
+M (``linalg.GramOperand``) and solved by the Woodbury identity, otherwise
+it is formed (``linalg.SymmetricOperand``). Its right operand D D^T is a
+SymmetricOperand that ``solve`` forms and factors once.
 
 With a spatial term the merged operator [I | D] has at most two nonzeros
-per column, so ``solve`` holds it as a ``scipy.sparse.csr_array`` and each
-product with it costs O(P) per row of the left factor instead of O(P^2).
-The step functions only use ``@`` and ``.T`` on it, so they accept a dense
-or a sparse operator alike. Without a spatial term it stays the dense
-identity.
+per column, so ``solve`` holds it, and its Gram D D^T, as
+``scipy.sparse.csr_array``; each product with either costs O(P) per row
+instead of O(P^2). The step functions only use ``@`` and ``.T`` on the
+operator, so they accept a dense or a sparse one alike. Without a spatial
+term both are the dense identity.
 
 The camera motion is held fixed throughout; rotations are an input.
 """
@@ -103,21 +102,22 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.lambda1 < 0:
+        # Written as "not (valid)" so that NaN fails every check.
+        if not self.lambda1 >= 0:
             raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")
-        if self.lambda2 is not None and self.lambda2 < 0:
+        if self.lambda2 is not None and not self.lambda2 >= 0:
             raise ValueError(f"lambda2 must be nonnegative, got {self.lambda2}")
-        if self.beta0 <= 0:
+        if not self.beta0 > 0:
             raise ValueError(f"beta0 must be positive, got {self.beta0}")
-        if self.rho <= 1:
+        if not self.rho > 1:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if self.beta_max < self.beta0:
+        if not self.beta_max >= self.beta0:
             raise ValueError(
                 f"beta_max ({self.beta_max}) must be at least beta0 ({self.beta0})"
             )
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
 
     def nuclear_weight(self, frames: int, points: int) -> float:
@@ -268,7 +268,7 @@ def update_slack(state: AdmmState, merged: np.ndarray, config: SolverConfig) -> 
 def solve_coeff_subproblem(
     state: AdmmState,
     merged: np.ndarray,
-    merged_gram: GramOperand | SymmetricOperand | None = None,
+    merged_gram: SymmetricOperand | None = None,
 ) -> np.ndarray:
     """Closed-form coefficient update before diagonal zeroing.
 
@@ -279,18 +279,19 @@ def solve_coeff_subproblem(
               + 1 1^T - 1 y_colsum / beta
 
     with D the merged operator and E the slack; a tiny diagonal shift keeps
-    the left operand strictly positive definite. The left operand is held as
-    the Gram of M = [S; 1^T], so with fewer than P rows in M it is solved by
-    the Woodbury identity without forming it. ``merged_gram`` is D D^T as a
-    GramOperand of D^T (or a SymmetricOperand); it is constant over a run,
-    so ``solve`` factors it once and passes it in. When omitted it is
-    factored here.
+    the left operand strictly positive definite. The left operand is the
+    Gram of M = [S; 1^T]: with fewer than P rows in M it is held as M and
+    solved by the Woodbury identity, otherwise it is formed. ``merged_gram``
+    is D D^T as a SymmetricOperand; it is constant over a run, so ``solve``
+    factors it once and passes it in. When omitted it is factored here.
     """
     beta = state.duals.beta
     points = state.coeffs.shape[0]
     if merged_gram is None:
-        merged_gram = GramOperand(merged.T)
-    left = GramOperand(np.vstack([state.shapes, np.ones(points)]), COEFF_STABILIZER)
+        merged_gram = SymmetricOperand(merged @ merged.T)
+    m = np.vstack([state.shapes, np.ones(points)])
+    left = (GramOperand(m, COEFF_STABILIZER) if m.shape[0] < points
+            else SymmetricOperand(m.T @ m + COEFF_STABILIZER * np.eye(points)))
     rhs = (
         state.shapes.T @ (state.shapes + state.duals.y_selfexpr / beta)
         + (state.slack - state.duals.y_slack / beta) @ merged.T
@@ -303,7 +304,7 @@ def solve_coeff_subproblem(
 def update_coefficients(
     state: AdmmState,
     merged: np.ndarray,
-    merged_gram: GramOperand | SymmetricOperand | None = None,
+    merged_gram: SymmetricOperand | None = None,
 ) -> np.ndarray:
     """Coefficient update: subproblem solution with the diagonal zeroed exactly."""
     coeffs = solve_coeff_subproblem(state, merged, merged_gram)
@@ -417,7 +418,7 @@ def solve(
     merged = extend_with_identity(neighbors, num_points=points)
     if neighbors is not None:
         merged = scipy.sparse.csr_array(merged)
-    merged_gram = GramOperand(merged.T)
+    merged_gram = SymmetricOperand(merged @ merged.T)
 
     if init_shapes is None:
         shapes = pseudo_inverse_shapes(w, camera)

@@ -7,12 +7,13 @@ factors via ``scipy.linalg.cho_factor``.
 The solver's two Sylvester equations have symmetric operands, and
 ``solve_sylvester`` picks its method from the operand types:
 
-* two ``SymmetricOperand`` (a matrix or a stack of diagonal blocks held with
-  its eigendecomposition): rotate into both eigenbases and divide;
-* a ``GramOperand`` on the left (``m^T m + shift I`` held as its k x n
-  factor ``m``): when k < n only the k x k Gram ``m m^T`` is factored, and
-  each column of the right operand's eigenbasis is solved by the Woodbury
-  identity, so the n x n operand is never formed;
+* two ``SymmetricOperand`` (a matrix, a scipy-sparse matrix or a stack of
+  diagonal blocks, held with its eigendecomposition): rotate into both
+  eigenbases and divide;
+* a ``GramOperand`` left of a ``SymmetricOperand`` (``m^T m + shift I``
+  held as its dense k x n factor ``m``, k < n): only the k x k Gram
+  ``m m^T`` is factored, and each column of the right operand's eigenbasis
+  is solved by the Woodbury identity, so the n x n operand is never formed;
 * a ``CholeskyOperand`` on the right of a ``SymmetricOperand`` (an
   unfactored positive-semidefinite matrix): rows whose left eigenvalues
   cluster share one Cholesky factor of the right operand shifted by the
@@ -118,19 +119,17 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _dense(mat) -> np.ndarray:
-    return mat.toarray() if scipy.sparse.issparse(mat) else mat
-
-
 class SymmetricOperand:
     """A symmetric Sylvester operand held with its eigendecomposition.
 
-    ``matrix`` is either one n x n array or a (k, m, m) stack holding the
-    diagonal blocks of a block-diagonal n x n matrix, n = k * m. One
-    ``np.linalg.eigh`` call factors it; on a stack the call is batched, so
-    each block costs O(m^3). ``eigh`` reads only the lower triangle of each
-    block. The original matrix is kept, because the Sylvester residual is
-    checked against it and not against the eigen-reconstruction.
+    ``matrix`` is one n x n array, a 2-D scipy-sparse n x n matrix, or a
+    (k, m, m) stack holding the diagonal blocks of a block-diagonal n x n
+    matrix, n = k * m. One ``np.linalg.eigh`` call factors it: on a stack
+    the call is batched, so each block costs O(m^3), and a sparse matrix is
+    factored through its dense copy. ``eigh`` reads only the lower triangle
+    of each block. The original matrix is kept, because the Sylvester
+    residual is checked against it and not against the eigen-reconstruction;
+    a sparse one stays sparse for those products.
 
     ``shape`` is that of the full n x n matrix, whatever the storage.
     """
@@ -138,15 +137,17 @@ class SymmetricOperand:
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
+        sparse = scipy.sparse.issparse(matrix)
+        mat = matrix if sparse else np.asarray(matrix, dtype=float)
+        dims = (2,) if sparse else (2, 3)
+        if mat.ndim not in dims or mat.shape[-1] != mat.shape[-2] or 0 in mat.shape:
             raise ValueError(
                 f"symmetric operand must be n x n or a (k, m, m) block stack, "
                 f"got shape {mat.shape}"
             )
-        if not np.all(np.isfinite(mat)):
+        if not np.all(np.isfinite(mat.data if sparse else mat)):
             raise ValueError("symmetric operand contains non-finite entries")
-        values, vectors = _eigh(mat)
+        values, vectors = _eigh(mat.toarray() if sparse else mat)
         self.matrix = mat
         self.eigenvalues = values.reshape(-1)
         self.eigenvectors = vectors
@@ -160,43 +161,31 @@ class SymmetricOperand:
 class GramOperand:
     """The symmetric operand ``m^T m + shift * I`` held as its k x n factor ``m``.
 
-    ``m`` is a dense array or a scipy sparse array. The smaller of the two
-    Grams is factored by ``np.linalg.eigh``:
-
-    * k < n (low rank): the k x k ``m m^T = W diag(s) W^T``. ``matrix`` is
-      None, ``eigenvalues`` holds s and ``eigenvectors`` holds ``m^T W``
-      (n x k). ``solve_sylvester`` inverts each shifted copy by the Woodbury
-      identity ``(m^T m + c I)^-1 = (I - m^T W diag(1 / (s + c)) W^T m) / c``.
-    * k >= n: ``matrix`` is the n x n operand itself, factored and solved
-      exactly like a SymmetricOperand holding that matrix.
-
-    Products with the operand (the residual check) go through ``m`` when
-    ``matrix`` is None or ``m`` is sparse, and through ``matrix`` otherwise.
-    ``shape`` is n x n.
+    ``m`` is a dense array with 0 < k < n; with k >= n there is nothing to
+    save, so form the operand and hold it as a SymmetricOperand instead. Only
+    the k x k Gram ``m m^T = W diag(s) W^T`` is factored: ``eigenvalues``
+    holds s and ``eigenvectors`` holds ``m^T W`` (n x k). ``solve_sylvester``
+    inverts each shifted copy by the Woodbury identity
+    ``(m^T m + c I)^-1 = (I - m^T W diag(1 / (s + c)) W^T m) / c``, and
+    products with the operand go through ``m``. ``shape`` is n x n.
     """
 
-    __slots__ = ("factor", "shift", "matrix", "eigenvalues", "eigenvectors")
+    __slots__ = ("factor", "shift", "eigenvalues", "eigenvectors")
 
     def __init__(self, factor, shift: float = 0.0):
-        m = factor if scipy.sparse.issparse(factor) else np.asarray(factor, dtype=float)
-        if m.ndim != 2 or 0 in m.shape:
-            raise ValueError(f"Gram factor must be a non-empty k x n matrix, got shape {m.shape}")
-        entries = m.data if scipy.sparse.issparse(m) else m
-        if not (np.all(np.isfinite(entries)) and np.isfinite(shift)):
+        if scipy.sparse.issparse(factor):
+            raise ValueError("Gram factor must be a dense array, got a sparse matrix")
+        m = np.asarray(factor, dtype=float)
+        if m.ndim != 2 or not 0 < m.shape[0] < m.shape[1]:
+            raise ValueError(
+                f"Gram factor must be a k x n matrix with 0 < k < n, got shape {m.shape}"
+            )
+        if not (np.all(np.isfinite(m)) and np.isfinite(shift)):
             raise ValueError("Gram operand contains non-finite entries")
-        k, n = m.shape
         self.factor, self.shift = m, float(shift)
-        if k < n:
-            values, vectors = _eigh(_dense(m @ m.T))
-            self.matrix = None
-            self.eigenvalues = values
-            self.eigenvectors = np.asarray(m.T @ vectors)
-        else:
-            mat = _dense(m.T @ m)
-            if shift:
-                mat = mat + shift * np.eye(n)
-            self.matrix = mat
-            self.eigenvalues, self.eigenvectors = _eigh(mat)
+        values, vectors = _eigh(m @ m.T)
+        self.eigenvalues = values
+        self.eigenvectors = m.T @ vectors
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -230,15 +219,9 @@ class CholeskyOperand:
 _OPERANDS = (SymmetricOperand, GramOperand, CholeskyOperand)
 
 
-def _through_factor(op) -> bool:
-    return isinstance(op, GramOperand) and (
-        op.matrix is None or scipy.sparse.issparse(op.factor)
-    )
-
-
 def _left(op, x: np.ndarray) -> np.ndarray:
     """``op @ x`` for an operand, a dense matrix or a (k, m, m) block stack."""
-    if _through_factor(op):
+    if isinstance(op, GramOperand):
         return op.factor.T @ (op.factor @ x) + op.shift * x
     if isinstance(op, _OPERANDS):
         op = op.matrix
@@ -250,10 +233,13 @@ def _left(op, x: np.ndarray) -> np.ndarray:
 
 def _right(x: np.ndarray, op) -> np.ndarray:
     """``x @ op`` for an operand, a dense matrix or a (k, m, m) block stack."""
-    if _through_factor(op):
+    if isinstance(op, GramOperand):
         return (x @ op.factor.T) @ op.factor + op.shift * x
     if isinstance(op, _OPERANDS):
         op = op.matrix
+    if scipy.sparse.issparse(op):
+        # Only a SymmetricOperand holds a sparse matrix, so x @ op = (op @ x^T)^T.
+        return (op @ x.T).T
     if op.ndim == 2:
         return x @ op
     k, m, _ = op.shape
@@ -265,17 +251,11 @@ def _spectrum(op) -> np.ndarray:
     """All n eigenvalues of an operand (used to diagnose a failed solve)."""
     if isinstance(op, CholeskyOperand):
         return np.linalg.eigvalsh(op.matrix)
-    if isinstance(op, GramOperand) and op.matrix is None:
+    if isinstance(op, GramOperand):
         n = op.shape[0]
         flat = np.full(n - op.eigenvalues.size, op.shift)
         return np.concatenate([op.eigenvalues + op.shift, flat])
     return op.eigenvalues
-
-
-def _has_eigenbasis(op) -> bool:
-    return isinstance(op, SymmetricOperand) or (
-        isinstance(op, GramOperand) and op.matrix is not None
-    )
 
 
 def _check_operand_shapes(a_shape, b_shape, q_shape) -> None:
@@ -300,11 +280,11 @@ def solve_sylvester(a, b, q) -> np.ndarray:
 
     The operand pair picks the method:
 
-    * ``a`` and ``b`` each a SymmetricOperand or a GramOperand with k >= n:
-      with ``a = U diag(l) U^T`` and ``b = V diag(m) V^T``,
-      ``x = U [(U^T q V) / (l_i + m_j)] V^T``, using the stored
-      factorizations. Block-stack operands are applied per block.
-    * ``a`` a low-rank GramOperand, ``b`` as above: column j of ``q V`` is
+    * ``a`` and ``b`` each a SymmetricOperand: with ``a = U diag(l) U^T``
+      and ``b = V diag(m) V^T``, ``x = U [(U^T q V) / (l_i + m_j)] V^T``,
+      using the stored factorizations. Block-stack operands are applied per
+      block, sparse ones through their sparse matrix.
+    * ``a`` a GramOperand, ``b`` a SymmetricOperand: column j of ``q V`` is
       solved against ``m^T m + (shift + m_j) I`` by the Woodbury identity.
     * ``a`` a SymmetricOperand, ``b`` a CholeskyOperand: row i of ``U^T q``
       is solved against ``b + l_i I`` through the Cholesky factor of ``b``
@@ -328,8 +308,8 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     """
     if not isinstance(a, _OPERANDS) and not isinstance(b, _OPERANDS):
         return _solve_bartels_stewart(a, b, q)
-    if _has_eigenbasis(b):
-        if _has_eigenbasis(a):
+    if isinstance(b, SymmetricOperand):
+        if isinstance(a, SymmetricOperand):
             return _solve_in_eigenbases(a, b, q)
         if isinstance(a, GramOperand):
             return _solve_woodbury(a, b, q)
@@ -375,7 +355,7 @@ def _spectra(a, b):
     return lambda: (_spectrum(a), _spectrum(b))
 
 
-def _solve_in_eigenbases(a, b, q) -> np.ndarray:
+def _solve_in_eigenbases(a: SymmetricOperand, b: SymmetricOperand, q) -> np.ndarray:
     """Both operands held with their full eigendecompositions."""
     q = _structured_rhs(a, b, q)
     u, v = a.eigenvectors, b.eigenvectors
@@ -386,8 +366,8 @@ def _solve_in_eigenbases(a, b, q) -> np.ndarray:
     return _verified(a, b, q, x, _spectra(a, b))
 
 
-def _solve_woodbury(a: GramOperand, b, q) -> np.ndarray:
-    """A low-rank GramOperand left of an operand with a full eigenbasis."""
+def _solve_woodbury(a: GramOperand, b: SymmetricOperand, q) -> np.ndarray:
+    """A GramOperand left of a SymmetricOperand."""
     q = _structured_rhs(a, b, q)
     v, basis = b.eigenvectors, a.eigenvectors
     shifts = a.shift + b.eigenvalues

@@ -12,11 +12,12 @@ Ssharp.mtx, C.mtx, trace.csv, A.mtx, labels.txt, metrics.csv, and
 plot-ready per-frame pointcloud files.
 
 ``manifest_from_dict`` checks everything a manifest says on its own: each
-key's JSON type, the ``inputs.grid`` shape (two positive integers, checked by
-``RunManifest`` itself), and that every file input exists. So a rejected
-manifest creates no output directory.
-The one check that needs the scene, whether the grid covers its points, runs
-after the scene is read or generated and before any artifact is written.
+key's JSON type (numbers must be finite), the ``inputs.grid`` shape (two
+positive integers, checked by ``RunManifest`` itself), and that every file
+input exists. So a rejected manifest creates no output directory.
+The checks that need the scene run after it is read or generated and before
+any artifact is written: the grid covers its points, a pipeline's cluster
+count is at most its point count, and ``init_s`` is 3F x P.
 
 Exit-code policy (applied by the CLI): 0 success, 2 parse error,
 3 numerical failure, 4 bad manifest. Non-convergence is not a failure; the
@@ -26,6 +27,7 @@ converged flag lands in metrics.csv.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,8 +53,8 @@ RIGID_INIT = "rigid-init"
 INPUT_FILES = ("w", "rotations", "s_gt", "labels_gt", "init_s", "labels_est", "s_est")
 
 # The JSON type each manifest key takes, per block; a key not listed is
-# unknown. ``int`` excludes booleans, ``float`` also takes an integer, and a
-# ``None`` in the tuple lets the value be null.
+# unknown. ``int`` excludes booleans, ``float`` takes any finite number, and
+# a ``None`` in the tuple lets the value be null.
 _TOP_LEVEL_KINDS = {
     "version": str, "command": str, "output_dir": (str, None), "seed": int,
     "clusters": (int, None), "solver": (dict, None), "synth": (dict, None),
@@ -66,7 +68,7 @@ _SYNTH_KINDS = {"frames": int, "bodies": list, "noise_sigma": float, "camera_mod
 _BODY_KINDS = {"points": int, "basis_rank": int, "centroid": list, "scale": float}
 _INPUT_KINDS = {**dict.fromkeys(INPUT_FILES, str), "grid": (list, None)}
 _KIND_NAMES = {
-    int: "must be an integer", float: "must be a number", str: "must be a string",
+    int: "must be an integer", float: "must be a finite number", str: "must be a string",
     list: "must be a JSON list", dict: "block must be a JSON object",
 }
 
@@ -122,7 +124,9 @@ def _is_kind(value, kind) -> bool:
         return value is None
     if isinstance(value, bool):  # JSON true/false: neither an integer nor a number
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 def _check_block(block: dict, kinds: dict, where: str) -> None:
@@ -162,7 +166,7 @@ def _build_synth_config(block: dict, seed: int) -> SynthConfig:
                 raise ManifestError(f"{where}.{key} is required")
         for j, component in enumerate(body.get("centroid", ())):
             if not _is_kind(component, float):
-                raise ManifestError(f"{where}.centroid[{j}] must be a number, got {component!r}")
+                raise ManifestError(f"{where}.centroid[{j}] {_KIND_NAMES[float]}, got {component!r}")
         try:
             bodies.append(BodySpec(
                 points=body["points"],
@@ -357,14 +361,17 @@ def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
         shapes_gt = fileio.read_matrix(inputs["s_gt"]) if "s_gt" in inputs else None
         labels_gt = fileio.read_labels(inputs["labels_gt"]) if "labels_gt" in inputs else None
 
+    frames, points = camera.frames, w.shape[1]
     if grid is not None:
-        if grid[0] * grid[1] != w.shape[1]:
-            raise ManifestError(
-                f"grid {grid[0]} x {grid[1]} does not cover {w.shape[1]} points"
-            )
+        if grid[0] * grid[1] != points:
+            raise ManifestError(f"grid {grid[0]} x {grid[1]} does not cover {points} points")
         neighbors = build_neighbor_matrix(grid[0], grid[1])
+    if manifest.command == "pipeline" and manifest.clusters > points:
+        raise ManifestError(f"cannot split {points} points into {manifest.clusters} clusters")
 
     init_shapes = fileio.read_matrix(inputs["init_s"]) if "init_s" in inputs else None
+    if init_shapes is not None and init_shapes.shape != (3 * frames, points):
+        raise ManifestError(f"init_s must be {3 * frames} x {points}, got {init_shapes.shape}")
 
     # Written last, so a run rejected by the checks above leaves no ground truth behind.
     if manifest.synth is not None and out is not None:

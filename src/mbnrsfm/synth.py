@@ -64,7 +64,9 @@ class BodySpec:
             raise ValueError(f"basis rank must be at least 1, got {self.basis_rank}")
         if len(self.centroid) != 3:
             raise ValueError(f"centroid must have 3 components, got {self.centroid}")
-        if self.scale <= 0:
+        if not np.all(np.isfinite(self.centroid)):
+            raise ValueError(f"centroid must be finite, got {self.centroid}")
+        if not self.scale > 0:  # NaN fails too
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
@@ -92,7 +94,7 @@ class SynthConfig:
             raise ValueError("need at least one body")
         if sum(b.points for b in bodies) < 2:
             raise ValueError("scene needs at least 2 points in total")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails too
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if self.camera_mode not in ("identity", "smooth_random"):
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")

@@ -25,7 +25,7 @@ from mbnrsfm.admm import (
 )
 from mbnrsfm.clustering import build_affinity, spectral_cluster
 import mbnrsfm.linalg
-from mbnrsfm.linalg import SymmetricOperand, solve_sylvester
+from mbnrsfm.linalg import CholeskyOperand, GramOperand, SymmetricOperand, solve_sylvester
 from mbnrsfm.metrics import reprojection_error, segmentation_error
 from mbnrsfm.scene import (
     build_neighbor_matrix,
@@ -510,6 +510,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("field", [
+        "lambda1", "lambda2", "beta0", "rho", "beta_max", "epsilon",
+    ])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: float("nan")})
+
     def test_nuclear_weight_default_formula(self):
         cfg = SolverConfig()
         assert cfg.nuclear_weight(30, 60) == pytest.approx(1.0 / np.sqrt(180.0))
@@ -742,6 +749,29 @@ class TestSolve:
         assert len(trace) == 7
         assert sylvester == [(24, 12), (12, 12)] * 7
         assert shrink == [(12, 60)] * 7
+
+    @pytest.mark.parametrize("frames,per_body,grid,coeff_left", [
+        (6, 5, None, SymmetricOperand),    # P = 10 <= 3F + 1 = 19: M^T M formed
+        (4, 10, None, GramOperand),        # P = 20 > 13: Woodbury
+        (3, 6, (3, 4), GramOperand),       # P = 12 > 10, sparse D D^T
+    ], ids=["sparse_narrow", "sparse_wide", "grid"])
+    def test_sylvester_operand_types(self, monkeypatch, frames, per_body, grid, coeff_left):
+        # Which operand each of the two solves per sweep gets, and whether
+        # the merged Gram is held sparse; all looked up on mbnrsfm.admm.
+        calls = []
+        original = mbnrsfm.admm.solve_sylvester
+
+        def recording(a, b, q):
+            calls.append((type(a), type(b), scipy.sparse.issparse(getattr(b, "matrix", None))))
+            return original(a, b, q)
+
+        monkeypatch.setattr(mbnrsfm.admm, "solve_sylvester", recording)
+        scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
+        neighbors = build_neighbor_matrix(*grid) if grid else None
+        _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=3))
+        assert len(trace) == 3
+        assert calls == [(SymmetricOperand, CholeskyOperand, False),
+                         (coeff_left, SymmetricOperand, grid is not None)] * 3
 
     @pytest.mark.parametrize("grid", [False, True], ids=["sparse", "grid"])
     def test_constraints_evaluated_once_per_iteration(self, monkeypatch, grid):

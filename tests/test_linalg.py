@@ -4,7 +4,11 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
+from conftest import identity_merged, random_state
+
+import mbnrsfm.admm
 import mbnrsfm.linalg
+from mbnrsfm.admm import COEFF_STABILIZER, solve_coeff_subproblem
 from mbnrsfm.errors import NumericalError, SingularPencilError
 from mbnrsfm.linalg import (
     SYLVESTER_RTOL,
@@ -321,17 +325,58 @@ class TestSymmetricOperandSylvester:
         with pytest.raises(ValueError):
             SymmetricOperand(matrix)
 
+    def test_sparse_matrix_matches_dense(self):
+        # The grid solve's D D^T held as a csr matrix: the same eigenpairs
+        # bit for bit, and the same products and solutions up to rounding.
+        rng = np.random.default_rng(35)
+        merged = extend_with_identity(build_neighbor_matrix(3, 4))
+        dense = SymmetricOperand(merged @ merged.T)
+        sparse = SymmetricOperand(scipy.sparse.csr_array(merged @ merged.T))
+        assert scipy.sparse.issparse(sparse.matrix) and sparse.shape == (12, 12)
+        np.testing.assert_array_equal(sparse.eigenvalues, dense.eigenvalues)
+        np.testing.assert_array_equal(sparse.eigenvectors, dense.eigenvectors)
+        x = rng.normal(size=(12, 7))
+
+        def assert_close(actual, expected):
+            assert np.abs(actual - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
+
+        assert_close(mbnrsfm.linalg._left(sparse, x), mbnrsfm.linalg._left(dense, x))
+        assert_close(mbnrsfm.linalg._right(x.T, sparse), mbnrsfm.linalg._right(x.T, dense))
+        q = rng.normal(size=(12, 12))
+        for left in (GramOperand(coefficient_factor(rng, 3, 12), 1e-10),
+                     SymmetricOperand(random_spd(rng, 12))):
+            assert_close(solve_sylvester(left, sparse, q), solve_sylvester(left, dense, q))
+
+    @pytest.mark.parametrize("matrix", [
+        scipy.sparse.csr_array(np.ones((2, 3))),
+        scipy.sparse.csr_array((0, 0)),
+        scipy.sparse.csr_array(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+        scipy.sparse.coo_array(np.ones(3)),
+    ], ids=["not_square", "empty", "nan", "one_dimensional"])
+    def test_rejects_malformed_sparse_operands(self, matrix):
+        with pytest.raises(ValueError):
+            SymmetricOperand(matrix)
+
 
 def coefficient_factor(rng, rows, points):
     """M = [S; 1^T] as the coefficient step builds it, S with ``rows`` rows."""
     return np.vstack([rng.normal(size=(rows, points)), np.ones(points)])
 
 
+def coefficient_operand(m, shift):
+    """The coefficient step's left operand m^T m + shift I, held as admm holds it."""
+    if m.shape[0] < m.shape[1]:
+        return GramOperand(m, shift)
+    return SymmetricOperand(m.T @ m + shift * np.eye(m.shape[1]))
+
+
 def merged_gram_operands(merged):
-    """The right operand D D^T as the solver and the older tests hold it."""
+    """The right operand D D^T, formed from the factor D^T, sparse, and directly."""
+    factor = merged.T
+    sparse = scipy.sparse.csr_array(merged)
     return {
-        "gram": GramOperand(merged.T),
-        "sparse_gram": GramOperand(scipy.sparse.csr_array(merged).T),
+        "gram": SymmetricOperand(factor.T @ factor),
+        "sparse_gram": SymmetricOperand(sparse @ sparse.T),
         "symmetric": SymmetricOperand(merged @ merged.T),
     }
 
@@ -351,10 +396,11 @@ class TestGramOperandSylvester:
         neighbors = build_neighbor_matrix(3, 4) if grid else None
         merged = extend_with_identity(neighbors, num_points=points)
         m = coefficient_factor(rng, rows, points)
-        a = GramOperand(m, 1e-10)
-        assert (a.matrix is None) == lowrank
+        a = coefficient_operand(m, 1e-10)
+        assert isinstance(a, GramOperand) == lowrank
         assert a.shape == (points, points)
         b = merged_gram_operands(merged)[kind]
+        assert scipy.sparse.issparse(b.matrix) == (kind == "sparse_gram")
         q = rng.normal(size=(points, points))
         x = solve_sylvester(a, b, q)
         dense_a = m.T @ m + 1e-10 * np.eye(points)
@@ -366,17 +412,27 @@ class TestGramOperandSylvester:
         assert np.abs(x - solve_sylvester(dense_a, dense_b, q)).max() <= 1e-9 * scale
         assert np.abs(x - direct).max() <= 1e-9 * scale
 
-    def test_full_branch_is_the_symmetric_operand_path(self):
-        # With at least as many rows as columns the operand is today's P x P
-        # eigenbasis: same matrix, same bits as a SymmetricOperand of it.
+    def test_full_branch_is_the_symmetric_operand_path(self, monkeypatch):
+        # With at least as many rows in M = [S; 1^T] as points, the
+        # coefficient step forms the P x P operand M^T M + eps I and holds it
+        # as a SymmetricOperand.
         rng = np.random.default_rng(31)
-        m = coefficient_factor(rng, 30, 20)
-        a = GramOperand(m, 1e-10)
-        np.testing.assert_array_equal(a.matrix, m.T @ m + 1e-10 * np.eye(20))
-        b = SymmetricOperand(random_spd(rng, 20))
-        q = rng.normal(size=(20, 20))
-        np.testing.assert_array_equal(solve_sylvester(a, b, q),
-                                      solve_sylvester(SymmetricOperand(a.matrix), b, q))
+        state = random_state(rng, 10, 20)
+        seen = []
+        original = mbnrsfm.admm.solve_sylvester
+
+        def recording(a, b, q):
+            seen.append((a, b, q))
+            return original(a, b, q)
+
+        monkeypatch.setattr(mbnrsfm.admm, "solve_sylvester", recording)
+        x = solve_coeff_subproblem(state, identity_merged(20))
+        ((a, b, q),) = seen
+        assert type(a) is SymmetricOperand
+        m = np.vstack([state.shapes, np.ones(20)])
+        formed = m.T @ m + COEFF_STABILIZER * np.eye(20)
+        np.testing.assert_array_equal(a.matrix, formed)
+        np.testing.assert_array_equal(x, solve_sylvester(SymmetricOperand(formed), b, q))
 
     def test_lowrank_branch_factors_only_the_small_gram(self, monkeypatch):
         shapes = []
@@ -424,6 +480,18 @@ class TestGramOperandSylvester:
     def test_rejects_malformed_factor(self, factor):
         with pytest.raises(ValueError):
             GramOperand(factor)
+
+    @pytest.mark.parametrize("factor", [
+        np.ones((4, 4)),
+        np.ones((5, 4)),
+        scipy.sparse.csr_array(np.ones((2, 4))),
+        scipy.sparse.csr_array(np.ones((5, 4))),
+    ], ids=["square", "tall", "sparse_wide", "sparse_tall"])
+    def test_rejects_full_rank_and_sparse_factors(self, factor):
+        # Only a dense low-rank factor saves anything; a k >= n Gram is
+        # formed and held as a SymmetricOperand, a sparse one as well.
+        with pytest.raises(ValueError):
+            GramOperand(factor, 1e-10)
 
 
 def near_orthonormal_camera(rng, frames, defect):
@@ -532,7 +600,7 @@ class TestShiftedCholeskySylvester:
         operands = {
             "symmetric": SymmetricOperand(np.eye(4)),
             "cholesky": CholeskyOperand(np.eye(4)),
-            "gram": GramOperand(np.ones((5, 4))),
+            "gram": GramOperand(np.ones((3, 4))),
             "lowrank_gram": GramOperand(np.ones((2, 4)), 1.0),
             "plain": np.eye(4),
         }

@@ -71,6 +71,20 @@ BAD_MANIFEST_VALUES = [
 BAD_MANIFEST_IDS = [".".join(map(str, path)) for path, _ in BAD_MANIFEST_VALUES]
 
 
+# Non-finite numbers, which JSON writers emit as NaN and Infinity:
+# (path into pipeline_manifest, value).
+NONFINITE_VALUES = [
+    (("solver", "epsilon"), float("nan")),
+    (("solver", "lambda1"), float("nan")),
+    (("solver", "lambda2"), float("inf")),
+    (("solver", "beta_max"), float("inf")),
+    (("synth", "noise_sigma"), float("nan")),
+    (("synth", "bodies", 0, "scale"), float("inf")),
+    (("synth", "bodies", 0, "centroid", 1), float("-inf")),
+]
+NONFINITE_IDS = [".".join(map(str, path)) + f"={value}" for path, value in NONFINITE_VALUES]
+
+
 def with_value(data, path, value):
     """Set the value at ``path`` in a manifest dict, creating a missing block."""
     block = data
@@ -190,6 +204,12 @@ class TestManifestValidation:
     def test_bad_value_or_unknown_key_rejected(self, path, value):
         data = with_value(pipeline_manifest("x"), path, value)
         with pytest.raises(ManifestError, match=named_key(path)):
+            manifest_from_dict(data)
+
+    @pytest.mark.parametrize("path, value", NONFINITE_VALUES, ids=NONFINITE_IDS)
+    def test_nonfinite_number_rejected(self, path, value):
+        data = with_value(pipeline_manifest("x"), path, value)
+        with pytest.raises(ManifestError, match=f"{named_key(path)}.* must be a finite number"):
             manifest_from_dict(data)
 
     @pytest.mark.parametrize("grid", BAD_GRIDS, ids=str)
@@ -328,6 +348,53 @@ class TestSolveFromFiles:
         with pytest.raises(ManifestError, match="does not cover 10 points"):
             run_pipeline(manifest_from_dict(uncovering_grid_manifest(out)))
         assert not any((out / name).exists() for name in GROUND_TRUTH)
+
+
+def small_scene_manifest(tmp_path, source):
+    """A 12-point, 6-frame pipeline manifest, from a synth block or from files."""
+    data = pipeline_manifest(tmp_path / "out")
+    if source == "synth":
+        data["synth"] = synth_block(frames=6, ppb=6)
+    else:
+        del data["synth"]
+        scene = generate_scene(default_two_body(frames=6, points_per_body=6))
+        write_matrix(tmp_path / "W.mtx", scene.w)
+        write_matrix(tmp_path / "R.mtx", scene.camera.stacked())
+        data["inputs"] = {"w": str(tmp_path / "W.mtx"), "rotations": str(tmp_path / "R.mtx")}
+    return data
+
+
+class TestSceneChecks:
+    """Checks that need the scene run before any artifact is written."""
+
+    @pytest.mark.parametrize("source", ["synth", "files"])
+    def test_more_clusters_than_points(self, tmp_path, capsys, source):
+        data = small_scene_manifest(tmp_path, source)
+        data["clusters"] = 13
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data))
+        assert cli.main(["pipeline", "--manifest", str(manifest)]) == 4
+        assert "[scene] cannot split 12 points into 13 clusters" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["synth", "files"])
+    def test_init_s_of_the_wrong_shape(self, tmp_path, capsys, source):
+        data = small_scene_manifest(tmp_path, source)
+        write_matrix(tmp_path / "init.mtx", np.zeros((18, 11)))
+        data.setdefault("inputs", {})["init_s"] = str(tmp_path / "init.mtx")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data))
+        assert cli.main(["pipeline", "--manifest", str(manifest)]) == 4
+        assert "[scene] init_s must be 18 x 12, got (18, 11)" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_init_s_of_the_right_shape_is_used(self, tmp_path):
+        data = small_scene_manifest(tmp_path, "files")
+        data["solver"] = {"max_iters": 0}
+        write_matrix(tmp_path / "init.mtx", np.ones((18, 12)))
+        data["inputs"]["init_s"] = str(tmp_path / "init.mtx")
+        run_pipeline(manifest_from_dict(data))
+        np.testing.assert_array_equal(read_matrix(tmp_path / "out" / "S.mtx"), np.ones((18, 12)))
 
 
 class TestEvalCommand:
@@ -477,6 +544,25 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "bad manifest or inputs" in err and named_key(path) in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value", NONFINITE_VALUES, ids=NONFINITE_IDS)
+    def test_nonfinite_number_exit_4(self, tmp_path, capsys, path, value):
+        data = with_value(pipeline_manifest(tmp_path / "out"), path, value)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data))  # NaN / Infinity / -Infinity literals
+        assert cli.main(["pipeline", "--manifest", str(manifest)]) == 4
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "nan"], ["--lambda1", "nan"], ["--rho", "inf"], ["--noise-sigma", "nan"],
+    ], ids=lambda flags: "=".join(flags))
+    def test_nonfinite_flag_exit_4(self, tmp_path, capsys, flags):
+        code = cli.main(["pipeline", "--out", str(tmp_path / "out"), "--clusters", "2",
+                         "--bodies", "2", "--frames", "6", "--points-per-body", "5", *flags])
+        assert code == 4
+        assert "bad manifest or inputs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_uncovering_grid_exit_4_leaves_no_ground_truth(self, tmp_path, capsys):

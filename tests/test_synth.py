@@ -53,6 +53,16 @@ class TestGenerateBody:
         with pytest.raises(ValueError):
             generate_body(BodySpec(points=2, basis_rank=2), frames=5, seed=0)
 
+    @pytest.mark.parametrize("spec", [
+        {"scale": float("nan")},
+        {"scale": -1.0},
+        {"centroid": (0.0, float("nan"), 0.0)},
+        {"centroid": (float("inf"), 0.0, 0.0)},
+    ], ids=["nan_scale", "negative_scale", "nan_centroid", "inf_centroid"])
+    def test_bad_body_spec_rejected(self, spec):
+        with pytest.raises(ValueError):
+            BodySpec(points=4, basis_rank=1, **spec)
+
     def test_centroid_and_scale_applied(self):
         spec = BodySpec(points=30, basis_rank=1, centroid=(10.0, 0.0, 0.0), scale=0.01)
         body = generate_body(spec, frames=4, seed=2)
@@ -120,6 +130,11 @@ class TestGenerateScene:
             )
             assert within <= 1e-6 * np.linalg.norm(y)
             assert across >= 10 * within
+
+    @pytest.mark.parametrize("sigma", [float("nan"), -0.1])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthConfig(frames=3, bodies=(BodySpec(4, 1),), noise_sigma=sigma)
 
     def test_invalid_camera_mode_rejected(self):
         with pytest.raises(ValueError):
