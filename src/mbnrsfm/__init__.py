@@ -8,6 +8,7 @@ from .errors import ManifestError, NumericalError, ParseError, SingularPencilErr
 from .linalg import (
     CholeskyOperand,
     GramOperand,
+    IdentityOperand,
     SymmetricOperand,
     soft_threshold,
     solve_sylvester,
@@ -48,6 +49,7 @@ __all__ = [
     "CameraMotion",
     "CholeskyOperand",
     "GramOperand",
+    "IdentityOperand",
     "ManifestError",
     "NeighborMatrix",
     "NumericalError",

@@ -23,24 +23,32 @@ nuclear norm from the low-rank step: the singular values that SVT
 thresholded are the spectrum of the new low-rank copy, so each sweep takes
 one SVD, and none when ``lambda2`` is 0.
 
-Both Sylvester equations have symmetric operands, and no P x P matrix is
-eigendecomposed inside the loop. The shape step's 3F x 3F left operand is
-block diagonal, so it is factored as F separate 3 x 3 blocks and the camera
-is only ever applied per frame; the blocks' eigenvalues sit near 1 and
-1 + 1/beta, so the P x P right operand (I - C)(I - C^T) is solved through
-one Cholesky factor per cluster, shifted by the cluster's center
-(``linalg.CholeskyOperand``). The coefficient step's left operand is the
-Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P: when 3F+1 < P it is held as
-M (``linalg.GramOperand``) and solved by the Woodbury identity, otherwise
-it is formed (``linalg.SymmetricOperand``). Its right operand D D^T is a
-SymmetricOperand that ``solve`` forms and factors once.
+Both Sylvester equations have symmetric operands. Outside grid mode with
+3F+1 >= P, no P x P matrix is eigendecomposed inside the loop. The shape
+step's 3F x 3F left operand is block diagonal, so it is factored as F
+separate 3 x 3 blocks and the camera is only ever applied per frame; the
+blocks' eigenvalues sit near 1 and 1 + 1/beta, so the P x P right operand
+(I - C)(I - C^T) is solved through one Cholesky factor per cluster, shifted
+by the cluster's center (``linalg.CholeskyOperand``). The coefficient step's
+left operand is the Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P: when
+3F+1 < P it is held as M (``linalg.GramOperand``) and solved by the
+Woodbury identity, otherwise it is formed. Its right operand D D^T is
+constant over a run, so ``solve`` builds it once.
 
 With a spatial term the merged operator [I | D] has at most two nonzeros
 per column, so ``solve`` holds it, and its Gram D D^T, as
 ``scipy.sparse.csr_array``; each product with either costs O(P) per row
-instead of O(P^2). The step functions only use ``@`` and ``.T`` on the
-operator, so they accept a dense or a sparse one alike. Without a spatial
-term both are the dense identity.
+instead of O(P^2). The Gram is eigendecomposed once, as a
+``linalg.SymmetricOperand``, and a formed left operand is eigendecomposed
+every sweep. The step functions only use ``@`` and ``.T`` on the operator,
+so they accept a dense or a sparse one alike.
+
+Without a spatial term the merged operator is the identity, and ``solve``
+passes ``merged=None`` for it: the step functions then skip every product
+with it, and its Gram is ``linalg.IdentityOperand``. The coefficient step
+is the single SPD system (M^T M + (1 + eps) I) C = rhs, solved by the
+Woodbury identity or, with the left operand formed, by one Cholesky factor
+(``linalg.CholeskyOperand``).
 
 The camera motion is held fixed throughout; rotations are an input.
 """
@@ -48,7 +56,7 @@ The camera motion is held fixed throughout; rotations are an input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 import scipy.sparse
@@ -56,6 +64,7 @@ import scipy.sparse
 from .linalg import (
     CholeskyOperand,
     GramOperand,
+    IdentityOperand,
     SymmetricOperand,
     solve_sylvester,
     soft_threshold,
@@ -73,6 +82,10 @@ from .scene import (
     validate_measurements,
     validate_shapes,
 )
+
+# The merged operator [I | D] as the step functions take it: dense, csr, or
+# None for the identity of sparse mode.
+Merged = np.ndarray | scipy.sparse.csr_array | None
 
 # Diagonal shift that keeps the coefficient subproblem's left operand
 # strictly positive definite.
@@ -102,21 +115,24 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        # Written as "not (valid)" so that NaN fails every check.
-        if not self.lambda1 >= 0:
-            raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")
-        if self.lambda2 is not None and not self.lambda2 >= 0:
-            raise ValueError(f"lambda2 must be nonnegative, got {self.lambda2}")
+        # Written as "not (valid)" so that NaN fails every check. beta0 is
+        # finite because it is bounded by a finite beta_max.
+        if not 0 <= self.lambda1 < inf:
+            raise ValueError(f"lambda1 must be finite and nonnegative, got {self.lambda1}")
+        if self.lambda2 is not None and not 0 <= self.lambda2 < inf:
+            raise ValueError(f"lambda2 must be finite and nonnegative, got {self.lambda2}")
         if not self.beta0 > 0:
             raise ValueError(f"beta0 must be positive, got {self.beta0}")
-        if not self.rho > 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
+        if not 1 < self.rho < inf:
+            raise ValueError(f"rho must be finite and exceed 1, got {self.rho}")
+        if not self.beta_max < inf:
+            raise ValueError(f"beta_max must be finite, got {self.beta_max}")
         if not self.beta_max >= self.beta0:
             raise ValueError(
                 f"beta_max ({self.beta_max}) must be at least beta0 ({self.beta0})"
             )
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not self.max_iters >= 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
 
@@ -255,20 +271,25 @@ def update_lowrank(
     return svt_with_spectrum(target, lam2 / beta)
 
 
-def update_slack(state: AdmmState, merged: np.ndarray, config: SolverConfig) -> np.ndarray:
+def _times_merged(x: np.ndarray, merged) -> np.ndarray:
+    """``x @ merged``, where ``merged=None`` stands for the identity."""
+    return x if merged is None else x @ merged
+
+
+def update_slack(state: AdmmState, merged: Merged, config: SolverConfig) -> np.ndarray:
     """Elementwise shrinkage update of the l1 slack.
 
     Returns soft_threshold(C @ merged + y_slack / beta, lambda1 / beta).
     """
     beta = state.duals.beta
-    target = state.coeffs @ merged + state.duals.y_slack / beta
+    target = _times_merged(state.coeffs, merged) + state.duals.y_slack / beta
     return soft_threshold(target, config.lambda1 / beta)
 
 
 def solve_coeff_subproblem(
     state: AdmmState,
-    merged: np.ndarray,
-    merged_gram: SymmetricOperand | None = None,
+    merged: Merged,
+    merged_gram: SymmetricOperand | IdentityOperand | None = None,
 ) -> np.ndarray:
     """Closed-form coefficient update before diagonal zeroing.
 
@@ -281,20 +302,30 @@ def solve_coeff_subproblem(
     with D the merged operator and E the slack; a tiny diagonal shift keeps
     the left operand strictly positive definite. The left operand is the
     Gram of M = [S; 1^T]: with fewer than P rows in M it is held as M and
-    solved by the Woodbury identity, otherwise it is formed. ``merged_gram``
-    is D D^T as a SymmetricOperand; it is constant over a run, so ``solve``
-    factors it once and passes it in. When omitted it is factored here.
+    solved by the Woodbury identity, otherwise it is formed, and factored
+    by Cholesky against the identity or eigendecomposed against any other
+    D D^T. ``merged=None`` stands for D = I. ``merged_gram`` is D D^T as a
+    SymmetricOperand, or the IdentityOperand when D = I; it is constant
+    over a run, so ``solve`` builds it once and passes it in. When omitted
+    it is built here.
     """
     beta = state.duals.beta
     points = state.coeffs.shape[0]
     if merged_gram is None:
-        merged_gram = SymmetricOperand(merged @ merged.T)
+        merged_gram = (IdentityOperand(points) if merged is None
+                       else SymmetricOperand(merged @ merged.T))
     m = np.vstack([state.shapes, np.ones(points)])
-    left = (GramOperand(m, COEFF_STABILIZER) if m.shape[0] < points
-            else SymmetricOperand(m.T @ m + COEFF_STABILIZER * np.eye(points)))
+    if m.shape[0] < points:
+        left = GramOperand(m, COEFF_STABILIZER)
+    else:
+        formed = m.T @ m
+        formed.flat[:: points + 1] += COEFF_STABILIZER
+        plus_identity = isinstance(merged_gram, IdentityOperand)
+        left = (CholeskyOperand if plus_identity else SymmetricOperand)(formed)
+    slack_term = state.slack - state.duals.y_slack / beta
     rhs = (
         state.shapes.T @ (state.shapes + state.duals.y_selfexpr / beta)
-        + (state.slack - state.duals.y_slack / beta) @ merged.T
+        + (slack_term if merged is None else slack_term @ merged.T)
         + 1.0
         - state.duals.y_colsum / beta
     )
@@ -303,8 +334,8 @@ def solve_coeff_subproblem(
 
 def update_coefficients(
     state: AdmmState,
-    merged: np.ndarray,
-    merged_gram: SymmetricOperand | None = None,
+    merged: Merged,
+    merged_gram: SymmetricOperand | IdentityOperand | None = None,
 ) -> np.ndarray:
     """Coefficient update: subproblem solution with the diagonal zeroed exactly."""
     coeffs = solve_coeff_subproblem(state, merged, merged_gram)
@@ -312,12 +343,12 @@ def update_coefficients(
     return coeffs
 
 
-def constraint_gaps(state: AdmmState, merged: np.ndarray) -> tuple:
+def constraint_gaps(state: AdmmState, merged: Merged) -> tuple:
     """The four constraint gaps, in ``DualState.multipliers`` order."""
     return (
         state.lowrank - to_frame_rows(state.shapes),
         state.shapes - state.shapes @ state.coeffs,
-        state.coeffs @ merged - state.slack,
+        _times_merged(state.coeffs, merged) - state.slack,
         state.coeffs.sum(axis=0) - 1.0,
     )
 
@@ -364,7 +395,7 @@ def objective_value(
 
 
 def augmented_lagrangian(
-    w: np.ndarray, camera: CameraMotion, state: AdmmState, merged: np.ndarray, config: SolverConfig
+    w: np.ndarray, camera: CameraMotion, state: AdmmState, merged: Merged, config: SolverConfig
 ) -> float:
     """Full augmented Lagrangian value at the given state (diagnostic)."""
     beta = state.duals.beta
@@ -396,10 +427,10 @@ def solve(
     """Run the full ADMM and return (shape state, coefficients, trace).
 
     ``neighbors=None`` drops the spatial term; the merged operator then
-    degenerates to the identity and the slack simply mirrors the
-    coefficients. Non-convergence within ``max_iters`` is not an error: the
-    best-so-far state is returned with ``trace.converged`` False, and
-    downstream clustering remains meaningful.
+    degenerates to the identity, held as ``merged=None``, and the slack
+    simply mirrors the coefficients. Non-convergence within ``max_iters`` is
+    not an error: the best-so-far state is returned with ``trace.converged``
+    False, and downstream clustering remains meaningful.
 
     ``init_shapes`` overrides the default per-frame backprojection start,
     e.g. with an externally computed initialization.
@@ -415,10 +446,11 @@ def solve(
         raise ValueError(
             f"neighbor matrix covers {neighbors.points} points, scene has {points}"
         )
-    merged = extend_with_identity(neighbors, num_points=points)
-    if neighbors is not None:
-        merged = scipy.sparse.csr_array(merged)
-    merged_gram = SymmetricOperand(merged @ merged.T)
+    if neighbors is None:
+        merged, merged_gram, slack_cols = None, IdentityOperand(points), points
+    else:
+        merged = scipy.sparse.csr_array(extend_with_identity(neighbors))
+        merged_gram, slack_cols = SymmetricOperand(merged @ merged.T), merged.shape[1]
 
     if init_shapes is None:
         shapes = pseudo_inverse_shapes(w, camera)
@@ -433,9 +465,9 @@ def solve(
     state = AdmmState(
         shapes=shapes,
         lowrank=to_frame_rows(shapes),
-        slack=np.zeros((points, merged.shape[1])),
+        slack=np.zeros((points, slack_cols)),
         coeffs=np.zeros((points, points)),
-        duals=DualState.zeros(frames, points, merged.shape[1], config.beta0),
+        duals=DualState.zeros(frames, points, slack_cols, config.beta0),
     )
     trace = SolverTrace()
 

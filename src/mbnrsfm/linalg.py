@@ -19,6 +19,10 @@ The solver's two Sylvester equations have symmetric operands, and
   cluster share one Cholesky factor of the right operand shifted by the
   cluster's center, and refinement sweeps against the exact operators
   remove the spread inside a cluster when the residual bound asks for it;
+* an ``IdentityOperand`` (the n x n identity, stored as n alone) on the
+  right of a ``GramOperand`` or a ``CholeskyOperand``: the equation is
+  ``(a + I) x = q``, solved by the Woodbury identity with the shift raised
+  by one, or by one Cholesky factor of ``a + I``;
 * two plain arrays: scipy's general Bartels-Stewart implementation, which
   stays the reference for the structured paths.
 
@@ -196,9 +200,10 @@ class GramOperand:
 class CholeskyOperand:
     """A symmetric positive-semidefinite n x n operand, left unfactored.
 
-    It stands on the right of a SymmetricOperand; ``solve_sylvester`` then
+    It stands on the right of a SymmetricOperand, where ``solve_sylvester``
     factors ``matrix + c I`` by Cholesky once per cluster ``c`` of the left
-    eigenvalues. Nothing is decomposed at construction.
+    eigenvalues, or on the left of an IdentityOperand, where it factors
+    ``matrix + I`` once. Nothing is decomposed at construction.
     """
 
     __slots__ = ("matrix",)
@@ -216,11 +221,33 @@ class CholeskyOperand:
         return self.matrix.shape
 
 
-_OPERANDS = (SymmetricOperand, GramOperand, CholeskyOperand)
+class IdentityOperand:
+    """The n x n identity as a Sylvester operand; only n is stored.
+
+    It stands on the right of a GramOperand or a CholeskyOperand, where
+    ``solve_sylvester`` solves ``(a + I) x = q`` without any rotation.
+    Products with it return their operand.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        if not (isinstance(n, (int, np.integer)) and n > 0):
+            raise ValueError(f"identity operand size must be a positive integer, got {n!r}")
+        self.n = int(n)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.n
+
+
+_OPERANDS = (SymmetricOperand, GramOperand, CholeskyOperand, IdentityOperand)
 
 
 def _left(op, x: np.ndarray) -> np.ndarray:
     """``op @ x`` for an operand, a dense matrix or a (k, m, m) block stack."""
+    if isinstance(op, IdentityOperand):
+        return x
     if isinstance(op, GramOperand):
         return op.factor.T @ (op.factor @ x) + op.shift * x
     if isinstance(op, _OPERANDS):
@@ -233,6 +260,8 @@ def _left(op, x: np.ndarray) -> np.ndarray:
 
 def _right(x: np.ndarray, op) -> np.ndarray:
     """``x @ op`` for an operand, a dense matrix or a (k, m, m) block stack."""
+    if isinstance(op, IdentityOperand):
+        return x
     if isinstance(op, GramOperand):
         return (x @ op.factor.T) @ op.factor + op.shift * x
     if isinstance(op, _OPERANDS):
@@ -251,6 +280,8 @@ def _spectrum(op) -> np.ndarray:
     """All n eigenvalues of an operand (used to diagnose a failed solve)."""
     if isinstance(op, CholeskyOperand):
         return np.linalg.eigvalsh(op.matrix)
+    if isinstance(op, IdentityOperand):
+        return np.ones(op.n)
     if isinstance(op, GramOperand):
         n = op.shape[0]
         flat = np.full(n - op.eigenvalues.size, op.shift)
@@ -286,6 +317,8 @@ def solve_sylvester(a, b, q) -> np.ndarray:
       block, sparse ones through their sparse matrix.
     * ``a`` a GramOperand, ``b`` a SymmetricOperand: column j of ``q V`` is
       solved against ``m^T m + (shift + m_j) I`` by the Woodbury identity.
+      With ``b`` an IdentityOperand, V = I and every m_j = 1, so ``q`` is
+      solved against ``m^T m + (shift + 1) I`` with no rotation.
     * ``a`` a SymmetricOperand, ``b`` a CholeskyOperand: row i of ``U^T q``
       is solved against ``b + l_i I`` through the Cholesky factor of ``b``
       shifted by the center of the cluster holding l_i (eigenvalues within
@@ -293,6 +326,8 @@ def solve_sylvester(a, b, q) -> np.ndarray:
       misses the bound, up to MAX_REFINEMENT_SWEEPS sweeps solve the same
       way for the residual taken against the exact operators and subtract
       the result.
+    * ``a`` a CholeskyOperand, ``b`` an IdentityOperand: ``x`` solves
+      ``(a + I) x = q`` through one Cholesky factor of ``a + I``.
     * both operands plain arrays: scipy's Bartels-Stewart (real Schur forms
       of both operands plus back-substitution). This is the general routine
       and the reference the structured paths are tested against.
@@ -308,13 +343,14 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     """
     if not isinstance(a, _OPERANDS) and not isinstance(b, _OPERANDS):
         return _solve_bartels_stewart(a, b, q)
-    if isinstance(b, SymmetricOperand):
-        if isinstance(a, SymmetricOperand):
-            return _solve_in_eigenbases(a, b, q)
-        if isinstance(a, GramOperand):
-            return _solve_woodbury(a, b, q)
+    if isinstance(a, SymmetricOperand) and isinstance(b, SymmetricOperand):
+        return _solve_in_eigenbases(a, b, q)
+    if isinstance(a, GramOperand) and isinstance(b, (SymmetricOperand, IdentityOperand)):
+        return _solve_woodbury(a, b, q)
     if isinstance(a, SymmetricOperand) and isinstance(b, CholeskyOperand):
         return _solve_shifted_cholesky(a, b, q)
+    if isinstance(a, CholeskyOperand) and isinstance(b, IdentityOperand):
+        return _solve_plus_identity(a, b, q)
     raise TypeError(
         f"solve_sylvester has no method for a {type(a).__name__} left operand "
         f"and a {type(b).__name__} right operand"
@@ -366,16 +402,19 @@ def _solve_in_eigenbases(a: SymmetricOperand, b: SymmetricOperand, q) -> np.ndar
     return _verified(a, b, q, x, _spectra(a, b))
 
 
-def _solve_woodbury(a: GramOperand, b: SymmetricOperand, q) -> np.ndarray:
-    """A GramOperand left of a SymmetricOperand."""
+def _solve_woodbury(a: GramOperand, b, q) -> np.ndarray:
+    """A GramOperand left of a SymmetricOperand or of the identity."""
     q = _structured_rhs(a, b, q)
-    v, basis = b.eigenvectors, a.eigenvectors
-    shifts = a.shift + b.eigenvalues
+    identity = isinstance(b, IdentityOperand)
+    basis = a.eigenvectors
+    shifts = a.shift + (1.0 if identity else b.eigenvalues)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rotated = _right(q, v)
+        rotated = q if identity else _right(q, b.eigenvectors)
         inner = basis.T @ rotated
-        inner /= a.eigenvalues[:, None] + shifts[None, :]
-        x = _right((rotated - basis @ inner) / shifts, v.swapaxes(-1, -2))
+        inner /= a.eigenvalues[:, None] + shifts
+        x = (rotated - basis @ inner) / shifts
+        if not identity:
+            x = _right(x, b.eigenvectors.swapaxes(-1, -2))
     return _verified(a, b, q, x, _spectra(a, b))
 
 
@@ -402,18 +441,8 @@ def _solve_shifted_cholesky(a: SymmetricOperand, b: CholeskyOperand, q) -> np.nd
     q = _structured_rhs(a, b, q)
     u = a.eigenvectors
     eigenvalues = _spectra(a, b)
-    factors = []
-    for rows, center in _eigenvalue_clusters(a.eigenvalues):
-        shifted = b.matrix.copy()
-        shifted.flat[:: shifted.shape[0] + 1] += center
-        try:
-            factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True,
-                                             check_finite=False)
-        except np.linalg.LinAlgError:
-            _raise_sylvester_failure(
-                eigenvalues, f"right operand shifted by {center} is not positive definite"
-            )
-        factors.append((rows, factor))
+    factors = [(rows, _shifted_cholesky(b, center, "right", eigenvalues))
+               for rows, center in _eigenvalue_clusters(a.eigenvalues)]
 
     def solve_rows(r: np.ndarray) -> np.ndarray:
         rotated = _left(u.swapaxes(-1, -2), r)
@@ -426,6 +455,29 @@ def _solve_shifted_cholesky(a: SymmetricOperand, b: CholeskyOperand, q) -> np.nd
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = solve_rows(q)
     return _verified(a, b, q, x, eigenvalues, correction=solve_rows)
+
+
+def _solve_plus_identity(a: CholeskyOperand, b: IdentityOperand, q) -> np.ndarray:
+    """An unfactored positive-semidefinite operand left of the identity."""
+    q = _structured_rhs(a, b, q)
+    eigenvalues = _spectra(a, b)
+    factor = _shifted_cholesky(a, 1.0, "left", eigenvalues)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = scipy.linalg.cho_solve(factor, q, check_finite=False)
+    return _verified(a, b, q, x, eigenvalues)
+
+
+def _shifted_cholesky(op: CholeskyOperand, shift: float, side: str, eigenvalues):
+    """The Cholesky factor of ``op + shift I``; a failure is diagnosed and raised."""
+    shifted = op.matrix.copy()
+    shifted.flat[:: shifted.shape[0] + 1] += shift
+    try:
+        return scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True,
+                                       check_finite=False)
+    except np.linalg.LinAlgError:
+        _raise_sylvester_failure(
+            eigenvalues, f"{side} operand shifted by {shift} is not positive definite"
+        )
 
 
 def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:

@@ -25,7 +25,13 @@ from mbnrsfm.admm import (
 )
 from mbnrsfm.clustering import build_affinity, spectral_cluster
 import mbnrsfm.linalg
-from mbnrsfm.linalg import CholeskyOperand, GramOperand, SymmetricOperand, solve_sylvester
+from mbnrsfm.linalg import (
+    CholeskyOperand,
+    GramOperand,
+    IdentityOperand,
+    SymmetricOperand,
+    solve_sylvester,
+)
 from mbnrsfm.metrics import reprojection_error, segmentation_error
 from mbnrsfm.scene import (
     build_neighbor_matrix,
@@ -517,6 +523,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", [
+        "lambda1", "lambda2", "beta0", "rho", "beta_max", "epsilon",
+    ])
+    def test_rejects_infinity(self, field):
+        # epsilon=inf would report convergence after one sweep; infinite
+        # weights or penalties drive the objective to NaN.
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: float("inf")})
+
     def test_nuclear_weight_default_formula(self):
         cfg = SolverConfig()
         assert cfg.nuclear_weight(30, 60) == pytest.approx(1.0 / np.sqrt(180.0))
@@ -558,18 +573,11 @@ class TestSolve:
         assert trace.converged
         assert np.abs(coeffs.sum(axis=0) - 1.0).max() <= 1e-4
 
-    def test_sparse_mode_equals_manual_identity_path(self):
-        # Running without a neighbor matrix must be bit-identical to an
-        # explicit sweep over the update functions with the identity as the
-        # merged operator.
-        config = default_two_body(frames=10, points_per_body=8, basis_rank=1)
-        scene = generate_scene(config)
-        cfg = SolverConfig(max_iters=40)
-        shape_state, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
-
+    @staticmethod
+    def sparse_sweep(scene, merged, cfg):
+        """An explicit sweep over the update functions; returns (state, iterations)."""
         points = scene.w.shape[1]
         frames = scene.camera.frames
-        merged = identity_merged(points)
         shapes = pseudo_inverse_shapes(scene.w, scene.camera)
         state = AdmmState(
             shapes=shapes,
@@ -578,7 +586,7 @@ class TestSolve:
             coeffs=np.zeros((points, points)),
             duals=DualState.zeros(frames, points, points, cfg.beta0),
         )
-        for _ in range(len(trace)):
+        for iteration in range(1, cfg.max_iters + 1):
             state.shapes = update_shapes(state, scene.w, scene.camera)
             state.lowrank, _ = update_lowrank(state, cfg)
             state.slack = update_slack(state, merged, cfg)
@@ -586,9 +594,38 @@ class TestSolve:
             residuals = constraint_residuals(constraint_gaps(state, merged))
             state.duals = update_duals(state.duals, constraint_gaps(state, merged), cfg)
             if max(residuals) <= cfg.epsilon:
-                break
+                return state, iteration
+        return state, cfg.max_iters
+
+    def test_sparse_mode_equals_manual_identity_path(self):
+        # Running without a neighbor matrix must be bit-identical to an
+        # explicit sweep over the update functions with merged=None, the
+        # identity merged operator.
+        config = default_two_body(frames=10, points_per_body=8, basis_rank=1)
+        scene = generate_scene(config)
+        cfg = SolverConfig(max_iters=40)
+        shape_state, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
+
+        state, iterations = self.sparse_sweep(scene, None, cfg)
+        assert iterations == len(trace)
         np.testing.assert_array_equal(shape_state.shapes, state.shapes)
         np.testing.assert_array_equal(coeffs, state.coeffs)
+
+    @pytest.mark.parametrize("frames,per_body", [(10, 8), (4, 10)],
+                             ids=["cholesky", "woodbury"])
+    def test_sparse_mode_matches_dense_identity_oracle(self, frames, per_body):
+        # The same sweep with the dense identity as the merged operator: its
+        # Gram is eigendecomposed and every product with it is taken. That
+        # is the old path, kept as the oracle; it agrees up to rounding.
+        scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
+        cfg = SolverConfig()
+        shape_state, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
+        assert trace.converged
+
+        oracle, iterations = self.sparse_sweep(scene, identity_merged(scene.w.shape[1]), cfg)
+        assert iterations == len(trace)
+        assert_close_rel(shape_state.shapes, oracle.shapes, 1e-9)
+        assert_close_rel(coeffs, oracle.coeffs, 1e-9)
 
     def test_zero_iterations_returns_initialization(self):
         scene = generate_scene(default_two_body(frames=6, points_per_body=5))
@@ -750,12 +787,14 @@ class TestSolve:
         assert sylvester == [(24, 12), (12, 12)] * 7
         assert shrink == [(12, 60)] * 7
 
-    @pytest.mark.parametrize("frames,per_body,grid,coeff_left", [
-        (6, 5, None, SymmetricOperand),    # P = 10 <= 3F + 1 = 19: M^T M formed
-        (4, 10, None, GramOperand),        # P = 20 > 13: Woodbury
-        (3, 6, (3, 4), GramOperand),       # P = 12 > 10, sparse D D^T
+    @pytest.mark.parametrize("frames,per_body,grid,coeff_left,coeff_right", [
+        # P = 10 <= 3F + 1 = 19: M^T M formed, one Cholesky factor of it + I
+        (6, 5, None, CholeskyOperand, IdentityOperand),
+        (4, 10, None, GramOperand, IdentityOperand),    # P = 20 > 13: Woodbury
+        (3, 6, (3, 4), GramOperand, SymmetricOperand),  # P = 12 > 10, sparse D D^T
     ], ids=["sparse_narrow", "sparse_wide", "grid"])
-    def test_sylvester_operand_types(self, monkeypatch, frames, per_body, grid, coeff_left):
+    def test_sylvester_operand_types(self, monkeypatch, frames, per_body, grid, coeff_left,
+                                     coeff_right):
         # Which operand each of the two solves per sweep gets, and whether
         # the merged Gram is held sparse; all looked up on mbnrsfm.admm.
         calls = []
@@ -771,7 +810,60 @@ class TestSolve:
         _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=3))
         assert len(trace) == 3
         assert calls == [(SymmetricOperand, CholeskyOperand, False),
-                         (coeff_left, SymmetricOperand, grid is not None)] * 3
+                         (coeff_left, coeff_right, grid is not None)] * 3
+
+    @pytest.mark.parametrize("frames,per_body", [(6, 5), (4, 10)],
+                             ids=["formed_left", "woodbury"])
+    def test_sparse_mode_eigendecomposes_no_points_square_matrix(
+            self, monkeypatch, frames, per_body):
+        # Every eigh input of a sparse solve: the F camera blocks per sweep,
+        # and with 3F + 1 < P the (3F+1)-square Gram of [S; 1^T]. Neither
+        # the identity merged Gram nor a formed P x P left operand is
+        # eigendecomposed.
+        shapes = []
+        original = mbnrsfm.linalg._eigh
+
+        def recording(mat):
+            shapes.append(np.shape(mat))
+            return original(mat)
+
+        monkeypatch.setattr(mbnrsfm.linalg, "_eigh", recording)
+        scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
+        points = scene.w.shape[1]
+        _, _, trace = solve(scene.w, scene.camera, None, SolverConfig(max_iters=5))
+        assert len(trace) == 5
+        per_sweep = [(frames, 3, 3)]
+        if 3 * frames + 1 < points:
+            per_sweep.append((3 * frames + 1, 3 * frames + 1))
+        assert shapes == per_sweep * 5
+        assert (points, points) not in shapes
+
+    def test_sparse_mode_builds_no_identity_matrix(self, monkeypatch):
+        # The merged operator of sparse mode is held as None: no step builds
+        # a P x P identity for it. The shape step's I - C is the one P x P
+        # identity a sweep forms, so calls inside update_shapes are not
+        # counted.
+        eyes, in_shape_step = [], [False]
+        original_eye, original_shapes = np.eye, mbnrsfm.admm.update_shapes
+
+        def recording_eye(n, *args, **kwargs):
+            if not in_shape_step[0]:
+                eyes.append(n)
+            return original_eye(n, *args, **kwargs)
+
+        def shape_step(*args):
+            in_shape_step[0] = True
+            try:
+                return original_shapes(*args)
+            finally:
+                in_shape_step[0] = False
+
+        monkeypatch.setattr(np, "eye", recording_eye)
+        monkeypatch.setattr(mbnrsfm.admm, "update_shapes", shape_step)
+        scene = generate_scene(default_two_body(frames=6, points_per_body=5))
+        _, _, trace = solve(scene.w, scene.camera, None, SolverConfig(max_iters=4))
+        assert len(trace) == 4
+        assert scene.w.shape[1] not in eyes
 
     @pytest.mark.parametrize("grid", [False, True], ids=["sparse", "grid"])
     def test_constraints_evaluated_once_per_iteration(self, monkeypatch, grid):

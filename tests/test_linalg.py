@@ -14,6 +14,7 @@ from mbnrsfm.linalg import (
     SYLVESTER_RTOL,
     CholeskyOperand,
     GramOperand,
+    IdentityOperand,
     SymmetricOperand,
     as_matrix,
     soft_threshold,
@@ -364,7 +365,7 @@ def coefficient_factor(rng, rows, points):
 
 
 def coefficient_operand(m, shift):
-    """The coefficient step's left operand m^T m + shift I, held as admm holds it."""
+    """The left operand m^T m + shift I, held as admm holds it against a symmetric D D^T."""
     if m.shape[0] < m.shape[1]:
         return GramOperand(m, shift)
     return SymmetricOperand(m.T @ m + shift * np.eye(m.shape[1]))
@@ -494,6 +495,82 @@ class TestGramOperandSylvester:
             GramOperand(factor, 1e-10)
 
 
+class TestIdentityOperandSylvester:
+    """Sparse mode's coefficient step: (a + I) x = q, with the identity on the right."""
+
+    @staticmethod
+    def left_operands(rng, rows, points):
+        """The Gram of M = [S; 1^T] plus eps I, held low-rank and formed."""
+        m = coefficient_factor(rng, rows, points)
+        formed = m.T @ m + COEFF_STABILIZER * np.eye(points)
+        return m, formed
+
+    @pytest.mark.parametrize("kind,rows", [("gram", 4), ("cholesky", 4), ("cholesky", 14)])
+    def test_matches_kronecker(self, kind, rows):
+        # Four rows in S: M is 5 x 12, so the Gram is low-rank; the formed
+        # operand is also tried with M taller than wide.
+        rng = np.random.default_rng(41 + rows)
+        points = 12
+        m, formed = self.left_operands(rng, rows, points)
+        a = GramOperand(m, COEFF_STABILIZER) if kind == "gram" else CholeskyOperand(formed)
+        q = rng.normal(size=(points, points))
+        x = solve_sylvester(a, IdentityOperand(points), q)
+        direct = kron_solve(formed, np.eye(points), q)
+        assert np.abs(x - direct).max() <= 1e-9 * (1 + np.abs(direct).max())
+
+    def test_gram_pair_is_bit_identical_to_the_eigenbasis_of_the_identity(self):
+        # The eigendecomposition of the dense identity is exactly (1, I), so
+        # dropping the rotation and raising the shift by one changes no bit.
+        rng = np.random.default_rng(43)
+        a = GramOperand(coefficient_factor(rng, 6, 30), COEFF_STABILIZER)
+        q = rng.normal(size=(30, 30))
+        np.testing.assert_array_equal(solve_sylvester(a, IdentityOperand(30), q),
+                                      solve_sylvester(a, SymmetricOperand(np.eye(30)), q))
+
+    def test_cholesky_pair_matches_the_eigenbasis_path(self):
+        rng = np.random.default_rng(44)
+        _, formed = self.left_operands(rng, 20, 15)
+        q = rng.normal(size=(15, 15))
+        x = solve_sylvester(CholeskyOperand(formed), IdentityOperand(15), q)
+        oracle = solve_sylvester(SymmetricOperand(formed), SymmetricOperand(np.eye(15)), q)
+        assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("kind", ["gram", "cholesky"])
+    def test_singular_pencil_names_the_pair(self, kind):
+        # Left eigenvalues 3 and -1 (twice): the identity's 1 cancels the -1.
+        if kind == "gram":
+            a = GramOperand(np.array([[2.0, 0.0, 0.0]]), -1.0)
+        else:
+            a = CholeskyOperand(np.diag([3.0, -1.0, -1.0]))
+        with pytest.raises(SingularPencilError) as err:
+            solve_sylvester(a, IdentityOperand(3), np.ones((3, 3)))
+        assert "eigenvalue -1.0 of the left operand and 1.0 of the right" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["gram", "cholesky"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rhs_raises_numerical_error(self, kind, bad):
+        rng = np.random.default_rng(45)
+        m, formed = self.left_operands(rng, 3, 8)
+        a = GramOperand(m, COEFF_STABILIZER) if kind == "gram" else CholeskyOperand(formed)
+        q = rng.normal(size=(8, 8))
+        q[1, 2] = bad
+        with pytest.raises(NumericalError) as err:
+            solve_sylvester(a, IdentityOperand(8), q)
+        assert not isinstance(err.value, SingularPencilError)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            solve_sylvester(CholeskyOperand(np.eye(3)), IdentityOperand(4), np.ones((3, 3)))
+
+    def test_shape(self):
+        assert IdentityOperand(np.int64(5)).shape == (5, 5)
+
+    @pytest.mark.parametrize("n", [0, -2, 2.0, None])
+    def test_rejects_bad_size(self, n):
+        with pytest.raises(ValueError):
+            IdentityOperand(n)
+
+
 def near_orthonormal_camera(rng, frames, defect):
     """Smooth cameras whose rows are orthonormal only to about ``defect``."""
     exact = _smooth_random_camera(rng, frames).blocks
@@ -595,9 +672,12 @@ class TestShiftedCholeskySylvester:
     @pytest.mark.parametrize("pair", [
         "cholesky-symmetric", "cholesky-cholesky", "gram-cholesky",
         "symmetric-lowrank_gram", "cholesky-plain", "plain-cholesky", "plain-gram",
+        "identity-identity", "identity-gram", "identity-cholesky", "identity-symmetric",
+        "symmetric-identity", "identity-plain", "plain-identity",
     ])
     def test_unsupported_pairs_rejected(self, pair):
         operands = {
+            "identity": IdentityOperand(4),
             "symmetric": SymmetricOperand(np.eye(4)),
             "cholesky": CholeskyOperand(np.eye(4)),
             "gram": GramOperand(np.ones((3, 4))),
