@@ -23,11 +23,11 @@ nuclear norm from the low-rank step: the singular values that SVT
 thresholded are the spectrum of the new low-rank copy, so each sweep takes
 one SVD, and none when ``lambda2`` is 0.
 
-Both Sylvester equations have symmetric operands. Outside grid mode with
-3F+1 >= P, no P x P matrix is eigendecomposed inside the loop. The shape
-step's 3F x 3F left operand is block diagonal, so it is factored as F
-separate 3 x 3 blocks and the camera is only ever applied per frame; the
-blocks' eigenvalues sit near 1 and 1 + 1/beta, so the P x P right operand
+Both Sylvester equations have symmetric operands. Inside the loop a P x P
+matrix is eigendecomposed only in grid mode with 3F+1 >= P (see below).
+The shape step's 3F x 3F left operand is block diagonal, so it is factored
+as F separate 3 x 3 blocks and the camera is only ever applied per frame;
+the blocks' eigenvalues sit near 1 and 1 + 1/beta, so the P x P right operand
 (I - C)(I - C^T) is solved through one Cholesky factor per cluster, shifted
 by the cluster's center (``linalg.CholeskyOperand``). The coefficient step's
 left operand is the Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P: when
@@ -35,13 +35,21 @@ left operand is the Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P: when
 Woodbury identity, otherwise it is formed. Its right operand D D^T is
 constant over a run, so ``solve`` builds it once.
 
-With a spatial term the merged operator [I | D] has at most two nonzeros
-per column, so ``solve`` holds it, and its Gram D D^T, as
-``scipy.sparse.csr_array``; each product with either costs O(P) per row
-instead of O(P^2). The Gram is eigendecomposed once, as a
-``linalg.SymmetricOperand``, and a formed left operand is eigendecomposed
-every sweep. The step functions only use ``@`` and ``.T`` on the operator,
-so they accept a dense or a sparse one alike.
+With a spatial term ``solve`` builds the merged operator straight from
+the grid dimensions as an ``EdgeOperator``: [I | D_e] as a
+``scipy.sparse.csr_array``, with one column e_p - e_q per unique
+4-neighbor edge, so the slack and its dual are P x (P + E), not P x 5P.
+``NeighborMatrix.diff`` holds each edge twice, as +d and -d, plus a zero
+column per border direction; shrinkage and negation are exactly odd, so
+over a run twin columns stay exact negatives and zero columns stay zero.
+The edge form is therefore the same iteration up to summation order, with
+each edge weighed by multiplicity 2 where twins add up: the coefficient
+right-hand side, the Gram I + 2 D_e D_e^T (equal to I + D D^T), and the
+objective's l1 term. The Gram is held sparse and eigendecomposed once per
+solve, in set-up, as a ``linalg.SymmetricOperand``; a formed left operand
+(3F+1 >= P) is eigendecomposed every sweep. The step functions also take
+a plain dense or csr [I | D], each column counted once, which the tests
+use as the oracle.
 
 Without a spatial term the merged operator is the identity, and ``solve``
 passes ``merged=None`` for it: the step functions then skip every product
@@ -75,7 +83,6 @@ from .scene import (
     CameraMotion,
     NeighborMatrix,
     ShapeState,
-    extend_with_identity,
     project,
     to_frame_rows,
     to_point_columns,
@@ -83,9 +90,45 @@ from .scene import (
     validate_shapes,
 )
 
-# The merged operator [I | D] as the step functions take it: dense, csr, or
-# None for the identity of sparse mode.
-Merged = np.ndarray | scipy.sparse.csr_array | None
+
+@dataclass(frozen=True)
+class EdgeOperator:
+    """The grid-mode merged operator [I | D_e]: one column per unique edge.
+
+    ``matrix`` is the P x (P + E) csr [I | D_e]. Column P + k of it is
+    e_p - e_q for the k-th 4-neighbor edge (p, q) of the row-major grid, q
+    the right or lower neighbor of p; the horizontal edges come first, so
+    E = h(w-1) + (h-1)w. ``multiplicity`` is 1 on the identity columns and
+    2 on the edge columns, which stand for the +d and -d twins of
+    ``NeighborMatrix.diff`` (the module docstring says why that is exact).
+    """
+
+    matrix: scipy.sparse.csr_array
+    multiplicity: np.ndarray
+
+    @classmethod
+    def from_grid(cls, height: int, width: int) -> "EdgeOperator":
+        index = np.arange(height * width).reshape(height, width)
+        first = np.concatenate([index[:, :-1].ravel(), index[:-1, :].ravel()])
+        second = np.concatenate([index[:, 1:].ravel(), index[1:, :].ravel()])
+        points, edges = index.size, first.size
+        cols = np.arange(points, points + edges)
+        matrix = scipy.sparse.csr_array(
+            (
+                np.concatenate([np.ones(points + edges), -np.ones(edges)]),
+                (np.concatenate([index.ravel(), first, second]),
+                 np.concatenate([np.arange(points), cols, cols])),
+            ),
+            shape=(points, points + edges),
+        )
+        multiplicity = np.concatenate([np.ones(points), np.full(edges, 2.0)])
+        return cls(matrix, multiplicity)
+
+
+# The merged operator [I | D] as the step functions take it: dense or csr
+# (every column counted once), the grid's EdgeOperator, or None for the
+# identity of sparse mode.
+Merged = np.ndarray | scipy.sparse.csr_array | EdgeOperator | None
 
 # Diagonal shift that keeps the coefficient subproblem's left operand
 # strictly positive definite.
@@ -149,8 +192,9 @@ class DualState:
 
     ``y_reshuffle`` is F x 3P (low-rank copy vs reshuffled stack),
     ``y_selfexpr`` is 3F x P (S = S C), ``y_slack`` is P x M with M the
-    merged-operator column count (5P with a spatial term, P without), and
-    ``y_colsum`` is a length-P row for the affine column sums.
+    merged-operator column count (P + E for a grid with E unique edges, P
+    without a spatial term), and ``y_colsum`` is a length-P row for the
+    affine column sums.
     """
 
     y_reshuffle: np.ndarray
@@ -181,7 +225,7 @@ class AdmmState:
 
     shapes: np.ndarray      # 3F x P stack S
     lowrank: np.ndarray     # F x 3P copy under the nuclear penalty
-    slack: np.ndarray       # P x M l1 slack for coeffs @ merged operator
+    slack: np.ndarray       # P x M l1 slack for coeffs @ merged operator, M = P + E on a grid
     coeffs: np.ndarray      # P x P self-expression matrix
     duals: DualState
 
@@ -271,9 +315,41 @@ def update_lowrank(
     return svt_with_spectrum(target, lam2 / beta)
 
 
-def _times_merged(x: np.ndarray, merged) -> np.ndarray:
+def _times_merged(x: np.ndarray, merged: Merged) -> np.ndarray:
     """``x @ merged``, where ``merged=None`` stands for the identity."""
+    if isinstance(merged, EdgeOperator):
+        merged = merged.matrix
     return x if merged is None else x @ merged
+
+
+def _times_merged_transpose(x: np.ndarray, merged: Merged) -> np.ndarray:
+    """``x @ diag(multiplicity) @ merged.T``; the multiplicity is 1 unless
+    ``merged`` is an EdgeOperator."""
+    if isinstance(merged, EdgeOperator):
+        return (x * merged.multiplicity) @ merged.matrix.T
+    return x if merged is None else x @ merged.T
+
+
+def _weighted_sum(x: np.ndarray, merged: Merged) -> float:
+    """The sum of a slack-shaped ``x``, each column counted by its multiplicity."""
+    if isinstance(merged, EdgeOperator):
+        return (x @ merged.multiplicity).sum()
+    return np.sum(x)
+
+
+def _merged_gram(merged: Merged, points: int) -> SymmetricOperand | IdentityOperand:
+    """The coefficient step's right operand D diag(multiplicity) D^T.
+
+    For an EdgeOperator this is I + 2 D_e D_e^T, the same matrix as
+    I + D D^T of the full ``NeighborMatrix.diff``.
+    """
+    if merged is None:
+        return IdentityOperand(points)
+    if isinstance(merged, EdgeOperator):
+        weighted = merged.matrix.copy()
+        weighted.data *= merged.multiplicity[weighted.indices]
+        return SymmetricOperand(weighted @ merged.matrix.T)
+    return SymmetricOperand(merged @ merged.T)
 
 
 def update_slack(state: AdmmState, merged: Merged, config: SolverConfig) -> np.ndarray:
@@ -304,16 +380,16 @@ def solve_coeff_subproblem(
     Gram of M = [S; 1^T]: with fewer than P rows in M it is held as M and
     solved by the Woodbury identity, otherwise it is formed, and factored
     by Cholesky against the identity or eigendecomposed against any other
-    D D^T. ``merged=None`` stands for D = I. ``merged_gram`` is D D^T as a
-    SymmetricOperand, or the IdentityOperand when D = I; it is constant
-    over a run, so ``solve`` builds it once and passes it in. When omitted
-    it is built here.
+    D D^T. ``merged=None`` stands for D = I. For an EdgeOperator both D D^T
+    and (E - y_slack / beta) D^T weigh each column by its multiplicity.
+    ``merged_gram`` is that right operand (``_merged_gram``); it is
+    constant over a run, so ``solve`` builds it once and passes it in.
+    When omitted it is built here.
     """
     beta = state.duals.beta
     points = state.coeffs.shape[0]
     if merged_gram is None:
-        merged_gram = (IdentityOperand(points) if merged is None
-                       else SymmetricOperand(merged @ merged.T))
+        merged_gram = _merged_gram(merged, points)
     m = np.vstack([state.shapes, np.ones(points)])
     if m.shape[0] < points:
         left = GramOperand(m, COEFF_STABILIZER)
@@ -322,10 +398,9 @@ def solve_coeff_subproblem(
         formed.flat[:: points + 1] += COEFF_STABILIZER
         plus_identity = isinstance(merged_gram, IdentityOperand)
         left = (CholeskyOperand if plus_identity else SymmetricOperand)(formed)
-    slack_term = state.slack - state.duals.y_slack / beta
     rhs = (
         state.shapes.T @ (state.shapes + state.duals.y_selfexpr / beta)
-        + (slack_term if merged is None else slack_term @ merged.T)
+        + _times_merged_transpose(state.slack - state.duals.y_slack / beta, merged)
         + 1.0
         - state.duals.y_colsum / beta
     )
@@ -373,18 +448,21 @@ def objective_value(
     state: AdmmState,
     config: SolverConfig,
     spectrum: np.ndarray | None = None,
+    merged: Merged = None,
 ) -> float:
     """The unconstrained cost: reprojection fit plus both structural penalties.
 
     ``spectrum`` is the singular values of ``state.lowrank`` when the caller
     already has them, as ``solve`` does from the low-rank step; without it
     they are computed here by SVD. A zero nuclear weight needs neither.
+    ``merged`` is the operator of the slack: the l1 term counts each slack
+    column by its multiplicity, which is 1 unless it is an EdgeOperator.
     """
     frames = state.lowrank.shape[0]
     points = state.coeffs.shape[0]
     lam2 = config.nuclear_weight(frames, points)
     fit = 0.5 * np.linalg.norm(w - project(camera, state.shapes)) ** 2
-    sparsity = config.lambda1 * np.abs(state.slack).sum()
+    sparsity = config.lambda1 * _weighted_sum(np.abs(state.slack), merged)
     if lam2 == 0:
         nuclear = 0.0
     elif spectrum is None:
@@ -399,9 +477,11 @@ def augmented_lagrangian(
 ) -> float:
     """Full augmented Lagrangian value at the given state (diagnostic)."""
     beta = state.duals.beta
-    value = objective_value(w, camera, state, config)
-    for y, gap in zip(state.duals.multipliers, constraint_gaps(state, merged)):
-        value += np.sum(y * gap) + 0.5 * beta * np.sum(gap**2)
+    value = objective_value(w, camera, state, config, merged=merged)
+    gaps = constraint_gaps(state, merged)
+    # Only the slack pair is weighed by the operator's multiplicity.
+    for y, gap, weigh in zip(state.duals.multipliers, gaps, (None, None, merged, None)):
+        value += _weighted_sum(y * gap, weigh) + 0.5 * beta * _weighted_sum(gap**2, weigh)
     return float(value)
 
 
@@ -447,10 +527,11 @@ def solve(
             f"neighbor matrix covers {neighbors.points} points, scene has {points}"
         )
     if neighbors is None:
-        merged, merged_gram, slack_cols = None, IdentityOperand(points), points
+        merged, slack_cols = None, points
     else:
-        merged = scipy.sparse.csr_array(extend_with_identity(neighbors))
-        merged_gram, slack_cols = SymmetricOperand(merged @ merged.T), merged.shape[1]
+        merged = EdgeOperator.from_grid(neighbors.grid_height, neighbors.grid_width)
+        slack_cols = merged.matrix.shape[1]
+    merged_gram = _merged_gram(merged, points)
 
     if init_shapes is None:
         shapes = pseudo_inverse_shapes(w, camera)
@@ -478,7 +559,7 @@ def solve(
         state.coeffs = update_coefficients(state, merged, merged_gram)
         gaps = constraint_gaps(state, merged)
         residuals = constraint_residuals(gaps)
-        objective = objective_value(w, camera, state, config, spectrum)
+        objective = objective_value(w, camera, state, config, spectrum, merged)
         trace.append(iteration, objective, residuals, state.duals.beta)
         state.duals = update_duals(state.duals, gaps, config)
         # Freed now so the gaps never coexist with the next sweep's temporaries.

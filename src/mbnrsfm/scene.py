@@ -186,6 +186,20 @@ class NeighborMatrix:
     grid_height: int
     grid_width: int
 
+    def __post_init__(self):
+        # The solver rebuilds the operator from the grid dimensions, so a
+        # diff that does not fit them would silently change the problem.
+        dims = (self.grid_height, self.grid_width)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+                   for d in dims):
+            raise ValueError(f"grid dimensions must be positive integers, got {dims}")
+        points = self.grid_height * self.grid_width
+        if np.shape(self.diff) != (points, 4 * points):
+            raise ValueError(
+                f"a {self.grid_height} x {self.grid_width} grid needs a "
+                f"{points} x {4 * points} diff, got {np.shape(self.diff)}"
+            )
+
     @property
     def points(self) -> int:
         return self.diff.shape[0]

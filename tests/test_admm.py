@@ -9,7 +9,9 @@ import mbnrsfm.admm
 from mbnrsfm.admm import (
     AdmmState,
     DualState,
+    EdgeOperator,
     SolverConfig,
+    _merged_gram,
     augmented_lagrangian,
     constraint_gaps,
     constraint_residuals,
@@ -402,6 +404,102 @@ class TestSparseMergedOperator:
                          augmented_lagrangian(w, camera, state, dense, cfg), 1e-12)
 
 
+def edge_expansion(edge, neighbors):
+    """The 0/+-1 matrix X with [I | D] = edge.matrix @ X, P + E rows by 5P columns.
+
+    Column P + c of X selects the edge column that equals column c of
+    ``neighbors.diff``, with the sign that makes them equal; a border
+    column of the diff selects nothing.
+    """
+    points = neighbors.points
+    edges = edge.matrix.toarray()[:, points:]
+    expansion = np.zeros((edge.matrix.shape[1], 5 * points))
+    expansion[:points, :points] = np.eye(points)
+    for c, column in enumerate(neighbors.diff.T):
+        if not column.any():
+            continue
+        match = [(k, sign) for k in range(edges.shape[1]) for sign in (1.0, -1.0)
+                 if np.array_equal(sign * edges[:, k], column)]
+        assert len(match) == 1
+        k, sign = match[0]
+        expansion[points + k, points + c] = sign
+    return expansion
+
+
+class TestEdgeOperator:
+    """Grid mode's [I | D_e] with multiplicity 2 against the P x 5P [I | D]."""
+
+    GRIDS = [(1, 1), (1, 6), (6, 1), (2, 3), (3, 4)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+    def test_one_column_per_unique_edge(self, grid):
+        height, width = grid
+        neighbors = build_neighbor_matrix(height, width)
+        edge = EdgeOperator.from_grid(height, width)
+        points, edges = height * width, height * (width - 1) + (height - 1) * width
+        assert isinstance(edge.matrix, scipy.sparse.csr_array)
+        assert edge.matrix.shape == (points, points + edges)
+        np.testing.assert_array_equal(
+            edge.multiplicity, np.r_[np.ones(points), np.full(edges, 2.0)])
+        # Every nonzero diff column is +-1 times exactly one edge column,
+        # and every edge column stands for exactly two of them.
+        expansion = edge_expansion(edge, neighbors)
+        np.testing.assert_array_equal(edge.matrix @ expansion, extend_with_identity(neighbors))
+        np.testing.assert_array_equal(np.abs(expansion).sum(axis=1), edge.multiplicity)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+    def test_gram_equals_full_operator_gram_exactly(self, grid):
+        neighbors = build_neighbor_matrix(*grid)
+        full = extend_with_identity(neighbors)
+        gram = _merged_gram(EdgeOperator.from_grid(*grid), neighbors.points)
+        assert isinstance(gram, SymmetricOperand)
+        assert scipy.sparse.issparse(gram.matrix)
+        np.testing.assert_array_equal(gram.matrix.toarray(), full @ full.T)
+
+    @pytest.fixture
+    def problem(self):
+        # A random edge-form state and the P x 5P state it stands for: the
+        # slack and its dual expanded through X, so twin columns are exact
+        # negatives and border columns are zero.
+        neighbors = build_neighbor_matrix(3, 4)
+        edge = EdgeOperator.from_grid(3, 4)
+        expansion = edge_expansion(edge, neighbors)
+        _, camera, w, _ = small_problem(seed=72, frames=4, points=12)
+        state = random_state(np.random.default_rng(72), 4, 12, slack_cols=edge.matrix.shape[1])
+        full = replace(state, slack=state.slack @ expansion,
+                       duals=replace(state.duals, y_slack=state.duals.y_slack @ expansion))
+        return camera, w, state, edge, full, extend_with_identity(neighbors), expansion
+
+    def test_slack_and_gaps_are_the_expanded_edge_form(self, problem):
+        _, _, state, edge, full, dense, expansion = problem
+        cfg = SolverConfig(lambda1=0.3)
+        assert_close_rel(update_slack(state, edge, cfg) @ expansion,
+                         update_slack(full, dense, cfg), 1e-12)
+        edge_gaps, full_gaps = constraint_gaps(state, edge), constraint_gaps(full, dense)
+        assert_close_rel(edge_gaps[2] @ expansion, full_gaps[2], 1e-12)
+        assert constraint_residuals(edge_gaps) == pytest.approx(
+            constraint_residuals(full_gaps), rel=1e-12)
+
+    def test_coefficient_step_weighs_edges_twice(self, problem):
+        _, _, state, edge, full, dense, _ = problem
+        assert_close_rel(update_coefficients(state, edge),
+                         update_coefficients(full, dense), 1e-12)
+        gram = _merged_gram(edge, 12)
+        np.testing.assert_array_equal(update_coefficients(state, edge, gram),
+                                      update_coefficients(state, edge))
+
+    def test_objective_and_lagrangian_weigh_edges_twice(self, problem):
+        camera, w, state, edge, full, dense, _ = problem
+        cfg = SolverConfig(lambda1=0.3)
+        assert objective_value(w, camera, state, cfg, merged=edge) == pytest.approx(
+            objective_value(w, camera, full, cfg), rel=1e-12)
+        assert augmented_lagrangian(w, camera, state, edge, cfg) == pytest.approx(
+            augmented_lagrangian(w, camera, full, dense, cfg), rel=1e-12)
+        # Without the multiplicity the l1 term would count each edge once.
+        assert objective_value(w, camera, state, cfg) < objective_value(
+            w, camera, state, cfg, merged=edge)
+
+
 def eigenbasis_shape_step(state, w, camera):
     """The shape step with both operands eigendecomposed: the oracle."""
     beta = state.duals.beta
@@ -722,20 +820,19 @@ class TestSolve:
         assert len(trace) == 7
         assert calls == [(18, 10), (10, 10)] * 7
 
-    def grid_scene(self):
-        # 12 points on a 3 x 4 grid; the grid order is arbitrary here, the
-        # point is to exercise the spatial-term path.
-        scene = generate_scene(default_two_body(frames=8, points_per_body=6))
-        return scene, build_neighbor_matrix(3, 4)
+    def grid_scene(self, frames=8, per_body=6, grid=(3, 4)):
+        # 2 * per_body points on a grid; the grid order is arbitrary here,
+        # the point is to exercise the spatial-term path.
+        scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
+        return scene, build_neighbor_matrix(*grid)
 
-    def test_grid_mode_equals_manual_dense_operator_path(self):
-        # solve holds [I | D] sparse; a sweep over the update functions with
-        # the dense operator must agree up to summation order.
-        scene, neighbors = self.grid_scene()
-        cfg = SolverConfig(lambda1=1e-2)
-        shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
-        assert trace.converged
+    @staticmethod
+    def dense_grid_sweeps(scene, neighbors, cfg):
+        """Sweeps over the update functions with the dense P x 5P [I | D].
 
+        Yields (iteration, state) after each dual step, and stops after the
+        sweep whose residuals fall below epsilon.
+        """
         points = scene.w.shape[1]
         frames = scene.camera.frames
         merged = extend_with_identity(neighbors)
@@ -748,20 +845,63 @@ class TestSolve:
             coeffs=np.zeros((points, points)),
             duals=DualState.zeros(frames, points, 5 * points, cfg.beta0),
         )
-        iterations = 0
-        for _ in range(cfg.max_iters):
-            iterations += 1
+        for iteration in range(1, cfg.max_iters + 1):
             state.shapes = update_shapes(state, scene.w, scene.camera)
             state.lowrank, _ = update_lowrank(state, cfg)
             state.slack = update_slack(state, merged, cfg)
             state.coeffs = update_coefficients(state, merged, merged_gram)
             residuals = constraint_residuals(constraint_gaps(state, merged))
             state.duals = update_duals(state.duals, constraint_gaps(state, merged), cfg)
+            yield iteration, state
             if max(residuals) <= cfg.epsilon:
-                break
-        assert len(trace) == iterations
+                return
+
+    @pytest.mark.parametrize("frames,per_body,grid", [
+        (8, 6, (3, 4)),   # P = 12 <= 3F + 1 = 25: formed left operand
+        (6, 3, (1, 6)),   # line grids: one edge direction is empty
+        (6, 3, (6, 1)),
+        (3, 6, (3, 4)),   # P = 12 > 3F + 1 = 10: Woodbury left operand
+    ], ids=["3x4_formed", "1x6", "6x1", "3x4_woodbury"])
+    def test_grid_mode_equals_manual_dense_operator_path(self, frames, per_body, grid):
+        # solve holds [I | D_e] on unique edges with multiplicity 2; a sweep
+        # over the update functions with the dense P x 5P operator must agree
+        # up to summation order.
+        scene, neighbors = self.grid_scene(frames, per_body, grid)
+        cfg = SolverConfig(lambda1=1e-2)
+        shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
+        assert trace.converged
+
+        objectives = []
+        for _, state in self.dense_grid_sweeps(scene, neighbors, cfg):
+            objectives.append(objective_value(scene.w, scene.camera, state, cfg))
+        assert len(trace) == len(objectives)
         assert_close_rel(shape_state.shapes, state.shapes, 1e-9)
         assert_close_rel(coeffs, state.coeffs, 1e-9)
+        # The l1 term counts each edge twice, as the dense slack does.
+        np.testing.assert_allclose(trace.objective, objectives, rtol=1e-9)
+
+    def test_dense_grid_slack_keeps_twin_columns_exact_negatives(self):
+        # What makes the edge form exact: on the dense [I | D] path the slack
+        # and its dual hold each interior edge twice, as exact negatives, and
+        # the border columns stay exactly zero, in every sweep.
+        scene, neighbors = self.grid_scene()
+        points = neighbors.points
+        columns = neighbors.diff.T
+        border = [points + c for c, col in enumerate(columns) if not col.any()]
+        twins = [(points + c, points + t) for c, col in enumerate(columns)
+                 for t, other in enumerate(columns)
+                 if c < t and col.any() and np.array_equal(col, -other)]
+        assert len(twins) == 17 and len(border) == 4 * points - 34
+        sweeps = shrunk_to_nonzero = 0
+        cfg = SolverConfig(lambda1=1e-2)
+        for sweeps, state in self.dense_grid_sweeps(scene, neighbors, cfg):
+            for values in (state.slack, state.duals.y_slack):
+                for a, b in twins:
+                    assert np.array_equal(values[:, a], -values[:, b])
+                assert not values[:, border].any()
+            shrunk_to_nonzero += bool(state.slack[:, points:].any())
+        # The check is not vacuous: the edge slack leaves zero in most sweeps.
+        assert sweeps > 10 and shrunk_to_nonzero > sweeps // 2
 
     def test_grid_mode_traced_calls_per_iteration(self, monkeypatch):
         # The benchmark's tracing contract in grid mode: two Sylvester solves
@@ -785,7 +925,8 @@ class TestSolve:
         _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=7))
         assert len(trace) == 7
         assert sylvester == [(24, 12), (12, 12)] * 7
-        assert shrink == [(12, 60)] * 7
+        # The slack is P x (P + E): the 3 x 4 grid has 3*3 + 2*4 = 17 unique edges.
+        assert shrink == [(12, 29)] * 7
 
     @pytest.mark.parametrize("frames,per_body,grid,coeff_left,coeff_right", [
         # P = 10 <= 3F + 1 = 19: M^T M formed, one Cholesky factor of it + I

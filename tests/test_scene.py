@@ -153,6 +153,24 @@ class TestNeighborMatrix:
         with pytest.raises(ValueError):
             build_neighbor_matrix(0, 3)
 
+    @pytest.mark.parametrize("shape,height,width", [
+        ((12, 48), 3, 5),   # 15-point grid, 12-point diff
+        ((12, 7), 3, 4),    # right point count, wrong column count
+    ], ids=["wrong_points", "wrong_columns"])
+    def test_diff_that_does_not_fit_the_grid_rejected(self, shape, height, width):
+        with pytest.raises(ValueError, match="diff"):
+            NeighborMatrix(np.zeros(shape), height, width)
+
+    @pytest.mark.parametrize("height,width", [(0, 3), (3, -1), (2.0, 6), (True, 12)])
+    def test_bad_grid_dimensions_rejected(self, height, width):
+        with pytest.raises(ValueError, match="positive integers"):
+            NeighborMatrix(np.zeros((12, 48)), height, width)
+
+    def test_direct_construction_of_a_fitting_diff(self):
+        nb = build_neighbor_matrix(3, 4)
+        same = NeighborMatrix(nb.diff, np.int64(3), 4)
+        assert same.points == 12
+
 
 class TestExtendWithIdentity:
     def test_single_point(self):
