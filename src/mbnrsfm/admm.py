@@ -36,7 +36,7 @@ Woodbury identity, otherwise it is formed. Its right operand D D^T is
 constant over a run, so ``solve`` builds it once.
 
 With a spatial term ``solve`` builds the merged operator straight from
-the grid dimensions as an ``EdgeOperator``: [I | D_e] as a
+the grid dimensions as an ``EdgeOperator``: [I | D_e], held as a
 ``scipy.sparse.csr_array``, with one column e_p - e_q per unique
 4-neighbor edge, so the slack and its dual are P x (P + E), not P x 5P.
 ``NeighborMatrix.diff`` holds each edge twice, as +d and -d, plus a zero
@@ -45,11 +45,20 @@ over a run twin columns stay exact negatives and zero columns stay zero.
 The edge form is therefore the same iteration up to summation order, with
 each edge weighed by multiplicity 2 where twins add up: the coefficient
 right-hand side, the Gram I + 2 D_e D_e^T (equal to I + D D^T), and the
-objective's l1 term. The Gram is held sparse and eigendecomposed once per
-solve, in set-up, as a ``linalg.SymmetricOperand``; a formed left operand
-(3F+1 >= P) is eigendecomposed every sweep. The step functions also take
-a plain dense or csr [I | D], each column counted once, which the tests
-use as the oracle.
+objective's l1 term. The sweep applies [I | D_e] and its weighted
+transpose by slicing each row of the product's operand as the h x w grid
+(``EdgeOperator.times``), so no step function multiplies by the csr
+matrix and their outputs are C-ordered; the csr matrix builds the Gram and
+is the tests' oracle for those products. The Gram is held sparse and
+eigendecomposed once per solve, in set-up, as a ``linalg.SymmetricOperand``.
+
+A formed left operand (3F+1 >= P) changes with S and is eigendecomposed
+every sweep. Shifted Cholesky, as in the shape step, cannot replace that
+``eigh``: it takes one factor per cluster of the other operand's
+eigenvalues, and the Gram I + 2L (L the grid Laplacian) has eigenvalues
+1 + 2 lambda spread over [1, 17) without clusters. The step functions
+also take a plain dense or csr [I | D], each column counted once, which
+the tests use as the oracle.
 
 Without a spatial term the merged operator is the identity, and ``solve``
 passes ``merged=None`` for it: the step functions then skip every product
@@ -96,15 +105,24 @@ class EdgeOperator:
     """The grid-mode merged operator [I | D_e]: one column per unique edge.
 
     ``matrix`` is the P x (P + E) csr [I | D_e]. Column P + k of it is
-    e_p - e_q for the k-th 4-neighbor edge (p, q) of the row-major grid, q
-    the right or lower neighbor of p; the horizontal edges come first, so
-    E = h(w-1) + (h-1)w. ``multiplicity`` is 1 on the identity columns and
-    2 on the edge columns, which stand for the +d and -d twins of
-    ``NeighborMatrix.diff`` (the module docstring says why that is exact).
+    e_p - e_q for the k-th 4-neighbor edge (p, q) of the row-major
+    ``height`` x ``width`` grid, q the right or lower neighbor of p; the
+    horizontal edges come first, so E = h(w-1) + (h-1)w. ``multiplicity``
+    is 1 on the identity columns and 2 on the edge columns, which stand for
+    the +d and -d twins of ``NeighborMatrix.diff`` (the module docstring
+    says why that is exact).
+
+    The sweep applies it by slicing the grid (``times`` and
+    ``times_weighted_transpose``); ``matrix`` builds the set-up Gram and is
+    the tests' oracle for those products.
     """
 
     matrix: scipy.sparse.csr_array
     multiplicity: np.ndarray
+    height: int
+    width: int
+
+    EDGE_MULTIPLICITY = 2.0
 
     @classmethod
     def from_grid(cls, height: int, width: int) -> "EdgeOperator":
@@ -121,8 +139,38 @@ class EdgeOperator:
             ),
             shape=(points, points + edges),
         )
-        multiplicity = np.concatenate([np.ones(points), np.full(edges, 2.0)])
-        return cls(matrix, multiplicity)
+        multiplicity = np.concatenate([np.ones(points), np.full(edges, cls.EDGE_MULTIPLICITY)])
+        return cls(matrix, multiplicity, height, width)
+
+    def _blocks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The point, horizontal-edge and vertical-edge columns of an n x (P + E)
+        ``x``, as (n, h, w), (n, h, w-1) and (n, h-1, w) views."""
+        h, w = self.height, self.width
+        n, points = x.shape[0], h * w
+        split = points + h * (w - 1)
+        return (x[:, :points].reshape(n, h, w), x[:, points:split].reshape(n, h, w - 1),
+                x[:, split:].reshape(n, h - 1, w))
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``x @ matrix`` as a C-ordered n x (P + E) array: x, then x_p - x_q per edge."""
+        out = np.empty((x.shape[0], self.matrix.shape[1]))
+        out[:, : x.shape[1]] = x
+        grid, horizontal, vertical = self._blocks(out)
+        np.subtract(grid[:, :, :-1], grid[:, :, 1:], out=horizontal)
+        np.subtract(grid[:, :-1, :], grid[:, 1:, :], out=vertical)
+        return out
+
+    def times_weighted_transpose(self, x: np.ndarray) -> np.ndarray:
+        """``(x * multiplicity) @ matrix.T`` as a C-ordered n x P array."""
+        _, horizontal, vertical = self._blocks(x)
+        out = x[:, : self.height * self.width].copy()
+        grid = out.reshape(x.shape[0], self.height, self.width)
+        for edges, head, tail in ((horizontal, grid[:, :, :-1], grid[:, :, 1:]),
+                                  (vertical, grid[:, :-1, :], grid[:, 1:, :])):
+            weighted = self.EDGE_MULTIPLICITY * edges
+            head += weighted
+            tail -= weighted
+        return out
 
 
 # The merged operator [I | D] as the step functions take it: dense or csr
@@ -318,7 +366,7 @@ def update_lowrank(
 def _times_merged(x: np.ndarray, merged: Merged) -> np.ndarray:
     """``x @ merged``, where ``merged=None`` stands for the identity."""
     if isinstance(merged, EdgeOperator):
-        merged = merged.matrix
+        return merged.times(x)
     return x if merged is None else x @ merged
 
 
@@ -326,7 +374,7 @@ def _times_merged_transpose(x: np.ndarray, merged: Merged) -> np.ndarray:
     """``x @ diag(multiplicity) @ merged.T``; the multiplicity is 1 unless
     ``merged`` is an EdgeOperator."""
     if isinstance(merged, EdgeOperator):
-        return (x * merged.multiplicity) @ merged.matrix.T
+        return merged.times_weighted_transpose(x)
     return x if merged is None else x @ merged.T
 
 

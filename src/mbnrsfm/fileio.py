@@ -14,18 +14,24 @@ writer goes through ``_write_lines``: UTF-8, LF line endings, a final newline.
 Zero-sized matrices are rejected on both ends. All parse failures, bytes
 that are not UTF-8 included, raise ParseError with the offending 1-based
 line number of the file (blank lines between labels are skipped but counted).
+
+Matrix values become text only in ``format_matrix``. ``write_matrix``
+returns the ``MatrixText`` it wrote and takes one in place of an array, so
+the pipeline formats the shape stack once: ``Ssharp.mtx`` joins its rows in
+threes and the point-cloud frames split them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
 from .linalg import as_matrix
-from .scene import validate_labels
+from .scene import validate_labels, validate_shapes
 
 MAGIC = "MBNR1"
 
@@ -67,14 +73,45 @@ def _read_header(path, kind: str, fields: tuple[str, ...]) -> tuple[list[str], l
     return lines, values
 
 
-def write_matrix(path, matrix) -> None:
-    """Write a matrix in the MBNR1 text format."""
+@dataclass(frozen=True)
+class MatrixText:
+    """A matrix and its MBNR1 data lines, as ``format_matrix`` made them.
+
+    ``rows[i]`` is row i of ``matrix``: each value's shortest round-trip
+    repr, joined by single spaces.
+    """
+
+    matrix: np.ndarray
+    rows: list[str]
+
+    def frame_rows(self) -> "MatrixText":
+        """The text of ``scene.to_frame_rows`` of a formatted 3F x P shape stack.
+
+        Frame row f is rows 3f, 3f+1 and 3f+2 concatenated, so its line is
+        their three lines joined by a space; no value is formatted again.
+        """
+        stack = validate_shapes(self.matrix)
+        rows = [" ".join(self.rows[i : i + 3]) for i in range(0, len(self.rows), 3)]
+        return MatrixText(stack.reshape(len(rows), -1), rows)
+
+
+def format_matrix(matrix) -> MatrixText:
+    """Format a finite matrix for MBNR1 files: the one place matrix values become text."""
     mat = as_matrix(matrix, "matrix")
-    lines = [f"{MAGIC} matrix {mat.shape[0]} {mat.shape[1]}"]
     # One row at a time: tolist() gives Python floats, whose repr is _fmt's,
-    # without a whole-matrix list in memory.
-    lines.extend(" ".join(map(repr, row.tolist())) for row in mat)
-    _write_lines(path, lines)
+    # without a whole-matrix list of floats in memory.
+    return MatrixText(mat, [" ".join(map(repr, row.tolist())) for row in mat])
+
+
+def write_matrix(path, matrix) -> MatrixText:
+    """Write a matrix in the MBNR1 text format and return its text.
+
+    ``matrix`` is an array, or a ``MatrixText``, which is written as it is.
+    """
+    text = matrix if isinstance(matrix, MatrixText) else format_matrix(matrix)
+    rows, cols = text.matrix.shape
+    _write_lines(path, [f"{MAGIC} matrix {rows} {cols}", *text.rows])
+    return text
 
 
 def read_matrix(path) -> np.ndarray:
@@ -176,22 +213,20 @@ def write_metrics_csv(path, metrics: dict) -> None:
 def write_pointcloud_frames(directory, shapes, labels) -> list:
     """Write one plot-ready file per frame: rows of 'x y z label'.
 
-    Returns the list of written paths.
+    ``shapes`` is a 3F x P stack, as an array or as the ``MatrixText`` that
+    ``write_matrix`` returned for it, whose tokens are reused. Returns the
+    list of written paths.
     """
-    shapes = as_matrix(shapes, "shapes")
-    arr = validate_labels(labels, num_points=shapes.shape[1])
-    frames = shapes.shape[0] // 3
+    text = shapes if isinstance(shapes, MatrixText) else format_matrix(shapes)
+    stack = validate_shapes(text.matrix, "shapes")
+    arr = validate_labels(labels, num_points=stack.shape[1])
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     label_tokens = [str(label) for label in arr.tolist()]
     paths = []
-    for f in range(frames):
-        xs, ys, zs = shapes[3 * f : 3 * f + 3].tolist()
-        lines = [
-            f"{x!r} {y!r} {z!r} {label}"
-            for x, y, z, label in zip(xs, ys, zs, label_tokens)
-        ]
+    for f in range(stack.shape[0] // 3):
+        xs, ys, zs = (row.split(" ") for row in text.rows[3 * f : 3 * f + 3])
         path = directory / f"frame_{f:04d}.txt"
-        _write_lines(path, lines)
+        _write_lines(path, map(" ".join, zip(xs, ys, zs, label_tokens)))
         paths.append(path)
     return paths

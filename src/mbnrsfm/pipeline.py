@@ -296,8 +296,9 @@ def run_pipeline(manifest: RunManifest) -> dict:
             w_centered, scene["camera"], scene["neighbors"], manifest.solver,
             init_shapes=scene["init_shapes"],
         )
-        fileio.write_matrix(out / "S.mtx", shape_state.shapes)
-        fileio.write_matrix(out / "Ssharp.mtx", shape_state.frame_rows)
+        # Formatted once: Ssharp.mtx and the point clouds reuse the tokens of S.mtx.
+        shape_text = fileio.write_matrix(out / "S.mtx", shape_state.shapes)
+        fileio.write_matrix(out / "Ssharp.mtx", shape_text.frame_rows())
         fileio.write_matrix(out / "C.mtx", coeffs)
         fileio.write_trace_csv(out / "trace.csv", trace)
 
@@ -333,7 +334,7 @@ def run_pipeline(manifest: RunManifest) -> dict:
         fileio.write_metrics_csv(out / "metrics.csv", metrics)
 
     with _Stage("export"):
-        fileio.write_pointcloud_frames(out / "pointcloud", shape_state.shapes, labels)
+        fileio.write_pointcloud_frames(out / "pointcloud", shape_text, labels)
 
     summary["metrics"] = metrics
     return summary

@@ -448,6 +448,23 @@ class TestEdgeOperator:
         np.testing.assert_array_equal(np.abs(expansion).sum(axis=1), edge.multiplicity)
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+    def test_grid_slicing_products_match_the_csr_matrix(self, grid):
+        # The sweep's products slice the grid; the csr matrix is the oracle.
+        # Subtracting one neighbor from another is what the csr product sums,
+        # so the forward product agrees bit for bit.
+        edge = EdgeOperator.from_grid(*grid)
+        points, cols = edge.matrix.shape
+        rng = np.random.default_rng(points)
+        x, y = rng.normal(size=(7, points)), rng.normal(size=(7, cols))
+        for arg in (x, np.asfortranarray(x)):
+            product = edge.times(arg)
+            assert product.flags.c_contiguous
+            np.testing.assert_array_equal(product, x @ edge.matrix)
+        product = edge.times_weighted_transpose(y)
+        assert product.flags.c_contiguous
+        assert_close_rel(product, (y * edge.multiplicity) @ edge.matrix.T, 1e-15)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
     def test_gram_equals_full_operator_gram_exactly(self, grid):
         neighbors = build_neighbor_matrix(*grid)
         full = extend_with_identity(neighbors)
@@ -552,6 +569,20 @@ def eigenbasis_sweep(w, camera, merged, cfg):
     return state, cfg.max_iters
 
 
+@pytest.fixture
+def eigh_inputs(monkeypatch):
+    """The shape of every input to linalg._eigh, through which each operand is decomposed."""
+    shapes = []
+    original = mbnrsfm.linalg._eigh
+
+    def recording(mat):
+        shapes.append(np.shape(mat))
+        return original(mat)
+
+    monkeypatch.setattr(mbnrsfm.linalg, "_eigh", recording)
+    return shapes
+
+
 class TestWideScenes:
     """P > 3F + 1: the coefficient step takes the Woodbury branch."""
 
@@ -583,22 +614,14 @@ class TestWideScenes:
             spectral_cluster(build_affinity(oracle.coeffs), 2, seed=0),
         )
 
-    def test_no_points_by_points_eigh_inside_the_loop(self, monkeypatch):
+    def test_no_points_by_points_eigh_inside_the_loop(self, eigh_inputs):
         # Per iteration only the F 3 x 3 camera blocks and the (3F+1)-square
-        # Gram of [S; 1^T] are eigendecomposed; the constant D D^T is
-        # factored once per solve.
-        shapes = []
-        original = np.linalg.eigh
-
-        def recording(mat, *args, **kwargs):
-            shapes.append(np.shape(mat))
-            return original(mat, *args, **kwargs)
-
-        monkeypatch.setattr(mbnrsfm.linalg.np.linalg, "eigh", recording)
+        # Gram of [S; 1^T] are eigendecomposed; the constant P x P D D^T is
+        # factored once per solve, in set-up.
         scene, neighbors = self.scene("grid")
         _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=9))
         assert len(trace) == 9
-        assert shapes == [(12, 12)] + [(3, 3, 3), (10, 10)] * 9
+        assert eigh_inputs == [(12, 12)] + [(3, 3, 3), (10, 10)] * 9
 
 
 class TestSolverConfig:
@@ -956,19 +979,11 @@ class TestSolve:
     @pytest.mark.parametrize("frames,per_body", [(6, 5), (4, 10)],
                              ids=["formed_left", "woodbury"])
     def test_sparse_mode_eigendecomposes_no_points_square_matrix(
-            self, monkeypatch, frames, per_body):
+            self, eigh_inputs, frames, per_body):
         # Every eigh input of a sparse solve: the F camera blocks per sweep,
         # and with 3F + 1 < P the (3F+1)-square Gram of [S; 1^T]. Neither
         # the identity merged Gram nor a formed P x P left operand is
         # eigendecomposed.
-        shapes = []
-        original = mbnrsfm.linalg._eigh
-
-        def recording(mat):
-            shapes.append(np.shape(mat))
-            return original(mat)
-
-        monkeypatch.setattr(mbnrsfm.linalg, "_eigh", recording)
         scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
         points = scene.w.shape[1]
         _, _, trace = solve(scene.w, scene.camera, None, SolverConfig(max_iters=5))
@@ -976,8 +991,19 @@ class TestSolve:
         per_sweep = [(frames, 3, 3)]
         if 3 * frames + 1 < points:
             per_sweep.append((3 * frames + 1, 3 * frames + 1))
-        assert shapes == per_sweep * 5
-        assert (points, points) not in shapes
+        assert eigh_inputs == per_sweep * 5
+        assert (points, points) not in eigh_inputs
+
+    def test_grid_mode_with_a_formed_left_operand_eigendecomposes_it_every_sweep(
+            self, eigh_inputs):
+        # With 3F + 1 >= P the coefficient step forms M^T M + eps I and
+        # eigendecomposes it against the grid Gram each sweep; the module
+        # docstring says why no shifted Cholesky factor replaces it.
+        scene = generate_scene(default_two_body(frames=6, points_per_body=6))
+        _, _, trace = solve(scene.w, scene.camera, build_neighbor_matrix(3, 4),
+                            SolverConfig(max_iters=5))
+        assert len(trace) == 5
+        assert eigh_inputs == [(12, 12)] + [(6, 3, 3), (12, 12)] * 5
 
     def test_sparse_mode_builds_no_identity_matrix(self, monkeypatch):
         # The merged operator of sparse mode is held as None: no step builds

@@ -3,6 +3,8 @@ import pytest
 
 from mbnrsfm.errors import ParseError
 from mbnrsfm.fileio import (
+    MatrixText,
+    format_matrix,
     read_labels,
     read_matrix,
     write_labels,
@@ -12,6 +14,7 @@ from mbnrsfm.fileio import (
     write_trace_csv,
 )
 from mbnrsfm.admm import SolverTrace
+from mbnrsfm.scene import to_frame_rows
 
 
 class TestMatrixFormat:
@@ -131,6 +134,28 @@ class TestWriterBytes:
             )
             assert path.read_bytes() == expected.encode()
 
+    def test_shape_artifacts_from_one_text_match_old_formula(self, tmp_path):
+        # S.mtx, Ssharp.mtx and the point clouds built from one MatrixText
+        # are the bytes each writer gave when it formatted the stack itself.
+        shapes = np.random.default_rng(8).normal(size=(6, 4))
+        shapes.flat[:6] = [-0.0, 5e-324, 1e-05, 1e16, 1.0, 0.1]
+        labels = np.array([3, 0, 1, 0])
+        text = write_matrix(tmp_path / "S.mtx", shapes)
+        assert isinstance(text, MatrixText)
+        write_matrix(tmp_path / "Ssharp.mtx", text.frame_rows())
+        paths = write_pointcloud_frames(tmp_path / "pc", text, labels)
+        for name, matrix in (("S.mtx", shapes), ("Ssharp.mtx", to_frame_rows(shapes))):
+            rows = "".join(f"{old_formula(row)}\n" for row in matrix)
+            header = f"MBNR1 matrix {matrix.shape[0]} {matrix.shape[1]}\n"
+            assert (tmp_path / name).read_bytes() == (header + rows).encode()
+        assert len(paths) == 2
+        for f, path in enumerate(paths):
+            block = shapes[3 * f : 3 * f + 3]
+            expected = "".join(
+                f"{old_formula(block[:, p])} {int(labels[p])}\n" for p in range(4)
+            )
+            assert path.read_bytes() == expected.encode()
+
     def test_read_back_gives_the_same_bits(self, tmp_path):
         m = edge_values(9, 5)
         path = tmp_path / "m.mtx"
@@ -213,6 +238,15 @@ class TestAuxiliaryWriters:
         assert "converged,true" in text
         assert "iterations,12" in text
         assert "e3d,0.25" in text
+
+    @pytest.mark.parametrize("as_text", [False, True], ids=["array", "text"])
+    def test_pointcloud_rejects_a_row_count_not_divisible_by_3(self, tmp_path, as_text):
+        # A 4 x 5 stack used to write one frame and drop row 4.
+        shapes = np.arange(20.0).reshape(4, 5)
+        with pytest.raises(ValueError, match="divisible by 3"):
+            write_pointcloud_frames(tmp_path / "pc", format_matrix(shapes) if as_text else shapes,
+                                    np.zeros(5, dtype=int))
+        assert not (tmp_path / "pc").exists()
 
     def test_pointcloud_frames(self, tmp_path):
         shapes = np.arange(12.0).reshape(6, 2)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbnrsfm import cli, pipeline
+from mbnrsfm import cli, fileio, pipeline
 from mbnrsfm.errors import ManifestError
 from mbnrsfm.fileio import read_labels, read_matrix, write_labels, write_matrix
 from mbnrsfm.metrics import segmentation_error
@@ -259,6 +259,23 @@ def finished(tmp_path_factory):
 
 
 class TestPipelineRun:
+    def test_shape_stack_is_formatted_once(self, tmp_path, monkeypatch):
+        # S.mtx, Ssharp.mtx and the point clouds share one formatting pass.
+        formatted = []
+        original = fileio.format_matrix
+
+        def recording(matrix):
+            formatted.append(np.array(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(fileio, "format_matrix", recording)
+        manifest = {**pipeline_manifest(tmp_path), "synth": synth_block(frames=6, ppb=8),
+                    "solver": {"max_iters": 5}}
+        run_pipeline(manifest_from_dict(manifest))
+        shapes = read_matrix(tmp_path / "S.mtx")
+        assert len(list((tmp_path / "pointcloud").iterdir())) == 6
+        assert sum(np.array_equal(m, shapes) for m in formatted) == 1
+
     def test_all_artifacts_written(self, finished):
         out, _ = finished
         for name in PIPELINE_ARTIFACTS:
