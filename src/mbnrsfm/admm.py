@@ -108,9 +108,9 @@ class EdgeOperator:
     e_p - e_q for the k-th 4-neighbor edge (p, q) of the row-major
     ``height`` x ``width`` grid, q the right or lower neighbor of p; the
     horizontal edges come first, so E = h(w-1) + (h-1)w. ``multiplicity``
-    is 1 on the identity columns and 2 on the edge columns, which stand for
-    the +d and -d twins of ``NeighborMatrix.diff`` (the module docstring
-    says why that is exact).
+    is 1 on the identity columns and ``EDGE_MULTIPLICITY`` = 2 on the edge
+    columns, which stand for the +d and -d twins of ``NeighborMatrix.diff``
+    (the module docstring says why that is exact).
 
     The sweep applies it by slicing the grid (``times`` and
     ``times_weighted_transpose``); ``matrix`` builds the set-up Gram and is
@@ -118,7 +118,6 @@ class EdgeOperator:
     """
 
     matrix: scipy.sparse.csr_array
-    multiplicity: np.ndarray
     height: int
     width: int
 
@@ -139,8 +138,13 @@ class EdgeOperator:
             ),
             shape=(points, points + edges),
         )
-        multiplicity = np.concatenate([np.ones(points), np.full(edges, cls.EDGE_MULTIPLICITY)])
-        return cls(matrix, multiplicity, height, width)
+        return cls(matrix, height, width)
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """The weight of each column: 1 per point, ``EDGE_MULTIPLICITY`` per edge."""
+        points, cols = self.matrix.shape
+        return np.concatenate([np.ones(points), np.full(cols - points, self.EDGE_MULTIPLICITY)])
 
     def _blocks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The point, horizontal-edge and vertical-edge columns of an n x (P + E)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ParseError
 from .linalg import as_matrix
-from .scene import validate_labels, validate_shapes
+from .scene import to_frame_rows, validate_labels, validate_shapes
 
 MAGIC = "MBNR1"
 
@@ -90,9 +90,9 @@ class MatrixText:
         Frame row f is rows 3f, 3f+1 and 3f+2 concatenated, so its line is
         their three lines joined by a space; no value is formatted again.
         """
-        stack = validate_shapes(self.matrix)
-        rows = [" ".join(self.rows[i : i + 3]) for i in range(0, len(self.rows), 3)]
-        return MatrixText(stack.reshape(len(rows), -1), rows)
+        matrix = to_frame_rows(self.matrix)
+        return MatrixText(matrix, [" ".join(self.rows[i : i + 3])
+                                   for i in range(0, len(self.rows), 3)])
 
 
 def format_matrix(matrix) -> MatrixText:

@@ -11,7 +11,7 @@ from mbnrsfm.errors import ManifestError
 from mbnrsfm.fileio import read_labels, read_matrix, write_labels, write_matrix
 from mbnrsfm.metrics import segmentation_error
 from mbnrsfm.pipeline import RunManifest, load_manifest, manifest_from_dict, run_pipeline
-from mbnrsfm.scene import project
+from mbnrsfm.scene import project, to_frame_rows
 from mbnrsfm.synth import (
     assemble_body, default_three_body, default_two_body, generate_scene, _smooth_random_camera,
 )
@@ -275,6 +275,7 @@ class TestPipelineRun:
         shapes = read_matrix(tmp_path / "S.mtx")
         assert len(list((tmp_path / "pointcloud").iterdir())) == 6
         assert sum(np.array_equal(m, shapes) for m in formatted) == 1
+        assert not any(np.array_equal(m, to_frame_rows(shapes)) for m in formatted)
 
     def test_all_artifacts_written(self, finished):
         out, _ = finished
