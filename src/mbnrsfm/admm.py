@@ -23,11 +23,21 @@ nuclear norm from the low-rank step: the singular values that SVT
 thresholded are the spectrum of the new low-rank copy, so each sweep takes
 one SVD, and none when ``lambda2`` is 0.
 
+The low-rank step's SVT goes through a QR of the tall side
+(``linalg.svt_with_spectrum``): the F x 3P target's transpose is
+QR-factored, only the min(F, 3P)-square triangle is decomposed, and the
+orthogonal factor is applied only to the singular vectors the threshold
+keeps.
+
 Both Sylvester equations have symmetric operands. Inside the loop a P x P
 matrix is eigendecomposed only in grid mode with 3F+1 >= P (see below).
-The shape step's 3F x 3F left operand is block diagonal, so it is factored
-as F separate 3 x 3 blocks and the camera is only ever applied per frame;
-the blocks' eigenvalues sit near 1 and 1 + 1/beta, so the P x P right operand
+The shape step's 3F x 3F left operand R^T R / beta + I is block diagonal,
+and the camera is only ever applied per frame. For every beta it has the
+eigenvectors of R^T R, so ``solve`` factors the F 3 x 3 blocks R_f^T R_f
+once, in set-up, and forms R^T W once; each sweep derives the operand from
+those eigenpairs (``SymmetricOperand.scaled``) and forms only its matrix,
+for the residual check. The blocks' eigenvalues sit near 1 and 1 + 1/beta,
+so the P x P right operand
 (I - C)(I - C^T) is solved through one Cholesky factor per cluster, shifted
 by the cluster's center (``linalg.CholeskyOperand``). The coefficient step's
 left operand is the Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P: when
@@ -228,8 +238,11 @@ class SolverConfig:
             )
         if not 0 < self.epsilon < inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not self.max_iters >= 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        # bool is an int subclass, but True is no iteration count.
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 0):
+            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
 
     def nuclear_weight(self, frames: int, points: int) -> float:
         """The nuclear-norm weight in effect for an F x P scene."""
@@ -317,7 +330,27 @@ class SolverTrace:
         return [max(vals) for vals in zip(self.r1, self.r2, self.r3, self.r4)]
 
 
-def update_shapes(state: AdmmState, w: np.ndarray, camera: CameraMotion) -> np.ndarray:
+def _camera_gram(camera: CameraMotion) -> SymmetricOperand:
+    """The stack of F blocks R_f^T R_f, factored once by one batched ``eigh``."""
+    blocks = camera.blocks
+    return SymmetricOperand(np.einsum("fji,fjk->fik", blocks, blocks))
+
+
+def _backproject(w: np.ndarray, camera: CameraMotion) -> np.ndarray:
+    """R^T W, 3F x P, formed frame by frame."""
+    blocks = camera.blocks
+    frames, points = blocks.shape[0], w.shape[1]
+    backprojected = np.einsum("fji,fjp->fip", blocks, w.reshape(frames, 2, points))
+    return backprojected.reshape(3 * frames, points)
+
+
+def update_shapes(
+    state: AdmmState,
+    w: np.ndarray,
+    camera: CameraMotion,
+    camera_gram: SymmetricOperand | None = None,
+    backprojected: np.ndarray | None = None,
+) -> np.ndarray:
     """Closed-form shape update.
 
     Solves the Sylvester equation stationarity condition of the shape
@@ -329,20 +362,27 @@ def update_shapes(state: AdmmState, w: np.ndarray, camera: CameraMotion) -> np.n
 
     where R is the 2F x 3F block-diagonal camera and ginv is the
     frame-row-to-stack reshuffle. R is never assembled: the left operand is
-    the stack of F blocks R_f^T R_f / beta + I, factored per block, and
-    R^T W is formed frame by frame. The right operand is solved by Cholesky
-    factors shifted by the clusters of the left eigenvalues (about 1 and
-    1 + 1/beta for orthonormal camera rows).
+    the stack of F blocks R_f^T R_f / beta + I, and R^T W is formed frame
+    by frame. For every beta the left operand has the eigenvectors of
+    R^T R, so it is derived from ``camera_gram``, the factored stack of
+    blocks R_f^T R_f (``SymmetricOperand.scaled``), and only its matrix is
+    formed. ``camera_gram`` and ``backprojected`` (R^T W) are constant over
+    a run, so ``solve`` builds them once and passes them in; when omitted
+    they are built here. The right operand is solved by Cholesky factors
+    shifted by the clusters of the left eigenvalues (about 1 and 1 + 1/beta
+    for orthonormal camera rows).
     """
     beta = state.duals.beta
-    blocks = camera.blocks
-    frames, points = blocks.shape[0], w.shape[1]
-    left = SymmetricOperand(np.einsum("fji,fjk->fik", blocks, blocks) / beta + np.eye(3))
+    points = w.shape[1]
+    if camera_gram is None:
+        camera_gram = _camera_gram(camera)
+    if backprojected is None:
+        backprojected = _backproject(w, camera)
+    left = camera_gram.scaled(1.0 / beta, 1.0)
     ic = np.eye(points) - state.coeffs
     right = CholeskyOperand(ic @ ic.T)
-    backprojected = np.einsum("fji,fjp->fip", blocks, w.reshape(frames, 2, points))
     rhs = (
-        backprojected.reshape(3 * frames, points) / beta
+        backprojected / beta
         + to_point_columns(state.lowrank)
         + to_point_columns(state.duals.y_reshuffle) / beta
         - (state.duals.y_selfexpr / beta) @ ic.T
@@ -584,6 +624,8 @@ def solve(
         merged = EdgeOperator.from_grid(neighbors.grid_height, neighbors.grid_width)
         slack_cols = merged.matrix.shape[1]
     merged_gram = _merged_gram(merged, points)
+    camera_gram = _camera_gram(camera)
+    backprojected = _backproject(w, camera)
 
     if init_shapes is None:
         shapes = pseudo_inverse_shapes(w, camera)
@@ -605,7 +647,7 @@ def solve(
     trace = SolverTrace()
 
     for iteration in range(1, config.max_iters + 1):
-        state.shapes = update_shapes(state, w, camera)
+        state.shapes = update_shapes(state, w, camera, camera_gram, backprojected)
         state.lowrank, spectrum = update_lowrank(state, config)
         state.slack = update_slack(state, merged, config)
         state.coeffs = update_coefficients(state, merged, merged_gram)

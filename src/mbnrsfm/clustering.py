@@ -85,11 +85,7 @@ def _kmeans(points: np.ndarray, k: int, rng) -> tuple[np.ndarray, float]:
     for _ in range(_KMEANS_MAX_ITERS):
         dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist2.argmin(axis=1)
-        # Refill empty clusters with the worst-assigned point.
-        for j in range(k):
-            if not np.any(new_labels == j):
-                worst = dist2[np.arange(n), new_labels].argmax()
-                new_labels[worst] = j
+        _refill_empty_clusters(new_labels, dist2, k)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -97,6 +93,25 @@ def _kmeans(points: np.ndarray, k: int, rng) -> tuple[np.ndarray, float]:
             centers[j] = points[labels == j].mean(axis=0)
     inertia = float(((points - centers[labels]) ** 2).sum())
     return labels.astype(np.int64), inertia
+
+
+def _refill_empty_clusters(labels: np.ndarray, dist2: np.ndarray, k: int) -> None:
+    """Give each empty cluster its own worst-assigned point, in place.
+
+    Clusters are refilled in index order. Each takes the point farthest from
+    its assigned center among those whose cluster keeps another member, so
+    no point is moved twice and no refill empties a cluster; with k <= n
+    such a point always exists.
+    """
+    counts = np.bincount(labels, minlength=k)
+    if counts.all():
+        return
+    assigned = dist2[np.arange(labels.size), labels]
+    for j in np.flatnonzero(counts == 0):
+        worst = np.where(counts[labels] > 1, assigned, -np.inf).argmax()
+        counts[labels[worst]] -= 1
+        labels[worst] = j
+        counts[j] = 1
 
 
 def _plus_plus_init(points: np.ndarray, k: int, rng) -> np.ndarray:

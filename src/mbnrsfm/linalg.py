@@ -1,9 +1,14 @@
 """Dense linear-algebra kernels used by every solver step.
 
-Decompositions are delegated to LAPACK through numpy and scipy: the SVD
-inside ``svt_with_spectrum`` (which ``svt`` wraps) via ``numpy.linalg.svd``,
-symmetric eigendecompositions via ``numpy.linalg.eigh`` and Cholesky
-factors via ``scipy.linalg.cho_factor``.
+Decompositions are delegated to LAPACK through numpy and scipy. The SVD
+inside ``svt_with_spectrum`` (which ``svt`` wraps) is Chan's R-SVD: a
+Householder QR of the tall orientation of the input (``dgeqrf``), one
+``numpy.linalg.svd`` of the small square triangle, and the reflections
+applied (``dormqr``) only to the singular vectors that survive the
+threshold. Symmetric eigendecompositions go through ``numpy.linalg.eigh``;
+a ``SymmetricOperand`` can derive a scaled and shifted copy of itself from
+its stored eigenpairs without another one. Cholesky factors come from
+``scipy.linalg.cho_factor``.
 The solver's two Sylvester equations have symmetric operands, and
 ``solve_sylvester`` picks its method from the operand types:
 
@@ -87,10 +92,11 @@ def svt(m, tau: float) -> np.ndarray:
     """Singular value thresholding, the proximal operator of the nuclear norm.
 
     Returns the unique minimizer of ``tau * ||X||_* + 0.5 * ||X - m||_F^2``,
-    computed from the thin SVD ``m = u @ diag(sigma) @ vh`` as
-    ``u @ diag(soft_threshold(sigma, tau)) @ vh``. A zero threshold is the
-    identity and skips the decomposition. Non-finite input raises
-    ValueError; an SVD that does not converge raises NumericalError.
+    which for the thin SVD ``m = u @ diag(sigma) @ vh`` is
+    ``u @ diag(soft_threshold(sigma, tau)) @ vh`` (``svt_with_spectrum``
+    says how it is computed). A zero threshold is the identity and skips
+    the decomposition. Non-finite input raises ValueError; an SVD that does
+    not converge, or any other LAPACK failure, raises NumericalError.
     """
     return svt_with_spectrum(m, tau)[0]
 
@@ -101,16 +107,48 @@ def svt_with_spectrum(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
     Those values are the spectrum of the returned matrix, so its nuclear
     norm is their sum and needs no second SVD. With a zero threshold no
     SVD is taken and the spectrum is None.
+
+    The SVD goes through a QR of the tall side (Chan's R-SVD): the
+    orientation ``t`` of ``m`` with at least as many rows as columns is
+    factored as ``t = Q R`` by Householder reflections (LAPACK ``dgeqrf``),
+    only the n x n triangle ``R = u sigma vh`` (n = min of the two sides)
+    goes to ``np.linalg.svd``, and the reflections are applied (``dormqr``)
+    only to the k columns of ``u`` whose thresholded value is positive.
+    The result is ``(Q u_k) diag(shrunk_k) vh_k``, transposed back when
+    ``m`` is wide, returned C-ordered; with k = 0 it is the zero matrix.
     """
     mat = as_matrix(m, "svt input")
     if tau == 0:
         return mat.copy(), None
+    wide = mat.shape[0] < mat.shape[1]
+    tall = mat.T if wide else mat
+    rows, n = tall.shape
+    lapack = scipy.linalg.lapack
+    qr, reflectors, _, info = lapack.dgeqrf(tall)
+    _check_lapack("dgeqrf", info, tall.shape)
     try:
-        u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
+        u, sigma, vh = np.linalg.svd(np.triu(qr[:n]), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge on a {mat.shape} matrix") from exc
     shrunk = soft_threshold(sigma, tau)
-    return (u * shrunk) @ vh, shrunk
+    # Singular values come in descending order, so the kept ones lead.
+    k = int(np.count_nonzero(shrunk))
+    kept = np.zeros((rows, k), order="F")
+    kept[:n] = u[:, :k] * shrunk[:k]
+    _, work, info = lapack.dormqr(b"L", b"N", qr, reflectors, kept, -1)
+    _check_lapack("dormqr workspace query", info, tall.shape)
+    left, _, info = lapack.dormqr(b"L", b"N", qr, reflectors, kept, int(work[0]),
+                                  overwrite_c=1)
+    _check_lapack("dormqr", info, tall.shape)
+    if wide:
+        return vh[:k].T @ left.T, shrunk
+    return left @ vh[:k], shrunk
+
+
+def _check_lapack(routine: str, info: int, shape) -> None:
+    """Raise NumericalError for a nonzero LAPACK ``info``."""
+    if info != 0:
+        raise NumericalError(f"LAPACK {routine} failed with info={info} on a {shape} matrix")
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +198,28 @@ class SymmetricOperand:
     def shape(self) -> tuple[int, int]:
         n = self.eigenvalues.size
         return n, n
+
+    def scaled(self, scale: float, shift: float) -> "SymmetricOperand":
+        """The operand ``scale * A + shift * I``, derived without a new ``eigh``.
+
+        It has A's eigenvectors and the eigenvalues ``scale * l + shift``;
+        only its matrix is formed, for the residual check. ``scale`` must be
+        positive, so the eigenvalues keep eigh's ascending order, and both
+        values finite.
+        """
+        if not (0 < scale < np.inf and np.isfinite(shift)):
+            raise ValueError(
+                f"scale must be finite and positive and shift finite, got {scale}, {shift}"
+            )
+        if scipy.sparse.issparse(self.matrix):
+            identity = scipy.sparse.identity(self.shape[0], format="csr")
+        else:
+            identity = np.eye(self.matrix.shape[-1])
+        derived = object.__new__(SymmetricOperand)
+        derived.matrix = scale * self.matrix + shift * identity
+        derived.eigenvalues = scale * self.eigenvalues + shift
+        derived.eigenvectors = self.eigenvectors
+        return derived
 
 
 class GramOperand:

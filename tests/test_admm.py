@@ -615,13 +615,13 @@ class TestWideScenes:
         )
 
     def test_no_points_by_points_eigh_inside_the_loop(self, eigh_inputs):
-        # Per iteration only the F 3 x 3 camera blocks and the (3F+1)-square
-        # Gram of [S; 1^T] are eigendecomposed; the constant P x P D D^T is
-        # factored once per solve, in set-up.
+        # Per iteration only the (3F+1)-square Gram of [S; 1^T] is
+        # eigendecomposed; the constant P x P D D^T and the F 3 x 3 camera
+        # blocks are factored once per solve, in set-up.
         scene, neighbors = self.scene("grid")
         _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=9))
         assert len(trace) == 9
-        assert eigh_inputs == [(12, 12)] + [(3, 3, 3), (10, 10)] * 9
+        assert eigh_inputs == [(12, 12), (3, 3, 3)] + [(10, 10)] * 9
 
 
 class TestSolverConfig:
@@ -652,6 +652,19 @@ class TestSolverConfig:
         # weights or penalties drive the objective to NaN.
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: float("inf")})
+
+    def test_rejects_fractional_max_iters(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=2.5)
+
+    def test_rejects_boolean_max_iters(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=True)
+
+    def test_accepts_numpy_integer_max_iters(self):
+        scene = generate_scene(default_two_body(frames=4, points_per_body=5))
+        _, _, trace = solve(scene.w, scene.camera, None, SolverConfig(max_iters=np.int64(2)))
+        assert len(trace) == 2
 
     def test_nuclear_weight_default_formula(self):
         cfg = SolverConfig()
@@ -980,18 +993,18 @@ class TestSolve:
                              ids=["formed_left", "woodbury"])
     def test_sparse_mode_eigendecomposes_no_points_square_matrix(
             self, eigh_inputs, frames, per_body):
-        # Every eigh input of a sparse solve: the F camera blocks per sweep,
-        # and with 3F + 1 < P the (3F+1)-square Gram of [S; 1^T]. Neither
-        # the identity merged Gram nor a formed P x P left operand is
-        # eigendecomposed.
+        # Every eigh input of a sparse solve: the F camera blocks once, in
+        # set-up, and per sweep with 3F + 1 < P the (3F+1)-square Gram of
+        # [S; 1^T]. Neither the identity merged Gram nor a formed P x P left
+        # operand is eigendecomposed.
         scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
         points = scene.w.shape[1]
         _, _, trace = solve(scene.w, scene.camera, None, SolverConfig(max_iters=5))
         assert len(trace) == 5
-        per_sweep = [(frames, 3, 3)]
+        per_sweep = []
         if 3 * frames + 1 < points:
             per_sweep.append((3 * frames + 1, 3 * frames + 1))
-        assert eigh_inputs == per_sweep * 5
+        assert eigh_inputs == [(frames, 3, 3)] + per_sweep * 5
         assert (points, points) not in eigh_inputs
 
     def test_grid_mode_with_a_formed_left_operand_eigendecomposes_it_every_sweep(
@@ -1003,7 +1016,7 @@ class TestSolve:
         _, _, trace = solve(scene.w, scene.camera, build_neighbor_matrix(3, 4),
                             SolverConfig(max_iters=5))
         assert len(trace) == 5
-        assert eigh_inputs == [(12, 12)] + [(6, 3, 3), (12, 12)] * 5
+        assert eigh_inputs == [(12, 12), (6, 3, 3)] + [(12, 12)] * 5
 
     def test_sparse_mode_builds_no_identity_matrix(self, monkeypatch):
         # The merged operator of sparse mode is held as None: no step builds
@@ -1066,8 +1079,9 @@ class TestSolve:
     @pytest.mark.parametrize("grid", [False, True], ids=["sparse", "grid"])
     def test_one_svd_per_sweep(self, monkeypatch, grid, lambda2):
         # The objective's nuclear norm is the spectrum the low-rank step
-        # thresholded, so that step's SVD is the only one in a sweep; with
-        # no nuclear weight nothing takes an SVD.
+        # thresholded, so that step's SVD is the only one in a sweep; it
+        # decomposes the F x F triangle of the QR of the F x 3P target's
+        # transpose. With no nuclear weight nothing takes an SVD.
         shapes = []
         original = np.linalg.svd
 
@@ -1080,7 +1094,7 @@ class TestSolve:
         _, _, trace = solve(scene.w, scene.camera, neighbors if grid else None,
                             SolverConfig(lambda1=1e-2, lambda2=lambda2))
         assert trace.converged and len(trace) > 1
-        assert shapes == ([] if lambda2 == 0 else [(8, 36)] * len(trace))
+        assert shapes == ([] if lambda2 == 0 else [(8, 8)] * len(trace))
 
     @pytest.mark.parametrize("lambda2", [None, 0.0], ids=["default", "zero"])
     def test_recorded_objective_matches_svd_reference(self, monkeypatch, lambda2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mbnrsfm import default_three_body, generate_scene, solve, SolverConfig
-from mbnrsfm.clustering import build_affinity, spectral_cluster
+from mbnrsfm.clustering import _kmeans, _refill_empty_clusters, build_affinity, spectral_cluster
 from mbnrsfm.metrics import segmentation_error
 
 
@@ -130,6 +130,30 @@ class TestSpectralCluster:
         a = -np.ones((3, 3))
         with pytest.raises(ValueError):
             spectral_cluster(a, 2, seed=0)
+
+
+class TestKmeans:
+    def test_identical_points_fill_every_cluster(self):
+        # All centers coincide, so every point goes to cluster 0 and two
+        # clusters are empty at once; each must get its own point, or the
+        # mean of an empty cluster is NaN.
+        labels, inertia = _kmeans(np.zeros((5, 2)), 3, np.random.default_rng(0))
+        np.testing.assert_array_equal(np.bincount(labels, minlength=3) > 0, True)
+        assert inertia == 0.0
+
+    def test_refill_never_empties_a_cluster(self):
+        # Point 3 is the worst assigned but the only member of cluster 1,
+        # so the empty cluster 2 takes the worst of the others.
+        labels = np.array([0, 0, 0, 1])
+        dist2 = np.array([[0.1, 9, 9], [0.5, 9, 9], [0.2, 9, 9], [9, 4.0, 9]])
+        _refill_empty_clusters(labels, dist2, 3)
+        np.testing.assert_array_equal(labels, [0, 2, 0, 1])
+
+    def test_refill_moves_distinct_worst_points(self):
+        labels = np.zeros(6, dtype=np.int64)
+        dist2 = np.array([[d, 0.0, 0.0, 0.0] for d in [0.3, 0.9, 0.1, 0.7, 0.8, 0.2]])
+        _refill_empty_clusters(labels, dist2, 4)
+        np.testing.assert_array_equal(labels, [0, 1, 0, 3, 2, 0])
 
 
 class TestConvergedCoefficientStructure:

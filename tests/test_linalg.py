@@ -140,6 +140,74 @@ class TestSvt:
                                    rtol=0, atol=1e-13)
         assert 0 < np.count_nonzero(spectrum) < spectrum.size
 
+    SHAPES = [(4, 9), (9, 4), (5, 5), (1, 7), (7, 1)]
+
+    @staticmethod
+    def thin_svd_formula(m, tau):
+        """The oracle: u diag(soft_threshold(sigma, tau)) vh from the thin SVD of m."""
+        u, sigma, vh = np.linalg.svd(m, full_matrices=False)
+        shrunk = soft_threshold(sigma, tau)
+        return (u * shrunk) @ vh, shrunk
+
+    def assert_matches_formula(self, m, tau):
+        out, spectrum = svt_with_spectrum(m, tau)
+        expected, shrunk = self.thin_svd_formula(m, tau)
+        scale = np.linalg.svd(m, compute_uv=False)[0]
+        assert out.shape == m.shape and out.flags.c_contiguous
+        assert np.abs(out - expected).max() <= 1e-13 * scale
+        assert spectrum.shape == shrunk.shape
+        np.testing.assert_allclose(spectrum, shrunk, rtol=0, atol=1e-13 * scale)
+        return out, spectrum
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("kept", ["none", "some", "all"])
+    def test_matches_thin_svd_formula(self, shape, kept):
+        # k = 0 with the threshold above the largest singular value, k = n
+        # with a threshold of 1e-12, and a threshold at half the largest.
+        rng = np.random.default_rng(31)
+        m = rng.normal(size=shape)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        tau = {"none": 1.5 * sigma[0], "some": 0.5 * sigma[0], "all": 1e-12}[kept]
+        _, spectrum = self.assert_matches_formula(m, tau)
+        k = np.count_nonzero(spectrum)
+        if kept == "none":
+            assert k == 0
+        elif kept == "all":
+            assert k == spectrum.size
+        else:
+            assert k >= 1
+
+    @pytest.mark.parametrize("shape", [(6, 20), (20, 6), (6, 6)],
+                             ids=["wide", "tall", "square"])
+    def test_matches_formula_across_a_wide_spectrum(self, shape):
+        # Singular values 1e-12, 1e-9, ..., 1e3; the threshold keeps the
+        # top three.
+        rng = np.random.default_rng(37)
+        rows, cols = shape
+        n = min(shape)
+        u, _ = np.linalg.qr(rng.normal(size=(rows, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(cols, n)))
+        m = (u * np.logspace(3, -12, n)) @ v.T
+        _, spectrum = self.assert_matches_formula(m, 3e-5)
+        assert np.count_nonzero(spectrum) == 3
+
+    def test_zero_matrix_thresholds_to_zero(self):
+        out, spectrum = svt_with_spectrum(np.zeros((3, 8)), 0.5)
+        np.testing.assert_array_equal(out, np.zeros((3, 8)))
+        np.testing.assert_array_equal(spectrum, np.zeros(3))
+        assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dormqr"])
+    def test_lapack_failure_is_numerical_error(self, monkeypatch, routine):
+        original = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args, **kwargs):
+            return (*original(*args, **kwargs)[:-1], -1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        with pytest.raises(NumericalError, match=routine):
+            svt(np.random.default_rng(3).normal(size=(4, 9)), 0.1)
+
     def test_zero_threshold_takes_no_svd(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("SVD taken at a zero threshold")
@@ -347,6 +415,39 @@ class TestSymmetricOperandSylvester:
         for left in (GramOperand(coefficient_factor(rng, 3, 12), 1e-10),
                      SymmetricOperand(random_spd(rng, 12))):
             assert_close(solve_sylvester(left, sparse, q), solve_sylvester(left, dense, q))
+
+    @pytest.mark.parametrize("storage", ["stack", "dense", "sparse"])
+    def test_scaled_operand_equals_a_fresh_factorization(self, storage):
+        # The shape step's camera operand R^T R / beta + I, derived from the
+        # factored R^T R, against SymmetricOperand of that matrix: the same
+        # matrix, eigenvalues and eigen-reconstruction, and the same solve.
+        rng = np.random.default_rng(41)
+        blocks = _smooth_random_camera(rng, 5).blocks
+        gram = np.einsum("fji,fjk->fik", blocks, blocks)
+        if storage != "stack":
+            gram = scipy.linalg.block_diag(*gram)
+        stored = scipy.sparse.csr_array(gram) if storage == "sparse" else gram
+        beta = 0.37
+        derived = SymmetricOperand(stored).scaled(1.0 / beta, 1.0)
+        fresh = SymmetricOperand(gram / beta + np.eye(3 if storage == "stack" else 15))
+        assert derived.shape == fresh.shape == (15, 15)
+        matrix = derived.matrix.toarray() if storage == "sparse" else derived.matrix
+        np.testing.assert_allclose(matrix, fresh.matrix, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(derived.eigenvalues, fresh.eigenvalues, rtol=1e-14, atol=0)
+        x = rng.normal(size=(15, 4))
+        vectors = derived.eigenvectors
+        left = mbnrsfm.linalg._left
+        rotated = left(vectors.swapaxes(-1, -2), x) * derived.eigenvalues[:, None]
+        np.testing.assert_allclose(left(vectors, rotated), left(fresh, x), rtol=0, atol=1e-12)
+        right = SymmetricOperand(random_spd(rng, 4))
+        np.testing.assert_allclose(solve_sylvester(derived, right, x),
+                                   solve_sylvester(fresh, right, x), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale,shift", [(0.0, 1.0), (-1.0, 1.0), (np.inf, 1.0),
+                                             (1.0, np.nan)])
+    def test_scaled_rejects_bad_factors(self, scale, shift):
+        with pytest.raises(ValueError):
+            SymmetricOperand(np.eye(3)).scaled(scale, shift)
 
     @pytest.mark.parametrize("matrix", [
         scipy.sparse.csr_array(np.ones((2, 3))),
