@@ -21,13 +21,14 @@ residuals (their max-abs values) go to the trace, and dual ascent moves each
 multiplier by beta times its own gap. The trace's objective takes its
 nuclear norm from the low-rank step: the singular values that SVT
 thresholded are the spectrum of the new low-rank copy, so each sweep takes
-one SVD, and none when ``lambda2`` is 0.
+one partial SVD, and none when ``lambda2`` is 0.
 
-The low-rank step's SVT goes through a QR of the tall side
-(``linalg.svt_with_spectrum``): the F x 3P target's transpose is
-QR-factored, only the min(F, 3P)-square triangle is decomposed, and the
-orthogonal factor is applied only to the singular vectors the threshold
-keeps.
+That partial SVD forms only the singular triplets the threshold keeps
+(``linalg.svt_with_spectrum``): one LAPACK ``dsyevr`` call returns the
+eigenpairs of the min(F, 3P)-square Gram of the F x 3P target above the
+squared threshold, and the result is assembled from those alone. Past
+``linalg.SVT_GRAM_MAX_RATIO``, where squaring the target would cost too
+many digits, the thin SVD runs instead; no benchmark sweep gets there.
 
 Both Sylvester equations have symmetric operands. Inside the loop a P x P
 matrix is eigendecomposed only in grid mode with 3F+1 >= P (see below).

@@ -1,11 +1,13 @@
 """Dense linear-algebra kernels used by every solver step.
 
-Decompositions are delegated to LAPACK through numpy and scipy. The SVD
-inside ``svt_with_spectrum`` (which ``svt`` wraps) is Chan's R-SVD: a
-Householder QR of the tall orientation of the input (``dgeqrf``), one
-``numpy.linalg.svd`` of the small square triangle, and the reflections
-applied (``dormqr``) only to the singular vectors that survive the
-threshold. Symmetric eigendecompositions go through ``numpy.linalg.eigh``;
+Decompositions are delegated to LAPACK through numpy and scipy.
+``svt_with_spectrum`` (which ``svt`` wraps) takes only the singular
+triplets that survive its threshold: one partial eigendecomposition
+(``dsyevr``) of the n x n Gram of the input's short side, restricted to
+eigenvalues above the squared threshold. Where squaring would cost too many
+digits (n * sigma_1 / tau above ``SVT_GRAM_MAX_RATIO``) it takes the thin
+``numpy.linalg.svd`` instead. Symmetric eigendecompositions of operands go
+through ``numpy.linalg.eigh``;
 a ``SymmetricOperand`` can derive a scaled and shifted copy of itself from
 its stored eigenpairs without another one. Cholesky factors come from
 ``scipy.linalg.cho_factor``.
@@ -57,6 +59,14 @@ SINGULAR_PENCIL_TOL = 1e-12
 SHIFT_CLUSTER_RTOL = 1e-3
 # Refinement sweeps a shifted-Cholesky solve may take to meet the bound.
 MAX_REFINEMENT_SWEEPS = 3
+# The SVT takes its singular triplets from the Gram of the input's short
+# side (n rows) only while n * sigma_1 / tau stays at or below this. That
+# route's error grows like n * eps * sigma_1 / tau relative to sigma_1, so
+# the bound keeps it under about 2.2e-11 * sigma_1; above it the thin SVD
+# runs instead.
+SVT_GRAM_MAX_RATIO = 1e5
+# Squared thresholds below this could lose digits to underflow in the Gram.
+_GRAM_SAFE_MIN = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -93,10 +103,13 @@ def svt(m, tau: float) -> np.ndarray:
 
     Returns the unique minimizer of ``tau * ||X||_* + 0.5 * ||X - m||_F^2``,
     which for the thin SVD ``m = u @ diag(sigma) @ vh`` is
-    ``u @ diag(soft_threshold(sigma, tau)) @ vh`` (``svt_with_spectrum``
-    says how it is computed). A zero threshold is the identity and skips
-    the decomposition. Non-finite input raises ValueError; an SVD that does
-    not converge, or any other LAPACK failure, raises NumericalError.
+    ``u @ diag(soft_threshold(sigma, tau)) @ vh``. ``svt_with_spectrum``
+    says how it is computed, and bounds the error of its usual route by
+    about ``n * eps * sigma_1 / tau`` relative to sigma_1 (n the shorter
+    side), at most ``SVT_GRAM_MAX_RATIO * eps``. A zero threshold is the
+    identity and skips the decomposition. Non-finite input raises
+    ValueError; a decomposition that does not converge, or any other LAPACK
+    failure, raises NumericalError.
     """
     return svt_with_spectrum(m, tau)[0]
 
@@ -105,44 +118,63 @@ def svt_with_spectrum(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
     """``svt`` plus the thresholded singular values it scaled ``u`` by.
 
     Those values are the spectrum of the returned matrix, so its nuclear
-    norm is their sum and needs no second SVD. With a zero threshold no
-    SVD is taken and the spectrum is None.
+    norm is their sum and needs no second SVD. The spectrum has the n
+    entries of the thin SVD (n = min of the two sides), in descending
+    order, zero past the k kept ones. With a zero threshold nothing is
+    decomposed and the spectrum is None.
 
-    The SVD goes through a QR of the tall side (Chan's R-SVD): the
-    orientation ``t`` of ``m`` with at least as many rows as columns is
-    factored as ``t = Q R`` by Householder reflections (LAPACK ``dgeqrf``),
-    only the n x n triangle ``R = u sigma vh`` (n = min of the two sides)
-    goes to ``np.linalg.svd``, and the reflections are applied (``dormqr``)
-    only to the k columns of ``u`` whose thresholded value is positive.
-    The result is ``(Q u_k) diag(shrunk_k) vh_k``, transposed back when
-    ``m`` is wide, returned C-ordered; with k = 0 it is the zero matrix.
+    Only the k kept triplets are formed. ``s`` is the orientation of ``m``
+    with n rows, and one LAPACK ``dsyevr`` call returns the eigenpairs of
+    its Gram ``s s^T`` above ``tau^2``: ``u_k diag(sigma_k^2) u_k^T``. The
+    result is ``u_k diag(1 - tau / sigma_k) (u_k^T s)``, transposed back
+    when ``m`` is tall and returned C-ordered; with k = 0 it is the zero
+    matrix.
+
+    Squaring ``m`` makes the error of that route grow like
+    ``n * eps * sigma_1 / tau`` relative to sigma_1, where sigma_1^2 is the
+    largest eigenvalue the same call returns. So it is used only while
+    ``n * sigma_1 / tau <= SVT_GRAM_MAX_RATIO``, which bounds that error
+    by about 2.2e-11 * sigma_1, and while ``tau^2`` and the Gram are finite
+    and far from underflow. Otherwise the result is the thin-SVD formula
+    above, from ``np.linalg.svd`` of ``m``.
     """
     mat = as_matrix(m, "svt input")
     if tau == 0:
         return mat.copy(), None
-    wide = mat.shape[0] < mat.shape[1]
-    tall = mat.T if wide else mat
-    rows, n = tall.shape
-    lapack = scipy.linalg.lapack
-    qr, reflectors, _, info = lapack.dgeqrf(tall)
-    _check_lapack("dgeqrf", info, tall.shape)
+    tall = mat.shape[0] > mat.shape[1]
+    short = mat.T if tall else mat
+    n = short.shape[0]
+    with np.errstate(over="ignore"):
+        gram = short @ short.T
+    tau_sq = float(tau) * float(tau)
+    if not (_GRAM_SAFE_MIN < tau_sq and np.isfinite(np.trace(gram))):
+        return _svt_thin_svd(mat, tau)
+    values, vectors, k, _, info = scipy.linalg.lapack.dsyevr(
+        gram, range="V", vl=tau_sq, vu=np.inf, overwrite_a=1)
+    _check_lapack("dsyevr", info, gram.shape)
+    # dsyevr returns the kept eigenvalues in ascending order; the spectrum
+    # and the returned vectors lead with the largest.
+    sigma = np.sqrt(values[:k][::-1])
+    if k and n * sigma[0] > SVT_GRAM_MAX_RATIO * tau:
+        return _svt_thin_svd(mat, tau)
+    shrunk = np.zeros(n)
+    shrunk[:k] = soft_threshold(sigma, tau)
+    u = vectors[:, :k][:, ::-1]
+    scaled = u * (shrunk[:k] / sigma)
+    if tall:
+        return (short.T @ u) @ scaled.T, shrunk
+    return scaled @ (u.T @ short), shrunk
+
+
+def _svt_thin_svd(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """``svt_with_spectrum`` by the thin SVD of ``mat``, for a large sigma_1 / tau."""
     try:
-        u, sigma, vh = np.linalg.svd(np.triu(qr[:n]), full_matrices=False)
+        u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge on a {mat.shape} matrix") from exc
     shrunk = soft_threshold(sigma, tau)
-    # Singular values come in descending order, so the kept ones lead.
     k = int(np.count_nonzero(shrunk))
-    kept = np.zeros((rows, k), order="F")
-    kept[:n] = u[:, :k] * shrunk[:k]
-    _, work, info = lapack.dormqr(b"L", b"N", qr, reflectors, kept, -1)
-    _check_lapack("dormqr workspace query", info, tall.shape)
-    left, _, info = lapack.dormqr(b"L", b"N", qr, reflectors, kept, int(work[0]),
-                                  overwrite_c=1)
-    _check_lapack("dormqr", info, tall.shape)
-    if wide:
-        return vh[:k].T @ left.T, shrunk
-    return left @ vh[:k], shrunk
+    return (u[:, :k] * shrunk[:k]) @ vh[:k], shrunk
 
 
 def _check_lapack(routine: str, info: int, shape) -> None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from mbnrsfm.admm import (
 from mbnrsfm.clustering import build_affinity, spectral_cluster
 import mbnrsfm.linalg
 from mbnrsfm.linalg import (
+    SVT_GRAM_MAX_RATIO,
     CholeskyOperand,
     GramOperand,
     IdentityOperand,
@@ -42,6 +44,7 @@ from mbnrsfm.scene import (
     to_point_columns,
 )
 from mbnrsfm.synth import (
+    DEFAULT_TWO_BODY_SEED,
     assemble_body,
     default_two_body,
     generate_scene,
@@ -571,15 +574,20 @@ def eigenbasis_sweep(w, camera, merged, cfg):
 
 @pytest.fixture
 def eigh_inputs(monkeypatch):
-    """The shape of every numpy.linalg.eigh input, linalg._eigh's included."""
+    """The shape of every symmetric eigendecomposition input, in call order.
+
+    Recorded from numpy.linalg.eigh (linalg._eigh's included), from
+    scipy.linalg.eigh, and from scipy's LAPACK dsyevr, which the SVT calls
+    on the n x n Gram of its target's short side.
+    """
     shapes = []
-    original = np.linalg.eigh
+    for owner, name in [(np.linalg, "eigh"), (scipy.linalg, "eigh"),
+                        (scipy.linalg.lapack, "dsyevr")]:
+        def recording(mat, *args, _original=getattr(owner, name), **kwargs):
+            shapes.append(np.shape(mat))
+            return _original(mat, *args, **kwargs)
 
-    def recording(mat, *args, **kwargs):
-        shapes.append(np.shape(mat))
-        return original(mat, *args, **kwargs)
-
-    monkeypatch.setattr(mbnrsfm.linalg.np.linalg, "eigh", recording)
+        monkeypatch.setattr(owner, name, recording)
     return shapes
 
 
@@ -615,13 +623,14 @@ class TestWideScenes:
         )
 
     def test_no_points_by_points_eigh_inside_the_loop(self, eigh_inputs):
-        # Per iteration only the (3F+1)-square Gram of [S; 1^T] is
-        # eigendecomposed; the constant P x P D D^T and the F 3 x 3 camera
-        # blocks are factored once per solve, in set-up.
+        # Per iteration only the F x F Gram of the SVT target and the
+        # (3F+1)-square Gram of [S; 1^T] are eigendecomposed; the constant
+        # P x P D D^T and the F 3 x 3 camera blocks are factored once per
+        # solve, in set-up.
         scene, neighbors = self.scene("grid")
         _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=9))
         assert len(trace) == 9
-        assert eigh_inputs == [(12, 12), (3, 3, 3)] + [(10, 10)] * 9
+        assert eigh_inputs == [(12, 12), (3, 3, 3)] + [(3, 3), (10, 10)] * 9
 
 
 class TestSolverConfig:
@@ -994,14 +1003,15 @@ class TestSolve:
     def test_sparse_mode_eigendecomposes_no_points_square_matrix(
             self, eigh_inputs, frames, per_body):
         # Every eigh input of a sparse solve: the F camera blocks once, in
-        # set-up, and per sweep with 3F + 1 < P the (3F+1)-square Gram of
-        # [S; 1^T]. Neither the identity merged Gram nor a formed P x P left
-        # operand is eigendecomposed.
+        # set-up, and per sweep the F x F Gram of the SVT target and, with
+        # 3F + 1 < P, the (3F+1)-square Gram of [S; 1^T]. Neither the
+        # identity merged Gram nor a formed P x P left operand is
+        # eigendecomposed.
         scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
         points = scene.w.shape[1]
         _, _, trace = solve(scene.w, scene.camera, None, SolverConfig(max_iters=5))
         assert len(trace) == 5
-        per_sweep = []
+        per_sweep = [(frames, frames)]
         if 3 * frames + 1 < points:
             per_sweep.append((3 * frames + 1, 3 * frames + 1))
         assert eigh_inputs == [(frames, 3, 3)] + per_sweep * 5
@@ -1010,13 +1020,14 @@ class TestSolve:
     def test_grid_mode_with_a_formed_left_operand_eigendecomposes_it_every_sweep(
             self, eigh_inputs):
         # With 3F + 1 >= P the coefficient step forms M^T M + eps I and
-        # eigendecomposes it against the grid Gram each sweep; the module
-        # docstring says why no shifted Cholesky factor replaces it.
+        # eigendecomposes it against the grid Gram each sweep, after the
+        # SVT's F x F Gram; the module docstring says why no shifted
+        # Cholesky factor replaces it.
         scene = generate_scene(default_two_body(frames=6, points_per_body=6))
         _, _, trace = solve(scene.w, scene.camera, build_neighbor_matrix(3, 4),
                             SolverConfig(max_iters=5))
         assert len(trace) == 5
-        assert eigh_inputs == [(12, 12), (6, 3, 3)] + [(12, 12)] * 5
+        assert eigh_inputs == [(12, 12), (6, 3, 3)] + [(6, 6), (12, 12)] * 5
 
     def test_sparse_mode_builds_no_identity_matrix(self, monkeypatch):
         # The merged operator of sparse mode is held as None: no step builds
@@ -1079,22 +1090,48 @@ class TestSolve:
     @pytest.mark.parametrize("grid", [False, True], ids=["sparse", "grid"])
     def test_one_svd_per_sweep(self, monkeypatch, grid, lambda2):
         # The objective's nuclear norm is the spectrum the low-rank step
-        # thresholded, so that step's SVD is the only one in a sweep; it
-        # decomposes the F x F triangle of the QR of the F x 3P target's
-        # transpose. With no nuclear weight nothing takes an SVD.
-        shapes = []
-        original = np.linalg.svd
+        # thresholded, so that step's partial SVD is the only one in a
+        # sweep: one dsyevr of the F x F Gram of the F x 3P target, and no
+        # full SVD or QR. With no nuclear weight nothing is decomposed.
+        calls = []
+        for owner, name in [(np.linalg, "svd"), (scipy.linalg.lapack, "dsyevr"),
+                            (scipy.linalg.lapack, "dgeqrf"), (scipy.linalg.lapack, "dormqr")]:
+            def recording(mat, *args, _original=getattr(owner, name), _name=name, **kwargs):
+                calls.append((_name, np.shape(mat)))
+                return _original(mat, *args, **kwargs)
 
-        def recording(mat, *args, **kwargs):
-            shapes.append(np.shape(mat))
-            return original(mat, *args, **kwargs)
-
-        monkeypatch.setattr(mbnrsfm.linalg.np.linalg, "svd", recording)
+            monkeypatch.setattr(owner, name, recording)
         scene, neighbors = self.grid_scene()
         _, _, trace = solve(scene.w, scene.camera, neighbors if grid else None,
                             SolverConfig(lambda1=1e-2, lambda2=lambda2))
         assert trace.converged and len(trace) > 1
-        assert shapes == ([] if lambda2 == 0 else [(8, 8)] * len(trace))
+        assert calls == ([] if lambda2 == 0 else [("dsyevr", (8, 8))] * len(trace))
+
+    @pytest.mark.parametrize("seed,frames,per_body", [(1, 30, 30),
+                                                      (DEFAULT_TWO_BODY_SEED, 120, 60)],
+                             ids=["two_body_seed1", "120_frames"])
+    def test_low_rank_step_stays_on_the_gram_route(self, monkeypatch, seed, frames, per_body):
+        # Two default-config scenes of the benchmark: the 30-frame two-body
+        # scene whose last sweeps come closest to the guard (n sigma_1 / tau
+        # reaches about 5.8e4, growing with beta), and the 120-frame one.
+        # No sweep falls back to the thin SVD or takes a QR.
+        scene = generate_scene(default_two_body(seed=seed, frames=frames,
+                                                points_per_body=per_body))
+        ratios = []
+        original = mbnrsfm.admm.svt_with_spectrum
+
+        def recording(m, tau):
+            ratios.append(min(m.shape) * np.linalg.svd(m, compute_uv=False)[0] / tau)
+            with monkeypatch.context() as patch:
+                for owner, name in [(np.linalg, "svd"), (scipy.linalg.lapack, "dgeqrf"),
+                                    (scipy.linalg.lapack, "dormqr")]:
+                    patch.setattr(owner, name, None)
+                return original(m, tau)
+
+        monkeypatch.setattr(mbnrsfm.admm, "svt_with_spectrum", recording)
+        _, _, trace = solve(scene.w, scene.camera, None, SolverConfig())
+        assert trace.converged and len(ratios) == len(trace)
+        assert max(ratios) < SVT_GRAM_MAX_RATIO
 
     @pytest.mark.parametrize("lambda2", [None, 0.0], ids=["default", "zero"])
     def test_recorded_objective_matches_svd_reference(self, monkeypatch, lambda2):

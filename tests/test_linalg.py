@@ -11,6 +11,7 @@ import mbnrsfm.linalg
 from mbnrsfm.admm import COEFF_STABILIZER, solve_coeff_subproblem
 from mbnrsfm.errors import NumericalError, SingularPencilError
 from mbnrsfm.linalg import (
+    SVT_GRAM_MAX_RATIO,
     SYLVESTER_RTOL,
     CholeskyOperand,
     GramOperand,
@@ -84,12 +85,14 @@ class TestSvt:
             svt(np.array([[1.0, np.nan], [0.0, 1.0]]), tau)
 
     def test_svd_failure_is_numerical_error(self, monkeypatch):
+        # n * sigma_1 / tau = 6 * SVT_GRAM_MAX_RATIO sends this input to the
+        # thin SVD.
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NumericalError):
-            svt(np.eye(3), 0.5)
+            svt(np.diag([2 * SVT_GRAM_MAX_RATIO, 2.0, 0.5]), 1.0)
 
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(2)
@@ -197,22 +200,78 @@ class TestSvt:
         np.testing.assert_array_equal(spectrum, np.zeros(3))
         assert out.flags.c_contiguous
 
-    @pytest.mark.parametrize("routine", ["dgeqrf", "dormqr"])
-    def test_lapack_failure_is_numerical_error(self, monkeypatch, routine):
-        original = getattr(scipy.linalg.lapack, routine)
+    @pytest.mark.parametrize("info", [-1, 1], ids=["illegal-argument", "no-convergence"])
+    @pytest.mark.parametrize("shape", [(4, 9), (9, 4)], ids=["wide", "tall"])
+    def test_eigensolver_failure_is_numerical_error(self, monkeypatch, shape, info):
+        # dsyevr reports an illegal argument by a negative info and an
+        # internal failure by a positive one.
+        original = scipy.linalg.lapack.dsyevr
 
         def failing(*args, **kwargs):
-            return (*original(*args, **kwargs)[:-1], -1)
+            return (*original(*args, **kwargs)[:-1], info)
 
-        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
-        with pytest.raises(NumericalError, match=routine):
-            svt(np.random.default_rng(3).normal(size=(4, 9)), 0.1)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
+        with pytest.raises(NumericalError, match="dsyevr"):
+            svt(np.random.default_rng(3).normal(size=shape), 0.1)
+
+    def routines(self, monkeypatch, m, tau):
+        """The decompositions one svt_with_spectrum call takes, in order."""
+        called = []
+        with monkeypatch.context() as patch:
+            for owner, name in [(np.linalg, "svd"), (scipy.linalg.lapack, "dsyevr")]:
+                def recording(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                    called.append(_name)
+                    return _original(*args, **kwargs)
+
+                patch.setattr(owner, name, recording)
+            svt_with_spectrum(m, tau)
+        return called
+
+    @staticmethod
+    def clustered_at_threshold(ratio):
+        """A 120 x 360 matrix with n * sigma_1 / tau = ratio at tau = 1.
+
+        Below sigma_1, five singular values sit just above the threshold,
+        in a cluster 1e-3 wide, and the other 114 are spread below it.
+        """
+        rng = np.random.default_rng(41)
+        n, cols = 120, 360
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(cols, n)))
+        sigma = np.concatenate([[ratio / n], 1.0 + np.linspace(1e-3, 1e-6, 5),
+                                np.linspace(1.0 - 1e-6, 1e-3, n - 6)])
+        return (u * sigma) @ v.T
+
+    @pytest.mark.parametrize("margin", [-1e-3, 1e-3], ids=["inside", "outside"])
+    def test_guard_routes_an_adversarial_spectrum(self, monkeypatch, margin):
+        # The Gram route's error peaks when kept singular values sit just
+        # above the threshold, so the cluster at tau is its worst case. Just
+        # inside the guard it still meets the formula's 1e-13 * sigma_1;
+        # just outside, the thin SVD runs after the one eigensolve that
+        # found sigma_1.
+        m = self.clustered_at_threshold(SVT_GRAM_MAX_RATIO * (1.0 + margin))
+        inside = margin < 0
+        expected = ["dsyevr"] if inside else ["dsyevr", "svd"]
+        assert self.routines(monkeypatch, m, 1.0) == expected
+        _, spectrum = self.assert_matches_formula(m, 1.0)
+        assert np.count_nonzero(spectrum) == 6
+
+    @pytest.mark.parametrize("tau", [1e-160, 1e160], ids=["underflow", "overflow"])
+    def test_gram_out_of_range_takes_the_thin_svd(self, monkeypatch, tau):
+        # tau^2 underflows, or the Gram overflows: squaring would lose the
+        # answer, so no eigensolve runs. sigma_1 / tau = 4 either way.
+        m = np.diag([4.0 * tau, 2.0 * tau, 0.5 * tau])
+        assert self.routines(monkeypatch, m, tau) == ["svd"]
+        out, spectrum = svt_with_spectrum(m, tau)
+        np.testing.assert_allclose(out, np.diag([3.0 * tau, tau, 0.0]), rtol=1e-15)
+        np.testing.assert_allclose(spectrum, [3.0 * tau, tau, 0.0], rtol=1e-15)
 
     def test_zero_threshold_takes_no_svd(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("SVD taken at a zero threshold")
+            raise AssertionError("decomposition taken at a zero threshold")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", fail)
         m = np.arange(6.0).reshape(2, 3)
         out, spectrum = svt_with_spectrum(m, 0.0)
         np.testing.assert_array_equal(out, m)
