@@ -18,7 +18,9 @@ residuals fall below ``epsilon`` in the elementwise max norm.
 The four constraint gaps are written out once, in ``constraint_gaps``, and
 ``solve`` evaluates them once per sweep, after the coefficient step; the
 residuals (their max-abs values) go to the trace, and dual ascent moves each
-multiplier by beta times its own gap. The trace's objective takes its
+multiplier by beta times its own gap. The steps reshuffle between the
+F x 3P and 3F x P layouts by reshape views; the copying, validating
+``scene.to_frame_rows`` runs in set-up only. The trace's objective takes its
 nuclear norm from the low-rank step: the singular values that SVT
 thresholded are the spectrum of the new low-rank copy, so each sweep takes
 one partial SVD, and none when ``lambda2`` is 0.
@@ -105,7 +107,6 @@ from .scene import (
     ShapeState,
     project,
     to_frame_rows,
-    to_point_columns,
     validate_measurements,
     validate_shapes,
 )
@@ -384,8 +385,8 @@ def update_shapes(
     right = CholeskyOperand(ic @ ic.T)
     rhs = (
         backprojected / beta
-        + to_point_columns(state.lowrank)
-        + to_point_columns(state.duals.y_reshuffle) / beta
+        + state.lowrank.reshape(backprojected.shape)
+        + state.duals.y_reshuffle.reshape(backprojected.shape) / beta
         - (state.duals.y_selfexpr / beta) @ ic.T
     )
     return solve_sylvester(left, right, rhs)
@@ -404,7 +405,7 @@ def update_lowrank(
     frames = state.lowrank.shape[0]
     points = state.coeffs.shape[0]
     lam2 = config.nuclear_weight(frames, points)
-    target = to_frame_rows(state.shapes) - state.duals.y_reshuffle / beta
+    target = state.shapes.reshape(frames, 3 * points) - state.duals.y_reshuffle / beta
     return svt_with_spectrum(target, lam2 / beta)
 
 
@@ -514,7 +515,7 @@ def update_coefficients(
 def constraint_gaps(state: AdmmState, merged: Merged) -> tuple:
     """The four constraint gaps, in ``DualState.multipliers`` order."""
     return (
-        state.lowrank - to_frame_rows(state.shapes),
+        state.lowrank - state.shapes.reshape(state.lowrank.shape),
         state.shapes - state.shapes @ state.coeffs,
         _times_merged(state.coeffs, merged) - state.slack,
         state.coeffs.sum(axis=0) - 1.0,
@@ -523,7 +524,9 @@ def constraint_gaps(state: AdmmState, merged: Merged) -> tuple:
 
 def constraint_residuals(gaps: tuple) -> tuple:
     """The four constraint violations in the elementwise max norm."""
-    return tuple(np.abs(gap).max() for gap in gaps)
+    # The same value as np.abs(gap).max() without its temporary; abs() turns
+    # an all-zero gap's possible -0.0 into 0.0.
+    return tuple(abs(max(gap.max(), -gap.min())) for gap in gaps)
 
 
 def update_duals(duals: DualState, gaps: tuple, config: SolverConfig) -> DualState:

@@ -9,8 +9,8 @@ digits (n * sigma_1 / tau above ``SVT_GRAM_MAX_RATIO``) it takes the thin
 ``numpy.linalg.svd`` instead. Symmetric eigendecompositions of operands go
 through ``numpy.linalg.eigh``;
 a ``SymmetricOperand`` can derive a scaled and shifted copy of itself from
-its stored eigenpairs without another one. Cholesky factors come from
-``scipy.linalg.cho_factor``.
+its stored eigenpairs without another one. Cholesky factors and their
+solves call LAPACK ``dpotrf`` and ``dpotrs`` directly, with no scipy wrapper.
 The solver's two Sylvester equations have symmetric operands, and
 ``solve_sylvester`` picks its method from the operand types:
 
@@ -167,13 +167,17 @@ def svt_with_spectrum(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _svt_thin_svd(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """``svt_with_spectrum`` by the thin SVD of ``mat``, for a large sigma_1 / tau."""
+    """``svt_with_spectrum`` by the thin SVD of ``mat``, for a large sigma_1 / tau.
+    A wide ``mat`` is decomposed as its tall transpose; the result is C-ordered."""
+    wide = mat.shape[0] < mat.shape[1]
     try:
-        u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
+        u, sigma, vh = np.linalg.svd(mat.T if wide else mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge on a {mat.shape} matrix") from exc
     shrunk = soft_threshold(sigma, tau)
     k = int(np.count_nonzero(shrunk))
+    if wide:
+        return vh[:k].T @ (u[:, :k] * shrunk[:k]).T, shrunk
     return (u[:, :k] * shrunk[:k]) @ vh[:k], shrunk
 
 
@@ -540,8 +544,7 @@ def _solve_shifted_cholesky(a: SymmetricOperand, b: CholeskyOperand, q) -> np.nd
         rotated = _left(u.swapaxes(-1, -2), r)
         out = np.empty_like(rotated)
         for rows, factor in factors:
-            out[rows] = scipy.linalg.cho_solve(factor, rotated[rows].T, overwrite_b=True,
-                                               check_finite=False).T
+            out[rows] = _cholesky_solve(factor, rotated[rows].T, overwrite_b=1).T
         return _left(u, out)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -555,21 +558,29 @@ def _solve_plus_identity(a: CholeskyOperand, b: IdentityOperand, q) -> np.ndarra
     eigenvalues = _spectra(a, b)
     factor = _shifted_cholesky(a, 1.0, "left", eigenvalues)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = scipy.linalg.cho_solve(factor, q, check_finite=False)
+        x = _cholesky_solve(factor, q)
     return _verified(a, b, q, x, eigenvalues)
 
 
 def _shifted_cholesky(op: CholeskyOperand, shift: float, side: str, eigenvalues):
-    """The Cholesky factor of ``op + shift I``; a failure is diagnosed and raised."""
-    shifted = op.matrix.copy()
+    """The lower Cholesky factor of ``op + shift I``, made in place in a Fortran-ordered
+    copy (its upper triangle is not cleaned); a failure is diagnosed and raised."""
+    shifted = np.array(op.matrix, order="F")
     shifted.flat[:: shifted.shape[0] + 1] += shift
-    try:
-        return scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True,
-                                       check_finite=False)
-    except np.linalg.LinAlgError:
+    factor, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
         _raise_sylvester_failure(
             eigenvalues, f"{side} operand shifted by {shift} is not positive definite"
         )
+    _check_lapack("dpotrf", info, shifted.shape)
+    return factor
+
+
+def _cholesky_solve(factor: np.ndarray, b: np.ndarray, overwrite_b: int = 0) -> np.ndarray:
+    """Solve ``l l^T x = b`` for the lower factor ``l`` from ``_shifted_cholesky``."""
+    x, info = scipy.linalg.lapack.dpotrs(factor, b, lower=1, overwrite_b=overwrite_b)
+    _check_lapack("dpotrs", info, factor.shape)
+    return x
 
 
 def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:

@@ -35,7 +35,9 @@ from mbnrsfm.linalg import (
     IdentityOperand,
     SymmetricOperand,
     solve_sylvester,
+    svt_with_spectrum,
 )
+import mbnrsfm.scene
 from mbnrsfm.metrics import reprojection_error, segmentation_error
 from mbnrsfm.scene import (
     build_neighbor_matrix,
@@ -128,6 +130,47 @@ class TestUpdateShapes:
              - (state.duals.y_selfexpr / beta) @ ic.T)
         direct = kron_solve(a, b, q)
         assert np.abs(out - direct).max() <= 1e-7 * (1 + np.abs(direct).max())
+
+
+class TestStepsMatchCopyingFormulas:
+    """The steps reshuffle by views; each equals, bit for bit, its documented
+    formula written with the copying, validating reshuffle helpers."""
+
+    def test_update_shapes(self):
+        _, camera, w, state = small_problem(seed=81, frames=5, points=7)
+        beta = state.duals.beta
+        ic = np.eye(7) - state.coeffs
+        rhs = (mbnrsfm.admm._backproject(w, camera) / beta
+               + to_point_columns(state.lowrank)
+               + to_point_columns(state.duals.y_reshuffle) / beta
+               - (state.duals.y_selfexpr / beta) @ ic.T)
+        left = mbnrsfm.admm._camera_gram(camera).scaled(1.0 / beta, 1.0)
+        expected = solve_sylvester(left, CholeskyOperand(ic @ ic.T), rhs)
+        assert np.array_equal(update_shapes(state, w, camera), expected)
+
+    def test_update_lowrank(self):
+        _, _, _, state = small_problem(seed=82, frames=5, points=7)
+        cfg = SolverConfig()
+        beta = state.duals.beta
+        target = to_frame_rows(state.shapes) - state.duals.y_reshuffle / beta
+        expected, expected_spectrum = svt_with_spectrum(target, cfg.nuclear_weight(5, 7) / beta)
+        out, spectrum = update_lowrank(state, cfg)
+        assert np.array_equal(out, expected) and np.array_equal(spectrum, expected_spectrum)
+
+    def test_constraint_gaps_and_residuals(self):
+        _, _, _, state = small_problem(seed=83, frames=5, points=7)
+        expected = (state.lowrank - to_frame_rows(state.shapes),
+                    state.shapes - state.shapes @ state.coeffs,
+                    state.coeffs - state.slack,
+                    state.coeffs.sum(axis=0) - 1.0)
+        gaps = constraint_gaps(state, None)
+        assert all(np.array_equal(g, e) for g, e in zip(gaps, expected, strict=True))
+        assert constraint_residuals(gaps) == tuple(np.abs(e).max() for e in expected)
+
+    def test_residual_of_a_zero_gap_is_positive_zero(self):
+        (residual,) = constraint_residuals((np.full((2, 3), -0.0),))
+        assert residual == 0.0 and not np.signbit(residual)
+        assert np.isnan(constraint_residuals((np.array([1.0, np.nan]),))[0])
 
 
 class TestUpdateLowrank:
@@ -1079,6 +1122,38 @@ class TestSolve:
         for g, (residual_gaps,), (_, dual_gaps) in zip(
                 gaps, seen["constraint_residuals"], seen["update_duals"]):
             assert residual_gaps is g and dual_gaps is g
+
+    @pytest.mark.parametrize("grid,frames", [(False, 8), (True, 8), (False, 3)],
+                             ids=["sparse", "grid", "sparse_woodbury"])
+    def test_sweep_calls_no_wrapper_or_copying_reshuffle(self, monkeypatch, grid, frames):
+        # Inside the loop the Cholesky factors go straight to LAPACK and the
+        # reshuffles are views, so scipy's cho_factor/cho_solve wrappers and
+        # the copying, validating reshuffle helpers run in set-up only: their
+        # counts are the same after 2 sweeps as after 6. dpotrf (the shape
+        # step) shows that the counting sees the sweep.
+        counts = {}
+        targets = [(scipy.linalg, "cho_factor"), (scipy.linalg, "cho_solve"),
+                   (scipy.linalg.lapack, "dpotrf")]
+        targets += [(module, name) for module in (mbnrsfm.scene, mbnrsfm.admm)
+                    for name in ("to_frame_rows", "to_point_columns") if hasattr(module, name)]
+        for owner, name in targets:
+            def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        scene, neighbors = self.grid_scene(frames=frames)
+        runs = []
+        for sweeps in (2, 6):
+            counts.clear()
+            _, _, trace = solve(scene.w, scene.camera, neighbors if grid else None,
+                                SolverConfig(epsilon=1e-300, max_iters=sweeps))
+            assert len(trace) == sweeps
+            runs.append(dict(counts))
+        short, long = runs
+        for name in ("cho_factor", "cho_solve", "to_frame_rows", "to_point_columns"):
+            assert short.get(name, 0) == long.get(name, 0), name
+        assert long["dpotrf"] > short["dpotrf"]
 
     def test_objective_fit_matches_block_diagonal_oracle(self):
         _, camera, w, state = small_problem(seed=61)

@@ -214,6 +214,27 @@ class TestSvt:
         with pytest.raises(NumericalError, match="dsyevr"):
             svt(np.random.default_rng(3).normal(size=shape), 0.1)
 
+    @pytest.mark.parametrize("shape", [(12, 36), (36, 12)], ids=["wide", "tall"])
+    def test_thin_svd_fallback_decomposes_the_tall_orientation(self, monkeypatch, shape):
+        # With the guard at zero every input that keeps a triplet falls back
+        # to the thin SVD. A wide input is handed to numpy as its tall
+        # transpose, which skips the slower wide path; the result still
+        # meets the formula and is C-ordered.
+        monkeypatch.setattr(mbnrsfm.linalg, "SVT_GRAM_MAX_RATIO", 0.0)
+        m = np.random.default_rng(43).normal(size=shape)
+        tau = 0.5 * np.linalg.svd(m, compute_uv=False)[0]
+        decomposed = []
+        with monkeypatch.context() as patch:
+            def recording(a, *args, _original=np.linalg.svd, **kwargs):
+                decomposed.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            patch.setattr(np.linalg, "svd", recording)
+            svt_with_spectrum(m, tau)
+        assert decomposed == [(36, 12)]
+        _, spectrum = self.assert_matches_formula(m, tau)
+        assert 0 < np.count_nonzero(spectrum) < spectrum.size
+
     def routines(self, monkeypatch, m, tau):
         """The decompositions one svt_with_spectrum call takes, in order."""
         called = []
@@ -757,13 +778,13 @@ class TestShiftedCholeskySylvester:
     @staticmethod
     def count_cholesky_solves(monkeypatch):
         calls = []
-        original = scipy.linalg.cho_solve
+        original = scipy.linalg.lapack.dpotrs
 
         def counting(*args, **kwargs):
             calls.append(np.shape(args[1]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mbnrsfm.linalg.scipy.linalg, "cho_solve", counting)
+        monkeypatch.setattr(mbnrsfm.linalg.scipy.linalg.lapack, "dpotrs", counting)
         return calls
 
     @pytest.mark.parametrize("beta,clusters,sweeps", [(1e-2, 2, 0), (1e6, 1, 1)])
@@ -811,6 +832,38 @@ class TestShiftedCholeskySylvester:
         with pytest.raises(SingularPencilError) as err:
             solve_sylvester(a, b, np.ones((6, 2)))
         assert "eigenvalue -2.0 of the left operand and 2.0" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["shifted", "plus_identity"])
+    @pytest.mark.parametrize("routine", ["dpotrf", "dpotrs"])
+    def test_illegal_lapack_argument_is_numerical_error(self, monkeypatch, routine, kind):
+        # The Cholesky paths call LAPACK directly; a negative info (an
+        # illegal argument) is raised as NumericalError naming the routine.
+        original = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args, **kwargs):
+            return original(*args, **kwargs)[0], -2
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        blocks, right, q = self.shape_problem(15, 1e-2, frames=3, points=5)
+        if kind == "shifted":
+            a, b = SymmetricOperand(blocks), CholeskyOperand(right)
+        else:
+            a, b, q = CholeskyOperand(right), IdentityOperand(5), q[:5]
+        with pytest.raises(NumericalError, match=f"LAPACK {routine} failed with info=-2"):
+            solve_sylvester(a, b, q)
+
+    @pytest.mark.parametrize("kind", ["shifted", "plus_identity"])
+    def test_indefinite_regular_pencil_is_numerical_error(self, kind):
+        # The shifted operand diag(-2, 3) is indefinite, so dpotrf stops with
+        # a positive info; no eigenvalue pair sums to zero, so the error is
+        # a NumericalError and not a SingularPencilError.
+        if kind == "shifted":
+            a, b = SymmetricOperand(np.eye(2)), CholeskyOperand(np.diag([-3.0, 2.0]))
+        else:
+            a, b = CholeskyOperand(np.diag([-3.0, 2.0])), IdentityOperand(2)
+        with pytest.raises(NumericalError, match="not positive definite") as err:
+            solve_sylvester(a, b, np.ones((2, 2)))
+        assert not isinstance(err.value, SingularPencilError)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rhs_raises_numerical_error(self, bad):
