@@ -105,7 +105,7 @@ from .scene import (
     CameraMotion,
     NeighborMatrix,
     ShapeState,
-    project,
+    _project_checked,
     to_frame_rows,
     validate_measurements,
     validate_shapes,
@@ -557,7 +557,8 @@ def objective_value(
     frames = state.lowrank.shape[0]
     points = state.coeffs.shape[0]
     lam2 = config.nuclear_weight(frames, points)
-    fit = 0.5 * np.linalg.norm(w - project(camera, state.shapes)) ** 2
+    # The sweep verified ``state.shapes`` already: project without re-checking.
+    fit = 0.5 * np.linalg.norm(w - _project_checked(camera, state.shapes)) ** 2
     sparsity = config.lambda1 * _weighted_sum(np.abs(state.slack), merged)
     if lam2 == 0:
         nuclear = 0.0

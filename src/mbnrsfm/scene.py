@@ -143,6 +143,12 @@ def project(camera: CameraMotion, shapes) -> np.ndarray:
         raise ValueError(
             f"camera has {camera.frames} frames but shapes have {frames}"
         )
+    return _project_checked(camera, mat)
+
+
+def _project_checked(camera: CameraMotion, mat: np.ndarray) -> np.ndarray:
+    """``project`` of a float64 3F x P stack already checked against ``camera``."""
+    frames = camera.frames
     per_frame = mat.reshape(frames, 3, mat.shape[1])
     w = np.einsum("fij,fjp->fip", camera.blocks, per_frame)
     return w.reshape(2 * frames, mat.shape[1])

@@ -91,17 +91,43 @@ class TestSegmentationError:
         assert segmentation_error(a, b) == segmentation_error(b, a)
 
     def test_matches_brute_force_over_permutations(self):
-        # Independent oracle: count mismatches directly for every relabeling,
-        # with no confusion matrix involved.
+        # Two independent oracles. Where k is small enough to enumerate, count
+        # mismatches directly for every relabeling, with no confusion matrix
+        # involved. Everywhere, solve the assignment on the raw-id confusion
+        # matrix with scipy.optimize, which the package itself never imports.
+        from scipy.optimize import linear_sum_assignment
+
         rng = np.random.default_rng(8)
-        for k in (2, 3, 4, 6):
-            est = rng.integers(0, k, size=30)
-            gt = rng.integers(0, k, size=30)
-            best = min(
-                int(np.sum(np.array([perm[e] for e in est]) != gt))
-                for perm in permutations(range(k))
-            )
-            assert segmentation_error(est, gt) == pytest.approx(best / 30)
+
+        def draw(k_est, k_gt, n):
+            return rng.integers(0, k_est, size=n), rng.integers(0, k_gt, size=n)
+
+        cases = [draw(k, k, 30) for k in (2, 3, 4, 6)]
+        # k from 5 to 12, past where permutations can be enumerated.
+        cases += [draw(k, k, n) for k in range(5, 13) for n in (k, 40, 150)]
+        # Ties: few points over several ids repeat confusion entries.
+        cases += [draw(4, 4, 8) for _ in range(20)]
+        cases.append((np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])))
+        cases.append((np.repeat([0, 1, 2], 4), np.tile([0, 1, 2], 4)))
+        # More estimated clusters than ground-truth ones, and fewer.
+        cases += [draw(5, 2, 50), draw(9, 3, 60), draw(2, 5, 50), draw(3, 9, 60)]
+        # A single cluster on either side, or on both.
+        one = np.zeros(7, dtype=int)
+        cases += [(one, one), (one, rng.integers(0, 3, size=7)), (rng.integers(0, 3, size=7), one)]
+        for est, gt in cases:
+            n = est.size
+            k = int(max(est.max(), gt.max())) + 1
+            confusion = np.zeros((k, k), dtype=np.int64)
+            np.add.at(confusion, (est, gt), 1)
+            rows, cols = linear_sum_assignment(confusion, maximize=True)
+            expected = float(n - confusion[rows, cols].sum()) / n
+            assert segmentation_error(est, gt) == expected, (est, gt)
+            if k <= 6:
+                brute = min(
+                    int(np.sum(np.asarray(perm)[est] != gt))
+                    for perm in permutations(range(k))
+                )
+                assert expected == brute / n, (est, gt)
 
     def test_noncontiguous_ids_accepted(self):
         est = np.array([5, 5, 9, 9])

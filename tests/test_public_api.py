@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mbnrsfm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_export_resolves_and_star_import_binds_it():
@@ -7,3 +14,15 @@ def test_every_export_resolves_and_star_import_binds_it():
     namespace = {}
     exec("from mbnrsfm import *", namespace)
     assert set(mbnrsfm.__all__) <= set(namespace)
+
+
+def test_cold_import_leaves_out_scipy_optimize():
+    # scipy.optimize (linprog, HiGHS, scipy.fft, scipy.special) about
+    # doubles the package's cold start, and the package needs none of it.
+    # A fresh interpreter sees only what the package's own imports load.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys, mbnrsfm, mbnrsfm.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
