@@ -18,9 +18,11 @@ residuals fall below ``epsilon`` in the elementwise max norm.
 The four constraint gaps are written out once, in ``constraint_gaps``, and
 ``solve`` evaluates them once per sweep, after the coefficient step; the
 residuals (their max-abs values) go to the trace, and dual ascent moves each
-multiplier by beta times its own gap. The steps reshuffle between the
-F x 3P and 3F x P layouts by reshape views; the copying, validating
-``scene.to_frame_rows`` runs in set-up only. The trace's objective takes its
+multiplier by beta times its own gap, in that gap's array, which nothing
+reads afterwards. The steps reshuffle between the F x 3P and 3F x P layouts
+by reshape views and build their right-hand sides in place, in the order
+of the written formulas; the copying, validating ``scene.to_frame_rows``
+runs in set-up only. The trace's objective takes its
 nuclear norm from the low-rank step: the singular values that SVT
 thresholded are the spectrum of the new low-rank copy, so each sweep takes
 one partial SVD, and none when ``lambda2`` is 0.
@@ -96,6 +98,8 @@ from .linalg import (
     GramOperand,
     IdentityOperand,
     SymmetricOperand,
+    diagonal_view,
+    frobenius_norm,
     solve_sylvester,
     soft_threshold,
     svt,  # noqa: F401  unused here; bench/tracing.py wraps mbnrsfm.admm.svt by name
@@ -383,12 +387,14 @@ def update_shapes(
     left = camera_gram.scaled(1.0 / beta, 1.0)
     ic = np.eye(points) - state.coeffs
     right = CholeskyOperand(ic @ ic.T)
-    rhs = (
-        backprojected / beta
-        + state.lowrank.reshape(backprojected.shape)
-        + state.duals.y_reshuffle.reshape(backprojected.shape) / beta
-        - (state.duals.y_selfexpr / beta) @ ic.T
-    )
+    # R^T W / beta + ginv(lowrank) + ginv(y_reshuffle) / beta
+    # - (y_selfexpr / beta)(I - C^T), summed left to right in place.
+    rhs = backprojected / beta
+    rhs += state.lowrank.reshape(rhs.shape)
+    scaled_dual = np.divide(state.duals.y_reshuffle.reshape(rhs.shape), beta)
+    rhs += scaled_dual
+    np.divide(state.duals.y_selfexpr, beta, out=scaled_dual)
+    rhs -= scaled_dual @ ic.T
     return solve_sylvester(left, right, rhs)
 
 
@@ -405,7 +411,8 @@ def update_lowrank(
     frames = state.lowrank.shape[0]
     points = state.coeffs.shape[0]
     lam2 = config.nuclear_weight(frames, points)
-    target = state.shapes.reshape(frames, 3 * points) - state.duals.y_reshuffle / beta
+    target = state.duals.y_reshuffle / beta
+    np.subtract(state.shapes.reshape(target.shape), target, out=target)
     return svt_with_spectrum(target, lam2 / beta)
 
 
@@ -428,7 +435,7 @@ def _weighted_sum(x: np.ndarray, merged: Merged) -> float:
     """The sum of a slack-shaped ``x``, each column counted by its multiplicity."""
     if isinstance(merged, EdgeOperator):
         return (x @ merged.multiplicity).sum()
-    return np.sum(x)
+    return x.sum()
 
 
 def _merged_gram(merged: Merged, points: int) -> SymmetricOperand | IdentityOperand:
@@ -452,7 +459,9 @@ def update_slack(state: AdmmState, merged: Merged, config: SolverConfig) -> np.n
     Returns soft_threshold(C @ merged + y_slack / beta, lambda1 / beta).
     """
     beta = state.duals.beta
-    target = _times_merged(state.coeffs, merged) + state.duals.y_slack / beta
+    # y_slack / beta + C merged, the same sum: IEEE addition commutes.
+    target = state.duals.y_slack / beta
+    target += _times_merged(state.coeffs, merged)
     return soft_threshold(target, config.lambda1 / beta)
 
 
@@ -484,20 +493,28 @@ def solve_coeff_subproblem(
     points = state.coeffs.shape[0]
     if merged_gram is None:
         merged_gram = _merged_gram(merged, points)
-    m = np.vstack([state.shapes, np.ones(points)])
+    m = np.empty((state.shapes.shape[0] + 1, points))
+    m[:-1] = state.shapes
+    m[-1] = 1.0
     if m.shape[0] < points:
         left = GramOperand(m, COEFF_STABILIZER)
     else:
         formed = m.T @ m
-        formed.flat[:: points + 1] += COEFF_STABILIZER
+        diagonal = diagonal_view(formed)
+        diagonal += COEFF_STABILIZER
         plus_identity = isinstance(merged_gram, IdentityOperand)
         left = (CholeskyOperand if plus_identity else SymmetricOperand)(formed)
-    rhs = (
-        state.shapes.T @ (state.shapes + state.duals.y_selfexpr / beta)
-        + _times_merged_transpose(state.slack - state.duals.y_slack / beta, merged)
-        + 1.0
-        - state.duals.y_colsum / beta
-    )
+    # S^T (S + y_selfexpr / beta) + (E - y_slack / beta) D^T + 1 1^T
+    # - 1 y_colsum / beta, summed left to right in place; IEEE addition
+    # commutes, so y_selfexpr / beta + S is S + y_selfexpr / beta.
+    shifted = state.duals.y_selfexpr / beta
+    shifted += state.shapes
+    rhs = state.shapes.T @ shifted
+    slack = state.duals.y_slack / beta
+    np.subtract(state.slack, slack, out=slack)
+    rhs += _times_merged_transpose(slack, merged)
+    rhs += 1.0
+    rhs -= state.duals.y_colsum / beta
     return solve_sylvester(left, merged_gram, rhs)
 
 
@@ -508,17 +525,21 @@ def update_coefficients(
 ) -> np.ndarray:
     """Coefficient update: subproblem solution with the diagonal zeroed exactly."""
     coeffs = solve_coeff_subproblem(state, merged, merged_gram)
-    np.fill_diagonal(coeffs, 0.0)
+    diagonal_view(coeffs)[:] = 0.0
     return coeffs
 
 
 def constraint_gaps(state: AdmmState, merged: Merged) -> tuple:
     """The four constraint gaps, in ``DualState.multipliers`` order."""
+    selfexpr = state.shapes @ state.coeffs
+    np.subtract(state.shapes, selfexpr, out=selfexpr)
+    colsum = state.coeffs.sum(axis=0)
+    colsum -= 1.0
     return (
         state.lowrank - state.shapes.reshape(state.lowrank.shape),
-        state.shapes - state.shapes @ state.coeffs,
+        selfexpr,
         _times_merged(state.coeffs, merged) - state.slack,
-        state.coeffs.sum(axis=0) - 1.0,
+        colsum,
     )
 
 
@@ -530,12 +551,17 @@ def constraint_residuals(gaps: tuple) -> tuple:
 
 
 def update_duals(duals: DualState, gaps: tuple, config: SolverConfig) -> DualState:
-    """Dual ascent y + beta * gap on all four constraints, then the capped penalty growth."""
+    """Dual ascent y + beta * gap on all four constraints, then the capped penalty growth.
+
+    Each new multiplier is computed in place in its gap array, which the
+    returned state then holds: ``gaps`` is used up.
+    """
     beta = duals.beta
-    return DualState(
-        *(y + beta * gap for y, gap in zip(duals.multipliers, gaps)),
-        beta=min(config.beta_max, config.rho * beta),
-    )
+    for y, gap in zip(duals.multipliers, gaps):
+        # beta * gap + y: the same products and sums as y + beta * gap.
+        gap *= beta
+        gap += y
+    return DualState(*gaps, beta=min(config.beta_max, config.rho * beta))
 
 
 def objective_value(
@@ -558,7 +584,9 @@ def objective_value(
     points = state.coeffs.shape[0]
     lam2 = config.nuclear_weight(frames, points)
     # The sweep verified ``state.shapes`` already: project without re-checking.
-    fit = 0.5 * np.linalg.norm(w - _project_checked(camera, state.shapes)) ** 2
+    misfit = _project_checked(camera, state.shapes)
+    np.subtract(w, misfit, out=misfit)
+    fit = 0.5 * frobenius_norm(misfit) ** 2
     sparsity = config.lambda1 * _weighted_sum(np.abs(state.slack), merged)
     if lam2 == 0:
         nuclear = 0.0

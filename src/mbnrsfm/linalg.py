@@ -25,7 +25,10 @@ The solver's two Sylvester equations have symmetric operands, and
   unfactored positive-semidefinite matrix): rows whose left eigenvalues
   cluster share one Cholesky factor of the right operand shifted by the
   cluster's center, and refinement sweeps against the exact operators
-  remove the spread inside a cluster when the residual bound asks for it;
+  remove the spread inside a cluster when the residual bound asks for it.
+  The clusters are found in the left operand's stored ascending order
+  (``SymmetricOperand.ascending``), which a ``scaled`` copy shares, so no
+  solve sorts its eigenvalues;
 * an ``IdentityOperand`` (the n x n identity, stored as n alone) on the
   right of a ``GramOperand`` or a ``CholeskyOperand``: the equation is
   ``(a + I) x = q``, solved by the Woodbury identity with the shift raised
@@ -37,10 +40,22 @@ This module owns the contracts the rest of the package relies on: validated
 inputs, explicit failures instead of silent garbage, and a verified residual
 on every Sylvester solve.
 
+Each Sylvester solve runs, its residual check included, under one
+``np.errstate`` (``_quiet``) that silences division by zero, overflow and
+invalid operations: any of them leaves a non-finite entry, which the check
+rejects. The check forms the residual first. A non-finite entry anywhere in
+the solution makes the residual's norm non-finite, which meets no finite
+bound, so the solution is scanned for non-finite entries only when the
+bound is missed or is itself infinite; a non-finite solution is then
+reported as such. Norms are ``frobenius_norm``, the same sum of squares in
+memory order that ``np.linalg.norm`` takes.
+
 All functions are pure; an operand is computed once and never changed.
 """
 
 from __future__ import annotations
+
+from math import inf, isfinite, sqrt
 
 import numpy as np
 import scipy.linalg
@@ -80,9 +95,20 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {mat.shape}")
     if mat.size == 0:
         raise ValueError(f"{name} must be non-empty, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError(f"{name} contains non-finite entries")
     return mat
+
+
+def diagonal_view(a: np.ndarray) -> np.ndarray:
+    """The diagonal of a square C- or Fortran-contiguous array as a writeable view.
+
+    Writing to the view writes the diagonal of ``a`` in place, whatever its
+    memory order (stride n + 1 through the flat buffer in either order).
+    """
+    if not a.flags.forc:
+        raise ValueError("diagonal_view needs a C- or Fortran-contiguous array")
+    return a.reshape(-1, order="A")[:: a.shape[0] + 1]
 
 
 def soft_threshold(x, tau: float):
@@ -146,8 +172,9 @@ def svt_with_spectrum(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
     n = short.shape[0]
     with np.errstate(over="ignore"):
         gram = short @ short.T
+        trace = gram.trace()
     tau_sq = float(tau) * float(tau)
-    if not (_GRAM_SAFE_MIN < tau_sq and np.isfinite(np.trace(gram))):
+    if not (_GRAM_SAFE_MIN < tau_sq and isfinite(trace)):
         return _svt_thin_svd(mat, tau)
     values, vectors, k, _, info = scipy.linalg.lapack.dsyevr(
         gram, range="V", vl=tau_sq, vu=np.inf, overwrite_a=1)
@@ -209,10 +236,13 @@ class SymmetricOperand:
     residual is checked against it and not against the eigen-reconstruction;
     a sparse one stays sparse for those products.
 
-    ``shape`` is that of the full n x n matrix, whatever the storage.
+    ``ascending`` is the stable argsort of ``eigenvalues`` (a stack's blocks
+    are each ascending, their concatenation is not), which the shifted
+    Cholesky path clusters by. ``shape`` is that of the full n x n matrix,
+    whatever the storage.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "eigenvectors")
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "ascending")
 
     def __init__(self, matrix):
         sparse = scipy.sparse.issparse(matrix)
@@ -223,12 +253,13 @@ class SymmetricOperand:
                 f"symmetric operand must be n x n or a (k, m, m) block stack, "
                 f"got shape {mat.shape}"
             )
-        if not np.all(np.isfinite(mat.data if sparse else mat)):
+        if not np.isfinite(mat.data if sparse else mat).all():
             raise ValueError("symmetric operand contains non-finite entries")
         values, vectors = _eigh(mat.toarray() if sparse else mat)
         self.matrix = mat
         self.eigenvalues = values.reshape(-1)
         self.eigenvectors = vectors
+        self.ascending = np.argsort(self.eigenvalues, kind="stable")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -240,10 +271,11 @@ class SymmetricOperand:
 
         It has A's eigenvectors and the eigenvalues ``scale * l + shift``;
         only its matrix is formed, for the residual check. ``scale`` must be
-        positive, so the eigenvalues keep eigh's ascending order, and both
-        values finite.
+        positive and both values finite. Rounding is monotone, so the derived
+        eigenvalues keep A's order, ties aside, and ``ascending`` still sorts
+        them: it is shared, not recomputed.
         """
-        if not (0 < scale < np.inf and np.isfinite(shift)):
+        if not (0 < scale < inf and isfinite(shift)):
             raise ValueError(
                 f"scale must be finite and positive and shift finite, got {scale}, {shift}"
             )
@@ -255,6 +287,7 @@ class SymmetricOperand:
         derived.matrix = scale * self.matrix + shift * identity
         derived.eigenvalues = scale * self.eigenvalues + shift
         derived.eigenvectors = self.eigenvectors
+        derived.ascending = self.ascending
         return derived
 
 
@@ -280,7 +313,7 @@ class GramOperand:
             raise ValueError(
                 f"Gram factor must be a k x n matrix with 0 < k < n, got shape {m.shape}"
             )
-        if not (np.all(np.isfinite(m)) and np.isfinite(shift)):
+        if not (np.isfinite(m).all() and isfinite(shift)):
             raise ValueError("Gram operand contains non-finite entries")
         self.factor, self.shift = m, float(shift)
         values, vectors = _eigh(m @ m.T)
@@ -308,7 +341,7 @@ class CholeskyOperand:
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise ValueError(f"Cholesky operand must be n x n, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValueError("Cholesky operand contains non-finite entries")
         self.matrix = mat
 
@@ -467,7 +500,8 @@ def _solve_bartels_stewart(a, b, q) -> np.ndarray:
         x = scipy.linalg.solve_sylvester(a, b, q)
     except (np.linalg.LinAlgError, ValueError) as exc:
         _raise_sylvester_failure(eigenvalues, f"factorization failed: {exc}")
-    return _verified(a, b, q, x, eigenvalues)
+    with _quiet():
+        return _verified(a, b, q, x, eigenvalues)
 
 
 def _structured_rhs(a, b, q) -> np.ndarray:
@@ -487,15 +521,25 @@ def _spectra(a, b):
     return lambda: (_spectrum(a), _spectrum(b))
 
 
+def _quiet():
+    """The one ``np.errstate`` a structured solve runs under, its check included.
+
+    Division by a (near) zero eigenvalue sum, overflow and invalid operations
+    show up as non-finite entries in the solution or its residual, which
+    ``_verified`` rejects; they raise no warning on the way.
+    """
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
 def _solve_in_eigenbases(a: SymmetricOperand, b: SymmetricOperand, q) -> np.ndarray:
     """Both operands held with their full eigendecompositions."""
     q = _structured_rhs(a, b, q)
     u, v = a.eigenvectors, b.eigenvectors
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with _quiet():
         inner = _right(_left(u.swapaxes(-1, -2), q), v)
         inner /= a.eigenvalues[:, None] + b.eigenvalues[None, :]
         x = _right(_left(u, inner), v.swapaxes(-1, -2))
-    return _verified(a, b, q, x, _spectra(a, b))
+        return _verified(a, b, q, x, _spectra(a, b))
 
 
 def _solve_woodbury(a: GramOperand, b, q) -> np.ndarray:
@@ -504,30 +548,31 @@ def _solve_woodbury(a: GramOperand, b, q) -> np.ndarray:
     identity = isinstance(b, IdentityOperand)
     basis = a.eigenvectors
     shifts = a.shift + (1.0 if identity else b.eigenvalues)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with _quiet():
         rotated = q if identity else _right(q, b.eigenvectors)
         inner = basis.T @ rotated
         inner /= a.eigenvalues[:, None] + shifts
         x = (rotated - basis @ inner) / shifts
         if not identity:
             x = _right(x, b.eigenvectors.swapaxes(-1, -2))
-    return _verified(a, b, q, x, _spectra(a, b))
+        return _verified(a, b, q, x, _spectra(a, b))
 
 
-def _eigenvalue_clusters(values: np.ndarray) -> list:
-    """Group ``values`` into (indices, center) clusters.
+def _eigenvalue_clusters(values: np.ndarray, ascending: np.ndarray) -> list:
+    """Group ``values`` into (indices, center) clusters; ``values[ascending]``
+    is sorted.
 
     Scanning in ascending order, a cluster takes every value within
     SHIFT_CLUSTER_RTOL of its smallest; its center is the midpoint of its
-    range.
+    range. Equal values always share a cluster, so any order that sorts
+    ``values`` gives the same clusters.
     """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
+    ordered = values[ascending]
     clusters, start = [], 0
     while start < ordered.size:
         low = ordered[start]
         stop = int(np.searchsorted(ordered, low + SHIFT_CLUSTER_RTOL * abs(low), side="right"))
-        clusters.append((np.sort(order[start:stop]), 0.5 * (low + ordered[stop - 1])))
+        clusters.append((np.sort(ascending[start:stop]), 0.5 * (low + ordered[stop - 1])))
         start = stop
     return clusters
 
@@ -538,7 +583,7 @@ def _solve_shifted_cholesky(a: SymmetricOperand, b: CholeskyOperand, q) -> np.nd
     u = a.eigenvectors
     eigenvalues = _spectra(a, b)
     factors = [(rows, _shifted_cholesky(b, center, "right", eigenvalues))
-               for rows, center in _eigenvalue_clusters(a.eigenvalues)]
+               for rows, center in _eigenvalue_clusters(a.eigenvalues, a.ascending)]
 
     def solve_rows(r: np.ndarray) -> np.ndarray:
         rotated = _left(u.swapaxes(-1, -2), r)
@@ -547,9 +592,8 @@ def _solve_shifted_cholesky(a: SymmetricOperand, b: CholeskyOperand, q) -> np.nd
             out[rows] = _cholesky_solve(factor, rotated[rows].T, overwrite_b=1).T
         return _left(u, out)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = solve_rows(q)
-    return _verified(a, b, q, x, eigenvalues, correction=solve_rows)
+    with _quiet():
+        return _verified(a, b, q, solve_rows(q), eigenvalues, correction=solve_rows)
 
 
 def _solve_plus_identity(a: CholeskyOperand, b: IdentityOperand, q) -> np.ndarray:
@@ -557,16 +601,16 @@ def _solve_plus_identity(a: CholeskyOperand, b: IdentityOperand, q) -> np.ndarra
     q = _structured_rhs(a, b, q)
     eigenvalues = _spectra(a, b)
     factor = _shifted_cholesky(a, 1.0, "left", eigenvalues)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = _cholesky_solve(factor, q)
-    return _verified(a, b, q, x, eigenvalues)
+    with _quiet():
+        return _verified(a, b, q, _cholesky_solve(factor, q), eigenvalues)
 
 
 def _shifted_cholesky(op: CholeskyOperand, shift: float, side: str, eigenvalues):
     """The lower Cholesky factor of ``op + shift I``, made in place in a Fortran-ordered
     copy (its upper triangle is not cleaned); a failure is diagnosed and raised."""
     shifted = np.array(op.matrix, order="F")
-    shifted.flat[:: shifted.shape[0] + 1] += shift
+    diagonal = diagonal_view(shifted)
+    diagonal += shift
     factor, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         _raise_sylvester_failure(
@@ -583,6 +627,13 @@ def _cholesky_solve(factor: np.ndarray, b: np.ndarray, overwrite_b: int = 0) -> 
     return x
 
 
+def frobenius_norm(v: np.ndarray) -> float:
+    """The Frobenius norm as ``np.linalg.norm`` computes it for a real array:
+    the square root of the dot product of v's elements in memory order."""
+    flat = v.ravel(order="K")
+    return sqrt(flat.dot(flat))
+
+
 def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:
     """Return ``x`` if it meets the residual bound, else diagnose and raise.
 
@@ -590,20 +641,29 @@ def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:
     ``eigenvalues`` is a zero-argument callable giving both operands'
     eigenvalues, only called on failure. ``correction``, when given, maps a
     residual to the solution error it implies; while the bound is missed it
-    is subtracted from ``x``, at most MAX_REFINEMENT_SWEEPS times.
+    is subtracted from ``x``, at most MAX_REFINEMENT_SWEEPS times. The
+    caller runs it under ``_quiet``.
+
+    The residual comes first: every entry of ``x`` reaches the residual, so
+    a non-finite ``x`` gives a non-finite norm, which meets no finite bound.
+    ``x`` is scanned for non-finite entries only when the bound is missed or
+    is itself infinite (a non-finite or overflowing ``q``), and such an
+    ``x`` fails as a "non-finite solution" whatever its residual.
     """
     sweeps = 0 if correction is None else MAX_REFINEMENT_SWEEPS
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = SYLVESTER_RTOL * (1.0 + np.linalg.norm(q))
-        for sweep in range(sweeps + 1):
-            if not np.all(np.isfinite(x)):
-                _raise_sylvester_failure(eigenvalues, "non-finite solution")
-            residual = _left(a, x) + _right(x, b) - q
-            norm = np.linalg.norm(residual)
-            if norm <= bound:
-                return x
-            if sweep < sweeps:
-                x = x - correction(residual)
+    bound = SYLVESTER_RTOL * (1.0 + frobenius_norm(q))
+    for sweep in range(sweeps + 1):
+        residual = _left(a, x) + _right(x, b)
+        residual -= q
+        norm = frobenius_norm(residual)
+        if norm <= bound < inf:
+            return x
+        if not np.isfinite(x).all():
+            _raise_sylvester_failure(eigenvalues, "non-finite solution")
+        if norm <= bound:
+            return x
+        if sweep < sweeps:
+            x = x - correction(residual)
     _raise_sylvester_failure(eigenvalues, f"residual {norm:.3e} exceeds bound {bound:.3e}")
 
 

@@ -22,6 +22,8 @@ import numpy as np
 from .linalg import as_matrix
 
 ROTATION_ORTHO_TOL = 1e-8
+# Float labels must stay below this in magnitude to cast to int64.
+_INT64_BOUND = 2.0**63
 
 # Fixed 4-neighborhood scan order: up, left, right, down.
 _NEIGHBOR_STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))
@@ -51,7 +53,9 @@ def validate_labels(labels, num_points: int | None = None) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"labels must be a non-empty 1-D vector, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
+        # Whole values inside int64's range only: NaN fails the first test,
+        # inf and values too large to cast the second.
+        if not np.all((arr == np.floor(arr)) & (np.abs(arr) < _INT64_BOUND)):
             raise ValueError("labels must be integers")
         arr = arr.astype(np.int64)
     if np.any(arr < 0):

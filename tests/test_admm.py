@@ -8,6 +8,7 @@ from conftest import identity_merged, random_state
 
 import mbnrsfm.admm
 from mbnrsfm.admm import (
+    COEFF_STABILIZER,
     AdmmState,
     DualState,
     EdgeOperator,
@@ -34,6 +35,7 @@ from mbnrsfm.linalg import (
     GramOperand,
     IdentityOperand,
     SymmetricOperand,
+    soft_threshold,
     solve_sylvester,
     svt_with_spectrum,
 )
@@ -166,6 +168,80 @@ class TestStepsMatchCopyingFormulas:
         gaps = constraint_gaps(state, None)
         assert all(np.array_equal(g, e) for g, e in zip(gaps, expected, strict=True))
         assert constraint_residuals(gaps) == tuple(np.abs(e).max() for e in expected)
+
+    @staticmethod
+    def merged_problem(seed, merged_kind, frames=5):
+        """A random state with the slack shaped for ``merged_kind``."""
+        rng = np.random.default_rng(seed)
+        merged = {"identity": None, "grid": EdgeOperator.from_grid(3, 4)}[merged_kind]
+        cols = 12 if merged is None else merged.matrix.shape[1]
+        return merged, random_state(rng, frames, 12, slack_cols=cols)
+
+    @pytest.mark.parametrize("merged_kind", ["identity", "grid"])
+    def test_update_slack(self, merged_kind):
+        merged, state = self.merged_problem(84, merged_kind)
+        cfg, beta = SolverConfig(lambda1=0.3), state.duals.beta
+        product = state.coeffs if merged is None else merged.times(state.coeffs)
+        expected = soft_threshold(product + state.duals.y_slack / beta, cfg.lambda1 / beta)
+        assert np.array_equal(update_slack(state, merged, cfg), expected)
+
+    @pytest.mark.parametrize("merged_kind,frames", [("identity", 5), ("identity", 2),
+                                                    ("grid", 5), ("grid", 2)])
+    def test_coefficient_step(self, monkeypatch, merged_kind, frames):
+        # Formed (3F + 1 >= P) and Woodbury (3F + 1 < P) left operands; the
+        # right-hand side is summed in place in the documented order.
+        merged, state = self.merged_problem(85, merged_kind, frames)
+        beta, points = state.duals.beta, 12
+        m = np.vstack([state.shapes, np.ones(points)])
+        transposed = state.slack - state.duals.y_slack / beta
+        if merged is not None:
+            transposed = merged.times_weighted_transpose(transposed)
+        rhs = (state.shapes.T @ (state.shapes + state.duals.y_selfexpr / beta)
+               + transposed + 1.0 - state.duals.y_colsum / beta)
+        seen = []
+        original = mbnrsfm.admm.solve_sylvester
+
+        def recording(a, b, q):
+            seen.append((a, q))
+            return original(a, b, q)
+
+        monkeypatch.setattr(mbnrsfm.admm, "solve_sylvester", recording)
+        coeffs = update_coefficients(state, merged)
+        ((left, q),) = seen
+        assert np.array_equal(q, rhs)
+        if isinstance(left, GramOperand):
+            assert np.array_equal(left.factor, m)
+        else:
+            formed = m.T @ m
+            formed.flat[:: points + 1] += COEFF_STABILIZER
+            assert np.array_equal(left.matrix, formed)
+        assert not np.diagonal(coeffs).any() and not np.signbit(np.diagonal(coeffs)).any()
+
+    @pytest.mark.parametrize("merged_kind", ["identity", "grid"])
+    def test_update_duals_fills_the_gaps_in_place(self, merged_kind):
+        merged, state = self.merged_problem(86, merged_kind)
+        cfg, beta = SolverConfig(), state.duals.beta
+        gaps = constraint_gaps(state, merged)
+        expected = [y + beta * gap for y, gap in zip(state.duals.multipliers, gaps)]
+        out = update_duals(state.duals, gaps, cfg)
+        for new, gap, e in zip(out.multipliers, gaps, expected, strict=True):
+            assert new is gap and np.array_equal(new, e)
+        assert out.beta == cfg.rho * beta
+
+    @pytest.mark.parametrize("merged_kind", ["identity", "grid"])
+    def test_objective_value(self, merged_kind):
+        merged, state = self.merged_problem(87, merged_kind)
+        rng = np.random.default_rng(88)
+        camera = _smooth_random_camera(rng, 5)
+        w = rng.normal(size=(10, 12))
+        cfg = SolverConfig(lambda1=0.3)
+        spectrum = np.linalg.svd(state.lowrank, compute_uv=False)
+        slack = np.abs(state.slack)
+        l1 = slack.sum() if merged is None else (slack @ merged.multiplicity).sum()
+        expected = float(0.5 * np.linalg.norm(w - mbnrsfm.scene.project(camera, state.shapes))
+                         ** 2 + cfg.lambda1 * l1
+                         + cfg.nuclear_weight(5, 12) * spectrum.sum())
+        assert objective_value(w, camera, state, cfg, spectrum, merged) == expected
 
     def test_residual_of_a_zero_gap_is_positive_zero(self):
         (residual,) = constraint_residuals((np.full((2, 3), -0.0),))

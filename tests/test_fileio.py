@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mbnrsfm.fileio
 from mbnrsfm.errors import ParseError
 from mbnrsfm.fileio import (
     MatrixText,
@@ -155,6 +156,54 @@ class TestWriterBytes:
                 f"{old_formula(block[:, p])} {int(labels[p])}\n" for p in range(4)
             )
             assert path.read_bytes() == expected.encode()
+
+    @staticmethod
+    def symmetric_edge_values(n):
+        half = edge_values(n, n)
+        return half + half.T
+
+    SYMMETRIC_SIZES = [1, 2, 9, 37]
+
+    @pytest.mark.parametrize("n", SYMMETRIC_SIZES)
+    def test_symmetric_matrix_matches_old_formula(self, tmp_path, n):
+        # A = |C| + |C^T| is symmetric bit for bit, so the writer mirrors
+        # the upper triangle's tokens; the bytes do not change.
+        m = np.abs(edge_values(n, n))
+        m = m + m.T
+        path = tmp_path / "A.mtx"
+        write_matrix(path, m)
+        expected = "".join(f"{old_formula(row)}\n" for row in m)
+        assert path.read_bytes() == f"MBNR1 matrix {n} {n}\n{expected}".encode()
+
+    @pytest.mark.parametrize("n", SYMMETRIC_SIZES)
+    def test_symmetric_matrix_formats_each_upper_value_once(self, monkeypatch, n):
+        m = self.symmetric_edge_values(n)
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(mbnrsfm.fileio, "repr", counting, raising=False)
+        text = format_matrix(m)
+        assert len(calls) == n * (n + 1) // 2
+        assert text.rows == [old_formula(row) for row in m]
+
+    def test_signed_zero_pair_is_not_symmetric(self, monkeypatch):
+        # -0.0 == 0.0, but their reprs differ: the matrix is formatted whole.
+        m = self.symmetric_edge_values(4)
+        m[0, 1], m[1, 0] = 0.0, -0.0
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(mbnrsfm.fileio, "repr", counting, raising=False)
+        text = format_matrix(m)
+        assert len(calls) == 16
+        assert text.rows == [old_formula(row) for row in m]
+        assert text.rows[1].startswith("-0.0 ")
 
     def test_read_back_gives_the_same_bits(self, tmp_path):
         m = edge_values(9, 5)

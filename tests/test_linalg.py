@@ -17,7 +17,10 @@ from mbnrsfm.linalg import (
     GramOperand,
     IdentityOperand,
     SymmetricOperand,
+    _eigenvalue_clusters,
     as_matrix,
+    diagonal_view,
+    frobenius_norm,
     soft_threshold,
     solve_sylvester,
     svt,
@@ -865,6 +868,62 @@ class TestShiftedCholeskySylvester:
             solve_sylvester(a, b, np.ones((2, 2)))
         assert not isinstance(err.value, SingularPencilError)
 
+    @staticmethod
+    def poison_cholesky_solves(monkeypatch, bad):
+        """Make every dpotrs solution carry ``bad`` in its first entry."""
+        original = scipy.linalg.lapack.dpotrs
+
+        def poisoned(*args, **kwargs):
+            x, info = original(*args, **kwargs)
+            x[0, 0] = bad
+            return x, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", poisoned)
+
+    @pytest.mark.parametrize("kind", ["shifted", "plus_identity"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_solution_is_numerical_error(self, monkeypatch, kind, bad):
+        # The residual is checked before the solution is scanned: one
+        # non-finite entry makes the residual miss its bound, and the failure
+        # is then named a non-finite solution of a regular pencil.
+        self.poison_cholesky_solves(monkeypatch, bad)
+        blocks, right, q = self.shape_problem(15, 1e-2, frames=3, points=5)
+        if kind == "shifted":
+            a, b = SymmetricOperand(blocks), CholeskyOperand(right)
+        else:
+            a, b, q = CholeskyOperand(right), IdentityOperand(5), q[:5]
+        with pytest.raises(NumericalError, match="non-finite solution") as err:
+            solve_sylvester(a, b, q)
+        assert not isinstance(err.value, SingularPencilError)
+
+    @pytest.mark.parametrize("kind,scale,poison", [
+        ("shifted", 1.0, False), ("shifted", 1.0, True),
+        ("plus_identity", 1e300, False), ("plus_identity", 1.0, True),
+    ], ids=["shifted-refinement", "shifted-nan", "plus_identity-overflow",
+            "plus_identity-nan"])
+    def test_singular_pencil_found_by_the_residual_check(self, monkeypatch, kind, scale,
+                                                         poison):
+        # Each shifted operand factors, so the singular pencil shows only in
+        # the residual check.
+        # - shifted: left eigenvalues -2 and -1.999 share one factor of
+        #   b - 1.9995 I; -2 + 2 = 0, so refinement cannot meet the bound.
+        # - plus_identity: a + I = diag(4, 2^-52). With q = 1e300 the solution
+        #   overflows to inf and so does ||q||, so the bound is infinite and
+        #   only the scan for non-finite entries catches it.
+        # - nan: a poisoned solve gives a non-finite solution outright.
+        if poison:
+            self.poison_cholesky_solves(monkeypatch, np.nan)
+        if kind == "shifted":
+            a = SymmetricOperand(np.diag([-2.0, -1.999]))
+            b = CholeskyOperand(np.diag([2.0, 5.0]))
+            pair = "eigenvalue -2.0 of the left operand and 2.0 of the right"
+        else:
+            a = CholeskyOperand(np.diag([3.0, -1.0 + 2.0**-52]))
+            b = IdentityOperand(2)
+            pair = "and 1.0 of the right operand sum to 2.22"
+        with pytest.raises(SingularPencilError, match=pair):
+            solve_sylvester(a, b, np.full((2, 2), scale))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rhs_raises_numerical_error(self, bad):
         blocks, right, q = self.shape_problem(14, 1e-2, frames=3, points=5)
@@ -914,3 +973,49 @@ class TestAsMatrix:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             as_matrix(np.array([[np.inf, 1.0]]))
+
+
+class TestSweepHelpers:
+    """The small kernels the solver's sweep uses in place of numpy's wrappers."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_diagonal_view_writes_the_diagonal(self, order):
+        a = np.asarray(np.arange(16.0).reshape(4, 4), order=order)
+        expected = a.copy()
+        np.fill_diagonal(expected, [-1.0, -2.0, -3.0, -4.0])
+        diagonal_view(a)[:] = [-1.0, -2.0, -3.0, -4.0]
+        np.testing.assert_array_equal(a, expected)
+
+    def test_diagonal_view_rejects_a_strided_array(self):
+        with pytest.raises(ValueError):
+            diagonal_view(np.zeros((6, 6))[::2, ::2])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_frobenius_norm_is_numpys_bit_for_bit(self, layout):
+        rng = np.random.default_rng(51)
+        v = rng.normal(size=(37, 23)) * np.logspace(-150, 150, 23)
+        if layout == "F":
+            v = np.asfortranarray(v)
+        elif layout == "strided":
+            v = v[::2, 1::3]
+        assert frobenius_norm(v) == np.linalg.norm(v)
+
+    def test_clusters_of_a_scaled_operand_equal_a_fresh_sort(self):
+        # The derived operand shares the base's order. Scaling down by 2^-60
+        # rounds the base's distinct eigenvalues to ties, which a fresh
+        # stable sort orders differently; the clusters are the same.
+        rng = np.random.default_rng(52)
+        blocks = _smooth_random_camera(rng, 7).blocks
+        base = SymmetricOperand(np.einsum("fji,fjk->fik", blocks, blocks))
+        for scale, shift in [(1.0 / 0.37, 1.0), (2.0**-60, 1.0), (1e6, 1.0)]:
+            derived = base.scaled(scale, shift)
+            assert derived.ascending is base.ascending
+            fresh = np.argsort(derived.eigenvalues, kind="stable")
+            if scale == 2.0**-60:
+                assert np.all(derived.eigenvalues == 1.0)
+                assert not np.array_equal(fresh, derived.ascending)
+            shared = _eigenvalue_clusters(derived.eigenvalues, derived.ascending)
+            expected = _eigenvalue_clusters(derived.eigenvalues, fresh)
+            assert len(shared) == len(expected)
+            for (rows, center), (rows_e, center_e) in zip(shared, expected):
+                assert np.array_equal(rows, rows_e) and center == center_e

@@ -206,3 +206,16 @@ class TestValidators:
     def test_labels_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             validate_labels(np.array([0, -1]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300, 2.0**63],
+                             ids=["inf", "-inf", "nan", "1e300", "2**63"])
+    def test_float_labels_outside_int64_are_not_integers(self, bad):
+        # Rejected before the int64 cast, which would warn and wrap.
+        with pytest.raises(ValueError, match="labels must be integers"):
+            validate_labels(np.array([1.0, bad]))
+
+    def test_whole_float_labels_up_to_the_int64_range_are_cast(self):
+        labels = validate_labels(np.array([0.0, 3.0, 2.0**62]))
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, [0, 3, 2**62])
