@@ -611,15 +611,16 @@ def augmented_lagrangian(
 
 
 def pseudo_inverse_shapes(w: np.ndarray, camera: CameraMotion) -> np.ndarray:
-    """Per-frame minimum-norm backprojection S_f = R_f^T (R_f R_f^T)^-1 W_f."""
-    frames = camera.frames
-    points = w.shape[1]
-    out = np.empty((3 * frames, points))
-    for f in range(frames):
-        block = camera.blocks[f]
-        gram = block @ block.T
-        out[3 * f : 3 * f + 3] = block.T @ np.linalg.solve(gram, w[2 * f : 2 * f + 2])
-    return out
+    """Per-frame minimum-norm backprojection S_f = R_f^T (R_f R_f^T)^-1 W_f.
+
+    All frames at once: one ``np.linalg.solve`` on the (F, 2, 2) stack of
+    Grams R_f R_f^T and one stacked product with the R_f^T.
+    """
+    frames, points = camera.frames, w.shape[1]
+    blocks = camera.blocks
+    grams = np.matmul(blocks, blocks.swapaxes(1, 2))
+    solved = np.linalg.solve(grams, w.reshape(frames, 2, points))
+    return np.matmul(blocks.swapaxes(1, 2), solved).reshape(3 * frames, points)
 
 
 def solve(

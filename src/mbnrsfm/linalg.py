@@ -9,8 +9,12 @@ digits (n * sigma_1 / tau above ``SVT_GRAM_MAX_RATIO``) it takes the thin
 ``numpy.linalg.svd`` instead. Symmetric eigendecompositions of operands go
 through ``numpy.linalg.eigh``;
 a ``SymmetricOperand`` can derive a scaled and shifted copy of itself from
-its stored eigenpairs without another one. Cholesky factors and their
-solves call LAPACK ``dpotrf`` and ``dpotrs`` directly, with no scipy wrapper.
+its stored eigenpairs without another one. Cholesky factors come from LAPACK
+``dpotrf``, called directly with no scipy wrapper, and are applied by one of
+two routes chosen from the input size alone: a factor that serves at least
+as many right-hand sides as its order becomes its inverse through ``dpotri``
+and is applied by one BLAS ``dsymm``, at GEMM rate; a factor that serves
+fewer is applied by the two triangular solves of ``dpotrs``.
 The solver's two Sylvester equations have symmetric operands, and
 ``solve_sylvester`` picks its method from the operand types:
 
@@ -26,13 +30,15 @@ The solver's two Sylvester equations have symmetric operands, and
   cluster share one Cholesky factor of the right operand shifted by the
   cluster's center, and refinement sweeps against the exact operators
   remove the spread inside a cluster when the residual bound asks for it.
-  The clusters are found in the left operand's stored ascending order
-  (``SymmetricOperand.ascending``), which a ``scaled`` copy shares, so no
-  solve sorts its eigenvalues;
+  A cluster with at least as many rows as the right operand's order takes
+  the inverse route, a smaller one ``dpotrs``. The clusters are found in
+  the left operand's stored ascending order (``SymmetricOperand.ascending``),
+  which a ``scaled`` copy shares, so no solve sorts its eigenvalues;
 * an ``IdentityOperand`` (the n x n identity, stored as n alone) on the
   right of a ``GramOperand`` or a ``CholeskyOperand``: the equation is
   ``(a + I) x = q``, solved by the Woodbury identity with the shift raised
-  by one, or by one Cholesky factor of ``a + I``;
+  by one, or by one Cholesky factor of ``a + I``, which always takes the
+  inverse route (``q`` has n columns);
 * two plain arrays: scipy's general Bartels-Stewart implementation, which
   stays the reference for the structured paths.
 
@@ -44,11 +50,13 @@ Each Sylvester solve runs, its residual check included, under one
 ``np.errstate`` (``_quiet``) that silences division by zero, overflow and
 invalid operations: any of them leaves a non-finite entry, which the check
 rejects. The check forms the residual first. A non-finite entry anywhere in
-the solution makes the residual's norm non-finite, which meets no finite
-bound, so the solution is scanned for non-finite entries only when the
-bound is missed or is itself infinite; a non-finite solution is then
-reported as such. Norms are ``frobenius_norm``, the same sum of squares in
-memory order that ``np.linalg.norm`` takes.
+the solution makes the residual's norm non-finite, which meets no bound, so
+the solution is scanned for non-finite entries only when the bound is
+missed; a non-finite solution is then reported as such. Where the norm of
+the right-hand side overflows, the check takes both norms in units of its
+largest magnitude, so the bound stays finite. Norms are
+``frobenius_norm``, the same sum of squares in memory order that
+``np.linalg.norm`` takes.
 
 All functions are pure; an operand is computed once and never changed.
 """
@@ -332,7 +340,9 @@ class CholeskyOperand:
     It stands on the right of a SymmetricOperand, where ``solve_sylvester``
     factors ``matrix + c I`` by Cholesky once per cluster ``c`` of the left
     eigenvalues, or on the left of an IdentityOperand, where it factors
-    ``matrix + I`` once. Nothing is decomposed at construction.
+    ``matrix + I`` once. A factor that serves at least as many rows as its
+    order n is applied through its inverse (``dpotri``, then ``dsymm``), one
+    that serves fewer by ``dpotrs``. Nothing is decomposed at construction.
     """
 
     __slots__ = ("matrix",)
@@ -451,12 +461,15 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     * ``a`` a SymmetricOperand, ``b`` a CholeskyOperand: row i of ``U^T q``
       is solved against ``b + l_i I`` through the Cholesky factor of ``b``
       shifted by the center of the cluster holding l_i (eigenvalues within
-      SHIFT_CLUSTER_RTOL of the cluster's smallest). While the residual
-      misses the bound, up to MAX_REFINEMENT_SWEEPS sweeps solve the same
-      way for the residual taken against the exact operators and subtract
-      the result.
+      SHIFT_CLUSTER_RTOL of the cluster's smallest). A cluster of at least
+      m rows applies the inverse that ``dpotri`` forms from its factor, by
+      one ``dsymm``; a cluster of fewer rows applies the factor by
+      ``dpotrs``. While the residual misses the bound, up to
+      MAX_REFINEMENT_SWEEPS sweeps solve the same way for the residual
+      taken against the exact operators and subtract the result.
     * ``a`` a CholeskyOperand, ``b`` an IdentityOperand: ``x`` solves
-      ``(a + I) x = q`` through one Cholesky factor of ``a + I``.
+      ``(a + I) x = q`` through one Cholesky factor of ``a + I``; ``q``
+      has as many columns as its order, so its inverse is applied.
     * both operands plain arrays: scipy's Bartels-Stewart (real Schur forms
       of both operands plus back-substitution). This is the general routine
       and the reference the structured paths are tested against.
@@ -466,9 +479,11 @@ def solve_sylvester(a, b, q) -> np.ndarray:
 
     The returned solution always satisfies
     ``||a x + x b - q||_F <= SYLVESTER_RTOL * (1 + ||q||_F)``, checked
-    against the original operators. A violation, or a non-finite solution,
-    raises SingularPencilError (naming the offending eigenvalue pair) when
-    the pencil is singular, NumericalError otherwise.
+    against the original operators; where ``||q||_F`` overflows, both sides
+    are taken in units of max|q|, so the bound stays finite. A violation,
+    or a non-finite solution, raises SingularPencilError (naming the
+    offending eigenvalue pair) when the pencil is singular, NumericalError
+    otherwise.
     """
     if not isinstance(a, _OPERANDS) and not isinstance(b, _OPERANDS):
         return _solve_bartels_stewart(a, b, q)
@@ -582,14 +597,14 @@ def _solve_shifted_cholesky(a: SymmetricOperand, b: CholeskyOperand, q) -> np.nd
     q = _structured_rhs(a, b, q)
     u = a.eigenvectors
     eigenvalues = _spectra(a, b)
-    factors = [(rows, _shifted_cholesky(b, center, "right", eigenvalues))
+    solvers = [(rows, _shifted_cholesky(b, center, rows.size, "right", eigenvalues))
                for rows, center in _eigenvalue_clusters(a.eigenvalues, a.ascending)]
 
     def solve_rows(r: np.ndarray) -> np.ndarray:
         rotated = _left(u.swapaxes(-1, -2), r)
         out = np.empty_like(rotated)
-        for rows, factor in factors:
-            out[rows] = _cholesky_solve(factor, rotated[rows].T, overwrite_b=1).T
+        for rows, solve in solvers:
+            out[rows] = solve(rotated[rows].T, overwrite_b=1).T
         return _left(u, out)
 
     with _quiet():
@@ -600,31 +615,53 @@ def _solve_plus_identity(a: CholeskyOperand, b: IdentityOperand, q) -> np.ndarra
     """An unfactored positive-semidefinite operand left of the identity."""
     q = _structured_rhs(a, b, q)
     eigenvalues = _spectra(a, b)
-    factor = _shifted_cholesky(a, 1.0, "left", eigenvalues)
+    solve = _shifted_cholesky(a, 1.0, q.shape[1], "left", eigenvalues)
     with _quiet():
-        return _verified(a, b, q, _cholesky_solve(factor, q), eigenvalues)
+        return _verified(a, b, q, solve(q), eigenvalues)
 
 
-def _shifted_cholesky(op: CholeskyOperand, shift: float, side: str, eigenvalues):
-    """The lower Cholesky factor of ``op + shift I``, made in place in a Fortran-ordered
-    copy (its upper triangle is not cleaned); a failure is diagnosed and raised."""
+def _shifted_cholesky(op: CholeskyOperand, shift: float, columns: int, side: str,
+                      eigenvalues):
+    """A function solving ``(op + shift I) x = b`` for n x ``columns`` right-hand sides.
+
+    ``dpotrf`` makes the lower Cholesky factor in place in a Fortran-ordered
+    copy (its upper triangle is not cleaned). With ``columns >= n`` the
+    factor serves at least as many right-hand sides as its order, and
+    ``dpotri`` turns it into the lower triangle of the inverse, which one
+    ``dsymm`` applies at GEMM rate; with fewer, ``dpotrs`` applies the
+    factor by two triangular solves. The function takes ``overwrite_b``,
+    which lets ``dpotrs`` solve in place in a Fortran-ordered ``b``. A
+    positive info of ``dpotrf`` or ``dpotri`` is diagnosed and raised.
+    """
     shifted = np.array(op.matrix, order="F")
     diagonal = diagonal_view(shifted)
     diagonal += shift
+    detail = f"{side} operand shifted by {shift} is not positive definite"
     factor, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+    _check_factor("dpotrf", info, shifted.shape, detail, eigenvalues)
+    if columns < factor.shape[0]:
+        def solve(b: np.ndarray, overwrite_b: int = 0) -> np.ndarray:
+            x, info = scipy.linalg.lapack.dpotrs(factor, b, lower=1, overwrite_b=overwrite_b)
+            _check_lapack("dpotrs", info, factor.shape)
+            return x
+        return solve
+    inverse, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
+    _check_factor("dpotri", info, factor.shape, detail, eigenvalues)
+
+    def apply_inverse(b: np.ndarray, overwrite_b: int = 0) -> np.ndarray:
+        # dsymm reads the lower triangle only. Any other b is applied as
+        # (b^T inverse)^T, so a C-ordered b is not copied either.
+        if b.flags.f_contiguous:
+            return scipy.linalg.blas.dsymm(1.0, inverse, b, lower=1)
+        return scipy.linalg.blas.dsymm(1.0, inverse, b.T, side=1, lower=1).T
+    return apply_inverse
+
+
+def _check_factor(routine: str, info: int, shape, detail: str, eigenvalues) -> None:
+    """Diagnose a positive ``info`` of ``dpotrf`` or ``dpotri``; raise any other nonzero one."""
     if info > 0:
-        _raise_sylvester_failure(
-            eigenvalues, f"{side} operand shifted by {shift} is not positive definite"
-        )
-    _check_lapack("dpotrf", info, shifted.shape)
-    return factor
-
-
-def _cholesky_solve(factor: np.ndarray, b: np.ndarray, overwrite_b: int = 0) -> np.ndarray:
-    """Solve ``l l^T x = b`` for the lower factor ``l`` from ``_shifted_cholesky``."""
-    x, info = scipy.linalg.lapack.dpotrs(factor, b, lower=1, overwrite_b=overwrite_b)
-    _check_lapack("dpotrs", info, factor.shape)
-    return x
+        _raise_sylvester_failure(eigenvalues, detail)
+    _check_lapack(routine, info, shape)
 
 
 def frobenius_norm(v: np.ndarray) -> float:
@@ -645,26 +682,33 @@ def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:
     caller runs it under ``_quiet``.
 
     The residual comes first: every entry of ``x`` reaches the residual, so
-    a non-finite ``x`` gives a non-finite norm, which meets no finite bound.
-    ``x`` is scanned for non-finite entries only when the bound is missed or
-    is itself infinite (a non-finite or overflowing ``q``), and such an
-    ``x`` fails as a "non-finite solution" whatever its residual.
+    a non-finite ``x`` gives a non-finite norm, which meets no bound. ``x``
+    is scanned for non-finite entries only when the bound is missed, and
+    such an ``x`` fails as a "non-finite solution".
+
+    Where ``||q||_F`` overflows, both norms are taken in units of max|q|,
+    so the bound stays finite and an overflowing ``q`` cannot make it
+    accept any finite ``x``. A non-finite ``q`` has no finite unit: its
+    bound is NaN and meets no residual.
     """
     sweeps = 0 if correction is None else MAX_REFINEMENT_SWEEPS
-    bound = SYLVESTER_RTOL * (1.0 + frobenius_norm(q))
+    q_norm = frobenius_norm(q)
+    unit = 1.0 if q_norm < inf else float(np.abs(q).max())
+    if unit != 1.0:
+        q_norm = frobenius_norm(q / unit)
+    bound = SYLVESTER_RTOL * (1.0 / unit + q_norm)
     for sweep in range(sweeps + 1):
         residual = _left(a, x) + _right(x, b)
         residual -= q
-        norm = frobenius_norm(residual)
-        if norm <= bound < inf:
+        norm = frobenius_norm(residual if unit == 1.0 else residual / unit)
+        if norm <= bound:
             return x
         if not np.isfinite(x).all():
             _raise_sylvester_failure(eigenvalues, "non-finite solution")
-        if norm <= bound:
-            return x
         if sweep < sweeps:
             x = x - correction(residual)
-    _raise_sylvester_failure(eigenvalues, f"residual {norm:.3e} exceeds bound {bound:.3e}")
+    units = "" if unit == 1.0 else f" in units of max|q| = {unit:.3e}"
+    _raise_sylvester_failure(eigenvalues, f"residual {norm:.3e} exceeds bound {bound:.3e}{units}")
 
 
 def _raise_sylvester_failure(eigenvalues, detail: str):

@@ -150,6 +150,17 @@ class TestStepsMatchCopyingFormulas:
         expected = solve_sylvester(left, CholeskyOperand(ic @ ic.T), rhs)
         assert np.array_equal(update_shapes(state, w, camera), expected)
 
+    @pytest.mark.parametrize("seed,frames,points", [(84, 1, 3), (85, 30, 60), (86, 120, 20)])
+    def test_pseudo_inverse_shapes(self, seed, frames, points):
+        # The batched solve and product give the per-frame loop's bits.
+        _, camera, w, _ = small_problem(seed=seed, frames=frames, points=points)
+        expected = np.empty((3 * frames, points))
+        for f in range(frames):
+            block = camera.blocks[f]
+            expected[3 * f : 3 * f + 3] = block.T @ np.linalg.solve(block @ block.T,
+                                                                    w[2 * f : 2 * f + 2])
+        assert np.array_equal(pseudo_inverse_shapes(w, camera), expected)
+
     def test_update_lowrank(self):
         _, _, _, state = small_problem(seed=82, frames=5, points=7)
         cfg = SolverConfig()

@@ -780,27 +780,37 @@ class TestShiftedCholeskySylvester:
 
     @staticmethod
     def count_cholesky_solves(monkeypatch):
-        calls = []
-        original = scipy.linalg.lapack.dpotrs
+        """Record, by routine, the shape of each dpotrs and dsymm right-hand
+        side and of each factor dpotri inverts."""
+        calls = {"dpotrs": [], "dpotri": [], "dsymm": []}
+        for module, name, argument in [(scipy.linalg.lapack, "dpotrs", 1),
+                                       (scipy.linalg.lapack, "dpotri", 0),
+                                       (scipy.linalg.blas, "dsymm", 2)]:
+            def counting(*args, _name=name, _argument=argument,
+                         _original=getattr(module, name), **kwargs):
+                calls[_name].append(np.shape(args[_argument]))
+                return _original(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(np.shape(args[1]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mbnrsfm.linalg.scipy.linalg.lapack, "dpotrs", counting)
+            monkeypatch.setattr(module, name, counting)
         return calls
 
+    @pytest.mark.parametrize("route,points", [("solve", 40), ("inverse", 10)])
     @pytest.mark.parametrize("beta,clusters,sweeps", [(1e-2, 2, 0), (1e6, 1, 1)])
     def test_near_orthonormal_cameras_match_kronecker(self, monkeypatch, beta, clusters,
-                                                      sweeps):
+                                                      sweeps, route, points):
         # At beta = 1e-2 the left eigenvalues form two clusters, near 1 and
         # near 101, and the centers alone meet the bound. At beta = 1e6 both
         # lie within 1e-6 of 1 and share one factor; the first solve misses
-        # the bound and one refinement sweep must run.
-        blocks, right, q = self.shape_problem(12, beta)
+        # the bound and one refinement sweep must run. The 12, 24 and 36 rows
+        # of the clusters are all fewer than 40 points (dpotrs applies each
+        # factor) and all at least 10 (dsymm applies each dpotri inverse).
+        blocks, right, q = self.shape_problem(12, beta, points=points)
         calls = self.count_cholesky_solves(monkeypatch)
         x = solve_sylvester(SymmetricOperand(blocks), CholeskyOperand(right), q)
-        assert len(calls) == clusters * (1 + sweeps)
+        counts = [len(calls[name]) for name in ("dpotrs", "dpotri", "dsymm")]
+        applications = clusters * (1 + sweeps)
+        assert counts == ([applications, 0, 0] if route == "solve"
+                          else [0, clusters, applications])
         left = scipy.linalg.block_diag(*blocks)
         residual = np.linalg.norm(left @ x + x @ right - q)
         assert residual <= SYLVESTER_RTOL * (1 + np.linalg.norm(q))
@@ -808,6 +818,38 @@ class TestShiftedCholeskySylvester:
         scale = 1 + np.abs(direct).max()
         assert np.abs(x - direct).max() <= 1e-9 * scale
         assert np.abs(x - solve_sylvester(left, right, q)).max() <= 1e-9 * scale
+
+    def test_route_is_selected_by_cluster_rows_against_order(self, monkeypatch):
+        # Clusters of 4, 5 and 6 rows against a right operand of order 5:
+        # only the 4-row cluster is solved by dpotrs; the other two, and the
+        # plus-identity solve with its 5 columns, go through dpotri and dsymm.
+        rng = np.random.default_rng(16)
+        basis = np.linalg.qr(rng.normal(size=(15, 15)))[0]
+        left = basis @ np.diag(np.repeat([1.0, 10.0, 100.0], [4, 5, 6])) @ basis.T
+        right = random_spd(rng, 5)
+        q = rng.normal(size=(15, 5))
+        calls = self.count_cholesky_solves(monkeypatch)
+        x = solve_sylvester(SymmetricOperand(left), CholeskyOperand(right), q)
+        assert calls["dpotrs"] == [(5, 4)]
+        assert len(calls["dpotri"]) == 2
+        assert sorted(calls["dsymm"]) == [(5, 5), (5, 6)]
+        direct = kron_solve(left, right, q)
+        assert np.abs(x - direct).max() <= 1e-9 * (1 + np.abs(direct).max())
+
+        calls = self.count_cholesky_solves(monkeypatch)
+        x = solve_sylvester(CholeskyOperand(right), IdentityOperand(5), q[:5])
+        assert [len(calls[name]) for name in ("dpotrs", "dpotri", "dsymm")] == [0, 1, 1]
+        direct = kron_solve(right, np.eye(5), q[:5])
+        assert np.abs(x - direct).max() <= 1e-9 * (1 + np.abs(direct).max())
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inverse_route_takes_either_memory_order(self, order):
+        rng = np.random.default_rng(17)
+        a = random_spd(rng, 6)
+        q = np.asarray(rng.normal(size=(6, 6)), order=order)
+        x = solve_sylvester(CholeskyOperand(a), IdentityOperand(6), q)
+        direct = kron_solve(a, np.eye(6), q)
+        assert np.abs(x - direct).max() <= 1e-12 * (1 + np.abs(direct).max())
 
     def test_dense_left_operand_with_spread_spectrum(self):
         # A generic left operand: every eigenvalue its own cluster.
@@ -836,9 +878,26 @@ class TestShiftedCholeskySylvester:
             solve_sylvester(a, b, np.ones((6, 2)))
         assert "eigenvalue -2.0 of the left operand and 2.0" in str(err.value)
 
-    @pytest.mark.parametrize("kind", ["shifted", "plus_identity"])
-    @pytest.mark.parametrize("routine", ["dpotrf", "dpotrs"])
-    def test_illegal_lapack_argument_is_numerical_error(self, monkeypatch, routine, kind):
+    # Each route's operands: the shape problem's 3- and 6-row clusters are
+    # both fewer than 10 points and both at least 3, and a plus-identity
+    # solve always has as many columns as its order.
+    ROUTE_POINTS = {"shifted-solve": 10, "shifted-inverse": 3, "plus_identity": 5}
+    # The routine that applies each route's factor.
+    APPLY = {"shifted-solve": "dpotrs", "shifted-inverse": "dsymm", "plus_identity": "dsymm"}
+
+    def route_problem(self, route):
+        points = self.ROUTE_POINTS[route]
+        blocks, right, q = self.shape_problem(15, 1e-2, frames=3, points=points)
+        if route == "plus_identity":
+            return CholeskyOperand(right), IdentityOperand(points), q[:points]
+        return SymmetricOperand(blocks), CholeskyOperand(right), q
+
+    @pytest.mark.parametrize("routine,route", [
+        ("dpotrf", "shifted-solve"), ("dpotrs", "shifted-solve"),
+        ("dpotrf", "shifted-inverse"), ("dpotri", "shifted-inverse"),
+        ("dpotrf", "plus_identity"), ("dpotri", "plus_identity"),
+    ])
+    def test_illegal_lapack_argument_is_numerical_error(self, monkeypatch, routine, route):
         # The Cholesky paths call LAPACK directly; a negative info (an
         # illegal argument) is raised as NumericalError naming the routine.
         original = getattr(scipy.linalg.lapack, routine)
@@ -847,13 +906,27 @@ class TestShiftedCholeskySylvester:
             return original(*args, **kwargs)[0], -2
 
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
-        blocks, right, q = self.shape_problem(15, 1e-2, frames=3, points=5)
-        if kind == "shifted":
-            a, b = SymmetricOperand(blocks), CholeskyOperand(right)
-        else:
-            a, b, q = CholeskyOperand(right), IdentityOperand(5), q[:5]
         with pytest.raises(NumericalError, match=f"LAPACK {routine} failed with info=-2"):
-            solve_sylvester(a, b, q)
+            solve_sylvester(*self.route_problem(route))
+
+    @pytest.mark.parametrize("singular", [False, True],
+                             ids=["regular-shifted_inverse", "singular-plus_identity"])
+    def test_positive_dpotri_info_is_diagnosed_like_dpotrf(self, monkeypatch, singular):
+        # A positive dpotri info (a zero pivot in the factor) is diagnosed
+        # like dpotrf's: a regular pencil raises NumericalError naming the
+        # shifted operand, a singular one (a + I = diag(4, 2^-52)) raises
+        # SingularPencilError naming the pair.
+        original = scipy.linalg.lapack.dpotri
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotri",
+                            lambda *args, **kwargs: (original(*args, **kwargs)[0], 1))
+        if singular:
+            with pytest.raises(SingularPencilError, match="and 1.0 of the right operand"):
+                solve_sylvester(CholeskyOperand(np.diag([3.0, -1.0 + 2.0**-52])),
+                                IdentityOperand(2), np.ones((2, 2)))
+        else:
+            with pytest.raises(NumericalError, match="not positive definite") as err:
+                solve_sylvester(*self.route_problem("shifted-inverse"))
+            assert not isinstance(err.value, SingularPencilError)
 
     @pytest.mark.parametrize("kind", ["shifted", "plus_identity"])
     def test_indefinite_regular_pencil_is_numerical_error(self, kind):
@@ -869,60 +942,65 @@ class TestShiftedCholeskySylvester:
         assert not isinstance(err.value, SingularPencilError)
 
     @staticmethod
-    def poison_cholesky_solves(monkeypatch, bad):
-        """Make every dpotrs solution carry ``bad`` in its first entry."""
-        original = scipy.linalg.lapack.dpotrs
+    def poison_cholesky_solves(monkeypatch, routine, bad):
+        """Make every solution that ``routine`` (dpotrs or dsymm) returns carry
+        ``bad`` in its first entry."""
+        module = scipy.linalg.blas if routine == "dsymm" else scipy.linalg.lapack
+        original = getattr(module, routine)
 
         def poisoned(*args, **kwargs):
-            x, info = original(*args, **kwargs)
+            out = original(*args, **kwargs)
+            x = out if routine == "dsymm" else out[0]
             x[0, 0] = bad
-            return x, info
+            return out
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", poisoned)
+        monkeypatch.setattr(module, routine, poisoned)
 
-    @pytest.mark.parametrize("kind", ["shifted", "plus_identity"])
+    @pytest.mark.parametrize("route", ["shifted-solve", "shifted-inverse", "plus_identity"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_solution_is_numerical_error(self, monkeypatch, kind, bad):
+    def test_nonfinite_solution_is_numerical_error(self, monkeypatch, route, bad):
         # The residual is checked before the solution is scanned: one
         # non-finite entry makes the residual miss its bound, and the failure
         # is then named a non-finite solution of a regular pencil.
-        self.poison_cholesky_solves(monkeypatch, bad)
-        blocks, right, q = self.shape_problem(15, 1e-2, frames=3, points=5)
-        if kind == "shifted":
-            a, b = SymmetricOperand(blocks), CholeskyOperand(right)
-        else:
-            a, b, q = CholeskyOperand(right), IdentityOperand(5), q[:5]
+        self.poison_cholesky_solves(monkeypatch, self.APPLY[route], bad)
         with pytest.raises(NumericalError, match="non-finite solution") as err:
-            solve_sylvester(a, b, q)
+            solve_sylvester(*self.route_problem(route))
         assert not isinstance(err.value, SingularPencilError)
 
-    @pytest.mark.parametrize("kind,scale,poison", [
-        ("shifted", 1.0, False), ("shifted", 1.0, True),
+    @pytest.mark.parametrize("route,scale,poison", [
+        ("shifted-solve", 1.0, False), ("shifted-solve", 1e300, False),
+        ("shifted-solve", 1.0, True), ("shifted-inverse", 1.0, False),
+        ("shifted-inverse", 1e300, False), ("shifted-inverse", 1.0, True),
         ("plus_identity", 1e300, False), ("plus_identity", 1.0, True),
-    ], ids=["shifted-refinement", "shifted-nan", "plus_identity-overflow",
-            "plus_identity-nan"])
-    def test_singular_pencil_found_by_the_residual_check(self, monkeypatch, kind, scale,
+    ], ids=["shifted-solve-refinement", "shifted-solve-overflow", "shifted-solve-nan",
+            "shifted-inverse-refinement", "shifted-inverse-overflow", "shifted-inverse-nan",
+            "plus_identity-overflow", "plus_identity-nan"])
+    def test_singular_pencil_found_by_the_residual_check(self, monkeypatch, route, scale,
                                                          poison):
         # Each shifted operand factors, so the singular pencil shows only in
         # the residual check.
         # - shifted: left eigenvalues -2 and -1.999 share one factor of
         #   b - 1.9995 I; -2 + 2 = 0, so refinement cannot meet the bound.
+        #   Its two rows are fewer than the order 3 of diag(2, 5, 7) and as
+        #   many as the order 2 of diag(2, 5). With q = 1e300, ||q|| and the
+        #   residual's norm overflow while the solution (about 2e303) stays
+        #   finite; the bound, taken in units of max|q|, must still reject it.
         # - plus_identity: a + I = diag(4, 2^-52). With q = 1e300 the solution
-        #   overflows to inf and so does ||q||, so the bound is infinite and
-        #   only the scan for non-finite entries catches it.
+        #   overflows to inf, which the scan for non-finite entries catches.
         # - nan: a poisoned solve gives a non-finite solution outright.
         if poison:
-            self.poison_cholesky_solves(monkeypatch, np.nan)
-        if kind == "shifted":
-            a = SymmetricOperand(np.diag([-2.0, -1.999]))
-            b = CholeskyOperand(np.diag([2.0, 5.0]))
-            pair = "eigenvalue -2.0 of the left operand and 2.0 of the right"
-        else:
+            self.poison_cholesky_solves(monkeypatch, self.APPLY[route], np.nan)
+        if route == "plus_identity":
             a = CholeskyOperand(np.diag([3.0, -1.0 + 2.0**-52]))
             b = IdentityOperand(2)
             pair = "and 1.0 of the right operand sum to 2.22"
+        else:
+            a = SymmetricOperand(np.diag([-2.0, -1.999]))
+            b = CholeskyOperand(np.diag([2.0, 5.0, 7.0] if route == "shifted-solve"
+                                        else [2.0, 5.0]))
+            pair = "eigenvalue -2.0 of the left operand and 2.0 of the right"
         with pytest.raises(SingularPencilError, match=pair):
-            solve_sylvester(a, b, np.full((2, 2), scale))
+            solve_sylvester(a, b, np.full((2, b.shape[0]), scale))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rhs_raises_numerical_error(self, bad):
