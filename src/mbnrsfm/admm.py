@@ -64,16 +64,25 @@ objective's l1 term. The sweep applies [I | D_e] and its weighted
 transpose by slicing each row of the product's operand as the h x w grid
 (``EdgeOperator.times``), so no step function multiplies by the csr
 matrix and their outputs are C-ordered; the csr matrix builds the Gram and
-is the tests' oracle for those products. The Gram is held sparse and
-eigendecomposed once per solve, in set-up, as a ``linalg.SymmetricOperand``.
+is the tests' oracle for those products.
+
+The Gram I + 2 D_e D_e^T is I + 2L, L the grid Laplacian, which is the
+Kronecker sum of the h- and w-node path Laplacians. Its eigenbasis is
+therefore V_h (x) V_w, the separable 2-D DCT-II basis (Strang, *The
+Discrete Cosine Transform*, SIAM Review 1999), with eigenvalues
+1 + 2 (l_i + l_j). ``solve`` holds it once per run as a
+``linalg.KroneckerSumOperand``: set-up eigendecomposes only the h x h and
+w x w terms, and each rotation of a coefficient right-hand side is two
+small products on its (P, h, w) view instead of a P x P GEMM. Its exact
+matrix stays the csr product of D_e, which the residual check applies.
 
 A formed left operand (3F+1 >= P) changes with S and is eigendecomposed
 every sweep. Shifted Cholesky, as in the shape step, cannot replace that
 ``eigh``: it takes one factor per cluster of the other operand's
-eigenvalues, and the Gram I + 2L (L the grid Laplacian) has eigenvalues
-1 + 2 lambda spread over [1, 17) without clusters. The step functions
-also take a plain dense or csr [I | D], each column counted once, which
-the tests use as the oracle.
+eigenvalues, and the Gram I + 2L has eigenvalues 1 + 2 lambda spread over
+[1, 17) without clusters. The step functions also take a plain dense or
+csr [I | D], each column counted once, which the tests use as the oracle;
+the dense one's Gram is a formed ``linalg.SymmetricOperand``.
 
 Without a spatial term the merged operator is the identity, and ``solve``
 passes ``merged=None`` for it: the step functions then skip every product
@@ -97,6 +106,7 @@ from .linalg import (
     CholeskyOperand,
     GramOperand,
     IdentityOperand,
+    KroneckerSumOperand,
     SymmetricOperand,
     diagonal_view,
     frobenius_norm,
@@ -195,8 +205,11 @@ class EdgeOperator:
 
 # The merged operator [I | D] as the step functions take it: dense or csr
 # (every column counted once), the grid's EdgeOperator, or None for the
-# identity of sparse mode.
+# identity of sparse mode. A csr [I | D] is a test oracle for the products
+# only: its Gram is passed in formed, as a SymmetricOperand.
 Merged = np.ndarray | scipy.sparse.csr_array | EdgeOperator | None
+# The coefficient step's right operand D diag(multiplicity) D^T.
+MergedGram = SymmetricOperand | KroneckerSumOperand | IdentityOperand
 
 # Diagonal shift that keeps the coefficient subproblem's left operand
 # strictly positive definite.
@@ -438,18 +451,31 @@ def _weighted_sum(x: np.ndarray, merged: Merged) -> float:
     return x.sum()
 
 
-def _merged_gram(merged: Merged, points: int) -> SymmetricOperand | IdentityOperand:
+def _path_laplacian(n: int) -> np.ndarray:
+    """The n x n Laplacian of a path of n nodes, d^T d for its (n-1) x n difference matrix d."""
+    differences = np.diff(np.eye(n), axis=0)
+    return differences.T @ differences
+
+
+def _merged_gram(merged: Merged, points: int) -> MergedGram:
     """The coefficient step's right operand D diag(multiplicity) D^T.
 
     For an EdgeOperator this is I + 2 D_e D_e^T, the same matrix as
-    I + D D^T of the full ``NeighborMatrix.diff``.
+    I + D D^T of the full ``NeighborMatrix.diff``. D_e D_e^T is the grid
+    Laplacian, the Kronecker sum of the h- and w-node path Laplacians L_h
+    and L_w, so the operand is held as the Kronecker sum of I + 2 L_h and
+    2 L_w, with the csr product of D_e as its exact matrix. A dense [I | D]
+    gives a SymmetricOperand of its formed Gram.
     """
     if merged is None:
         return IdentityOperand(points)
     if isinstance(merged, EdgeOperator):
         weighted = merged.matrix.copy()
         weighted.data *= merged.multiplicity[weighted.indices]
-        return SymmetricOperand(weighted @ merged.matrix.T)
+        weight = merged.EDGE_MULTIPLICITY
+        first = np.eye(merged.height) + weight * _path_laplacian(merged.height)
+        second = weight * _path_laplacian(merged.width)
+        return KroneckerSumOperand(weighted @ merged.matrix.T, first, second)
     return SymmetricOperand(merged @ merged.T)
 
 
@@ -468,7 +494,7 @@ def update_slack(state: AdmmState, merged: Merged, config: SolverConfig) -> np.n
 def solve_coeff_subproblem(
     state: AdmmState,
     merged: Merged,
-    merged_gram: SymmetricOperand | IdentityOperand | None = None,
+    merged_gram: MergedGram | None = None,
 ) -> np.ndarray:
     """Closed-form coefficient update before diagonal zeroing.
 
@@ -521,7 +547,7 @@ def solve_coeff_subproblem(
 def update_coefficients(
     state: AdmmState,
     merged: Merged,
-    merged_gram: SymmetricOperand | IdentityOperand | None = None,
+    merged_gram: MergedGram | None = None,
 ) -> np.ndarray:
     """Coefficient update: subproblem solution with the diagonal zeroed exactly."""
     coeffs = solve_coeff_subproblem(state, merged, merged_gram)

@@ -7,21 +7,25 @@ triplets that survive its threshold: one partial eigendecomposition
 eigenvalues above the squared threshold. Where squaring would cost too many
 digits (n * sigma_1 / tau above ``SVT_GRAM_MAX_RATIO``) it takes the thin
 ``numpy.linalg.svd`` instead. Symmetric eigendecompositions of operands go
-through ``numpy.linalg.eigh``;
-a ``SymmetricOperand`` can derive a scaled and shifted copy of itself from
-its stored eigenpairs without another one. Cholesky factors come from LAPACK
-``dpotrf``, called directly with no scipy wrapper, and are applied by one of
-two routes chosen from the input size alone: a factor that serves at least
-as many right-hand sides as its order becomes its inverse through ``dpotri``
-and is applied by one BLAS ``dsymm``, at GEMM rate; a factor that serves
-fewer is applied by the two triangular solves of ``dpotrs``.
+through ``numpy.linalg.eigh``, that of a Kronecker sum through one per
+term; a ``SymmetricOperand`` can derive a scaled and shifted copy of itself
+from its stored eigenpairs without another one. Cholesky factors come from
+LAPACK ``dpotrf``, called directly with no scipy wrapper, and are applied
+by one of two routes chosen from the input size alone: a factor that
+serves at least as many right-hand sides as its order becomes its inverse
+through ``dpotri`` and is applied by one BLAS ``dsymm``, at GEMM rate; a
+factor that serves fewer is applied by the two triangular solves of
+``dpotrs``.
 The solver's two Sylvester equations have symmetric operands, and
 ``solve_sylvester`` picks its method from the operand types:
 
-* two ``SymmetricOperand`` (a matrix, a scipy-sparse matrix or a stack of
-  diagonal blocks, held with its eigendecomposition): rotate into both
-  eigenbases and divide;
-* a ``GramOperand`` left of a ``SymmetricOperand`` (``m^T m + shift I``
+* a ``SymmetricOperand`` (a dense matrix or a stack of diagonal blocks,
+  held with its eigendecomposition) left of a ``SymmetricOperand`` or a
+  ``KroneckerSumOperand``: rotate into both eigenbases and divide. A
+  ``KroneckerSumOperand`` (``first (x) I + I (x) second``, the grid Gram)
+  holds the eigenbases of its two small terms, not an n x n one, and is
+  rotated by two small products on the (r, h, w) view of an r x n array;
+* a ``GramOperand`` left of either right operand above (``m^T m + shift I``
   held as its dense k x n factor ``m``, k < n): only the k x k Gram
   ``m m^T`` is factored, and each column of the right operand's eigenbasis
   is solved by the Woodbury identity, so the n x n operand is never formed;
@@ -235,14 +239,12 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SymmetricOperand:
     """A symmetric Sylvester operand held with its eigendecomposition.
 
-    ``matrix`` is one n x n array, a 2-D scipy-sparse n x n matrix, or a
-    (k, m, m) stack holding the diagonal blocks of a block-diagonal n x n
-    matrix, n = k * m. One ``np.linalg.eigh`` call factors it: on a stack
-    the call is batched, so each block costs O(m^3), and a sparse matrix is
-    factored through its dense copy. ``eigh`` reads only the lower triangle
-    of each block. The original matrix is kept, because the Sylvester
-    residual is checked against it and not against the eigen-reconstruction;
-    a sparse one stays sparse for those products.
+    ``matrix`` is one dense n x n array, or a (k, m, m) stack holding the
+    diagonal blocks of a block-diagonal n x n matrix, n = k * m. One
+    ``np.linalg.eigh`` call factors it: on a stack the call is batched, so
+    each block costs O(m^3). ``eigh`` reads only the lower triangle of each
+    block. The original matrix is kept, because the Sylvester residual is
+    checked against it and not against the eigen-reconstruction.
 
     ``ascending`` is the stable argsort of ``eigenvalues`` (a stack's blocks
     are each ascending, their concatenation is not), which the shifted
@@ -253,17 +255,17 @@ class SymmetricOperand:
     __slots__ = ("matrix", "eigenvalues", "eigenvectors", "ascending")
 
     def __init__(self, matrix):
-        sparse = scipy.sparse.issparse(matrix)
-        mat = matrix if sparse else np.asarray(matrix, dtype=float)
-        dims = (2,) if sparse else (2, 3)
-        if mat.ndim not in dims or mat.shape[-1] != mat.shape[-2] or 0 in mat.shape:
+        if scipy.sparse.issparse(matrix):
+            raise ValueError("symmetric operand must be a dense array, got a sparse matrix")
+        mat = np.asarray(matrix, dtype=float)
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or 0 in mat.shape:
             raise ValueError(
                 f"symmetric operand must be n x n or a (k, m, m) block stack, "
                 f"got shape {mat.shape}"
             )
-        if not np.isfinite(mat.data if sparse else mat).all():
+        if not np.isfinite(mat).all():
             raise ValueError("symmetric operand contains non-finite entries")
-        values, vectors = _eigh(mat.toarray() if sparse else mat)
+        values, vectors = _eigh(mat)
         self.matrix = mat
         self.eigenvalues = values.reshape(-1)
         self.eigenvectors = vectors
@@ -287,16 +289,60 @@ class SymmetricOperand:
             raise ValueError(
                 f"scale must be finite and positive and shift finite, got {scale}, {shift}"
             )
-        if scipy.sparse.issparse(self.matrix):
-            identity = scipy.sparse.identity(self.shape[0], format="csr")
-        else:
-            identity = np.eye(self.matrix.shape[-1])
         derived = object.__new__(SymmetricOperand)
-        derived.matrix = scale * self.matrix + shift * identity
+        derived.matrix = scale * self.matrix + shift * np.eye(self.matrix.shape[-1])
         derived.eigenvalues = scale * self.eigenvalues + shift
         derived.eigenvectors = self.eigenvectors
         derived.ascending = self.ascending
         return derived
+
+
+class KroneckerSumOperand:
+    """The symmetric operand ``first (x) I + I (x) second``, held with its terms' eigenpairs.
+
+    ``first`` (h x h) and ``second`` (w x w) are dense symmetric matrices,
+    each factored by one ``np.linalg.eigh``; the operand is n x n, n = h * w,
+    with index i * w + j for row i of ``first`` and row j of ``second``. Its
+    eigenvectors are ``kron(V_first, V_second)``, with the eigenvalues
+    ``l_i + m_j`` in the same order, so ``solve_sylvester`` rotates an r x n
+    right-hand side by two small products on its (r, h, w) view
+    (``_kronecker_right``) and no n x n eigenbasis is ever formed. ``bases``
+    holds ``(V_first, V_second)``.
+
+    ``matrix`` is the n x n operator itself, a dense array or a 2-D
+    scipy-sparse matrix. The Sylvester residual is checked against it, not
+    against the eigen-reconstruction, so a ``matrix`` that differs from the
+    Kronecker sum of the terms fails that check instead of passing unseen.
+    """
+
+    __slots__ = ("matrix", "eigenvalues", "bases")
+
+    def __init__(self, matrix, first, second):
+        terms = [np.asarray(term, dtype=float) for term in (first, second)]
+        for term in terms:
+            if term.ndim != 2 or term.shape[0] != term.shape[1] or term.size == 0:
+                raise ValueError(f"Kronecker-sum terms must be n x n, got shape {term.shape}")
+            if not np.isfinite(term).all():
+                raise ValueError("Kronecker-sum term contains non-finite entries")
+        sparse = scipy.sparse.issparse(matrix)
+        mat = matrix if sparse else np.asarray(matrix, dtype=float)
+        n = terms[0].shape[0] * terms[1].shape[0]
+        if mat.shape != (n, n):
+            raise ValueError(
+                f"terms of orders {terms[0].shape[0]} and {terms[1].shape[0]} need an "
+                f"{n} x {n} matrix, got shape {mat.shape}"
+            )
+        if not np.isfinite(mat.data if sparse else mat).all():
+            raise ValueError("Kronecker-sum operand contains non-finite entries")
+        (first_values, first_vectors), (second_values, second_vectors) = map(_eigh, terms)
+        self.matrix = mat
+        self.eigenvalues = (first_values[:, None] + second_values[None, :]).reshape(-1)
+        self.bases = (first_vectors, second_vectors)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.eigenvalues.size
+        return n, n
 
 
 class GramOperand:
@@ -380,7 +426,8 @@ class IdentityOperand:
         return self.n, self.n
 
 
-_OPERANDS = (SymmetricOperand, GramOperand, CholeskyOperand, IdentityOperand)
+_OPERANDS = (SymmetricOperand, KroneckerSumOperand, GramOperand, CholeskyOperand,
+             IdentityOperand)
 
 
 def _left(op, x: np.ndarray) -> np.ndarray:
@@ -406,13 +453,43 @@ def _right(x: np.ndarray, op) -> np.ndarray:
     if isinstance(op, _OPERANDS):
         op = op.matrix
     if scipy.sparse.issparse(op):
-        # Only a SymmetricOperand holds a sparse matrix, so x @ op = (op @ x^T)^T.
+        # Only a KroneckerSumOperand holds a sparse matrix, and it is
+        # symmetric, so x @ op = (op @ x^T)^T.
         return (op @ x.T).T
     if op.ndim == 2:
         return x @ op
     k, m, _ = op.shape
     per_block = np.matmul(x.reshape(-1, k, m).swapaxes(0, 1), op)
     return per_block.swapaxes(0, 1).reshape(x.shape[0], k * m)
+
+
+def _kronecker_right(x: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``x @ kron(first, second)`` for an r x (h w) ``x``, ``first`` h x h and ``second`` w x w.
+
+    Row k of ``x`` viewed as an h x w matrix X_k maps to ``first^T X_k second``:
+    one batched ``matmul`` applies ``first^T`` to the r slices of the
+    (r, h, w) view, then one GEMM multiplies the (r h) x w result by
+    ``second``. Neither step needs a transposed copy, and the result is
+    C-ordered.
+    """
+    rows = x.shape[0]
+    h, w = first.shape[0], second.shape[0]
+    inner = np.matmul(first.T, x.reshape(rows, h, w))
+    return (inner.reshape(rows * h, w) @ second).reshape(rows, h * w)
+
+
+def _into_eigenbasis(x: np.ndarray, op) -> np.ndarray:
+    """``x @ V`` for V the eigenvectors of a SymmetricOperand or KroneckerSumOperand."""
+    if isinstance(op, KroneckerSumOperand):
+        return _kronecker_right(x, *op.bases)
+    return _right(x, op.eigenvectors)
+
+
+def _out_of_eigenbasis(x: np.ndarray, op) -> np.ndarray:
+    """``x @ V^T``, undoing ``_into_eigenbasis``."""
+    if isinstance(op, KroneckerSumOperand):
+        return _kronecker_right(x, *(basis.T for basis in op.bases))
+    return _right(x, op.eigenvectors.swapaxes(-1, -2))
 
 
 def _spectrum(op) -> np.ndarray:
@@ -440,6 +517,10 @@ def _check_operand_shapes(a_shape, b_shape, q_shape) -> None:
         )
 
 
+# Right operands held with an eigenbasis that the solve rotates into and out of.
+_EIGENBASIS_OPERANDS = (SymmetricOperand, KroneckerSumOperand)
+
+
 def solve_sylvester(a, b, q) -> np.ndarray:
     """Solve ``a @ x + x @ b = q`` for ``x``.
 
@@ -450,12 +531,15 @@ def solve_sylvester(a, b, q) -> np.ndarray:
 
     The operand pair picks the method:
 
-    * ``a`` and ``b`` each a SymmetricOperand: with ``a = U diag(l) U^T``
-      and ``b = V diag(m) V^T``, ``x = U [(U^T q V) / (l_i + m_j)] V^T``,
-      using the stored factorizations. Block-stack operands are applied per
-      block, sparse ones through their sparse matrix.
-    * ``a`` a GramOperand, ``b`` a SymmetricOperand: column j of ``q V`` is
-      solved against ``m^T m + (shift + m_j) I`` by the Woodbury identity.
+    * ``a`` a SymmetricOperand, ``b`` a SymmetricOperand or a
+      KroneckerSumOperand: with ``a = U diag(l) U^T`` and
+      ``b = V diag(m) V^T``, ``x = U [(U^T q V) / (l_i + m_j)] V^T``, using
+      the stored factorizations. Block-stack operands are applied per
+      block; for a KroneckerSumOperand V is ``kron(V_first, V_second)``,
+      applied by two small products and never formed.
+    * ``a`` a GramOperand, ``b`` a SymmetricOperand or a
+      KroneckerSumOperand: column j of ``q V`` is solved against
+      ``m^T m + (shift + m_j) I`` by the Woodbury identity.
       With ``b`` an IdentityOperand, V = I and every m_j = 1, so ``q`` is
       solved against ``m^T m + (shift + 1) I`` with no rotation.
     * ``a`` a SymmetricOperand, ``b`` a CholeskyOperand: row i of ``U^T q``
@@ -487,9 +571,9 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     """
     if not isinstance(a, _OPERANDS) and not isinstance(b, _OPERANDS):
         return _solve_bartels_stewart(a, b, q)
-    if isinstance(a, SymmetricOperand) and isinstance(b, SymmetricOperand):
+    if isinstance(a, SymmetricOperand) and isinstance(b, _EIGENBASIS_OPERANDS):
         return _solve_in_eigenbases(a, b, q)
-    if isinstance(a, GramOperand) and isinstance(b, (SymmetricOperand, IdentityOperand)):
+    if isinstance(a, GramOperand) and isinstance(b, (*_EIGENBASIS_OPERANDS, IdentityOperand)):
         return _solve_woodbury(a, b, q)
     if isinstance(a, SymmetricOperand) and isinstance(b, CholeskyOperand):
         return _solve_shifted_cholesky(a, b, q)
@@ -546,30 +630,30 @@ def _quiet():
     return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _solve_in_eigenbases(a: SymmetricOperand, b: SymmetricOperand, q) -> np.ndarray:
-    """Both operands held with their full eigendecompositions."""
+def _solve_in_eigenbases(a: SymmetricOperand, b, q) -> np.ndarray:
+    """A SymmetricOperand left of a SymmetricOperand or a KroneckerSumOperand."""
     q = _structured_rhs(a, b, q)
-    u, v = a.eigenvectors, b.eigenvectors
+    u = a.eigenvectors
     with _quiet():
-        inner = _right(_left(u.swapaxes(-1, -2), q), v)
+        inner = _into_eigenbasis(_left(u.swapaxes(-1, -2), q), b)
         inner /= a.eigenvalues[:, None] + b.eigenvalues[None, :]
-        x = _right(_left(u, inner), v.swapaxes(-1, -2))
+        x = _out_of_eigenbasis(_left(u, inner), b)
         return _verified(a, b, q, x, _spectra(a, b))
 
 
 def _solve_woodbury(a: GramOperand, b, q) -> np.ndarray:
-    """A GramOperand left of a SymmetricOperand or of the identity."""
+    """A GramOperand left of a SymmetricOperand, a KroneckerSumOperand or the identity."""
     q = _structured_rhs(a, b, q)
     identity = isinstance(b, IdentityOperand)
     basis = a.eigenvectors
     shifts = a.shift + (1.0 if identity else b.eigenvalues)
     with _quiet():
-        rotated = q if identity else _right(q, b.eigenvectors)
+        rotated = q if identity else _into_eigenbasis(q, b)
         inner = basis.T @ rotated
         inner /= a.eigenvalues[:, None] + shifts
         x = (rotated - basis @ inner) / shifts
         if not identity:
-            x = _right(x, b.eigenvectors.swapaxes(-1, -2))
+            x = _out_of_eigenbasis(x, b)
         return _verified(a, b, q, x, _spectra(a, b))
 
 

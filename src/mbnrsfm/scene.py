@@ -216,22 +216,24 @@ class NeighborMatrix:
 
 
 def build_neighbor_matrix(grid_height: int, grid_width: int) -> NeighborMatrix:
-    """Construct the 4-neighbor difference matrix for a row-major grid."""
+    """Construct the 4-neighbor difference matrix for a row-major grid.
+
+    Per direction, the points whose neighbor lies on the grid form one
+    rectangle of the grid; their columns are filled by one index assignment
+    each for the +1 and the -1 entries.
+    """
     if grid_height < 1 or grid_width < 1:
         raise ValueError(
             f"grid must be at least 1 x 1, got {grid_height} x {grid_width}"
         )
     points = grid_height * grid_width
+    index = np.arange(points).reshape(grid_height, grid_width)
     diff = np.zeros((points, 4 * points))
-    for row in range(grid_height):
-        for col in range(grid_width):
-            p = row * grid_width + col
-            for d, (dr, dc) in enumerate(_NEIGHBOR_STEPS):
-                nr, nc = row + dr, col + dc
-                if 0 <= nr < grid_height and 0 <= nc < grid_width:
-                    q = nr * grid_width + nc
-                    diff[p, 4 * p + d] = 1.0
-                    diff[q, 4 * p + d] = -1.0
+    for d, (dr, dc) in enumerate(_NEIGHBOR_STEPS):
+        p = index[max(-dr, 0) : grid_height - max(dr, 0),
+                  max(-dc, 0) : grid_width - max(dc, 0)].ravel()
+        diff[p, 4 * p + d] = 1.0
+        diff[p + dr * grid_width + dc, 4 * p + d] = -1.0
     return NeighborMatrix(diff, grid_height, grid_width)
 
 

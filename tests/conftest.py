@@ -6,6 +6,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
+import numpy as np
 import pytest
 
 from mbnrsfm import SolverConfig, default_two_body, generate_scene, solve
@@ -49,3 +50,11 @@ def random_state(rng, frames, points, slack_cols=None, beta=0.7):
 
 def identity_merged(points):
     return extend_with_identity(None, num_points=points)
+
+
+def path_laplacian(n):
+    """The Laplacian of an n-node path, summed edge by edge."""
+    laplacian = np.zeros((n, n))
+    for k in range(n - 1):
+        laplacian[k : k + 2, k : k + 2] += [[1.0, -1.0], [-1.0, 1.0]]
+    return laplacian

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse
 from dataclasses import replace
 
-from conftest import identity_merged, random_state
+from conftest import identity_merged, path_laplacian, random_state
 
 import mbnrsfm.admm
 from mbnrsfm.admm import (
@@ -34,6 +34,7 @@ from mbnrsfm.linalg import (
     CholeskyOperand,
     GramOperand,
     IdentityOperand,
+    KroneckerSumOperand,
     SymmetricOperand,
     soft_threshold,
     solve_sylvester,
@@ -489,7 +490,8 @@ def assert_close_rel(actual, expected, rtol):
 
 
 class TestSparseMergedOperator:
-    """Every step accepts the grid operator [I | D] dense or as csr_array."""
+    """Every step accepts the grid operator [I | D] dense or as csr_array,
+    given the formed Gram."""
 
     @pytest.fixture
     def problem(self):
@@ -506,10 +508,11 @@ class TestSparseMergedOperator:
         assert isinstance(out, np.ndarray)
         assert_close_rel(out, update_slack(state, dense, cfg), 1e-12)
 
-    @pytest.mark.parametrize("precomputed", [False, True])
-    def test_coefficient_steps(self, problem, precomputed):
+    def test_coefficient_steps(self, problem):
+        # The csr form is an oracle for the products; its Gram is passed in
+        # formed, as the dense form builds it.
         _, _, state, dense, sparse = problem
-        gram = SymmetricOperand(dense @ dense.T) if precomputed else None
+        gram = SymmetricOperand(dense @ dense.T)
         assert_close_rel(solve_coeff_subproblem(state, sparse, gram),
                          solve_coeff_subproblem(state, dense, gram), 1e-12)
         assert_close_rel(update_coefficients(state, sparse, gram),
@@ -602,9 +605,30 @@ class TestEdgeOperator:
         neighbors = build_neighbor_matrix(*grid)
         full = extend_with_identity(neighbors)
         gram = _merged_gram(EdgeOperator.from_grid(*grid), neighbors.points)
-        assert isinstance(gram, SymmetricOperand)
+        assert isinstance(gram, KroneckerSumOperand)
         assert scipy.sparse.issparse(gram.matrix)
         np.testing.assert_array_equal(gram.matrix.toarray(), full @ full.T)
+
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 7), (7, 1), (2, 2), (12, 20)],
+                             ids=lambda g: f"{g[0]}x{g[1]}")
+    def test_gram_eigenpairs_are_the_separable_grid_basis(self, grid):
+        # I + 2 L is the Kronecker sum of I + 2 L_h and 2 L_w: its basis
+        # kron(V_h, V_w) and eigenvalues 1 + 2 (l_i + l_j), with
+        # l_k = 2 - 2 cos(pi k / n) on an n-node path, rebuild the exact Gram.
+        height, width = grid
+        gram = _merged_gram(EdgeOperator.from_grid(height, width), height * width)
+        exact = gram.matrix.toarray()
+        basis = np.kron(*gram.bases)
+        rebuilt = (basis * gram.eigenvalues) @ basis.T
+        assert np.abs(rebuilt - exact).max() <= 1e-13 * np.abs(exact).max()
+        path = [2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n) for n in grid]
+        expected = 1.0 + 2.0 * (path[0][:, None] + path[1][None, :]).ravel()
+        np.testing.assert_allclose(np.sort(gram.eigenvalues), np.sort(expected),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_path_laplacian(self, n):
+        np.testing.assert_array_equal(mbnrsfm.admm._path_laplacian(n), path_laplacian(n))
 
     @pytest.fixture
     def problem(self):
@@ -754,13 +778,13 @@ class TestWideScenes:
 
     def test_no_points_by_points_eigh_inside_the_loop(self, eigh_inputs):
         # Per iteration only the F x F Gram of the SVT target and the
-        # (3F+1)-square Gram of [S; 1^T] are eigendecomposed; the constant
-        # P x P D D^T and the F 3 x 3 camera blocks are factored once per
-        # solve, in set-up.
+        # (3F+1)-square Gram of [S; 1^T] are eigendecomposed; the h x h and
+        # w x w terms of the constant D D^T and the F 3 x 3 camera blocks
+        # are factored once per solve, in set-up, and nothing P x P ever.
         scene, neighbors = self.scene("grid")
         _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=9))
         assert len(trace) == 9
-        assert eigh_inputs == [(12, 12), (3, 3, 3)] + [(3, 3), (10, 10)] * 9
+        assert eigh_inputs == [(3, 3), (4, 4), (3, 3, 3)] + [(3, 3), (10, 10)] * 9
 
 
 class TestSolverConfig:
@@ -1055,6 +1079,39 @@ class TestSolve:
         # The l1 term counts each edge twice, as the dense slack does.
         np.testing.assert_allclose(trace.objective, objectives, rtol=1e-9)
 
+    @pytest.mark.parametrize("frames,per_body,grid", [
+        (8, 6, (3, 4)),    # P = 12 <= 3F + 1 = 25: formed left operand
+        (3, 6, (3, 4)),    # P = 12 > 3F + 1 = 10: Woodbury left operand
+        (10, 24, (6, 8)),  # P = 48 > 3F + 1 = 31: Woodbury left operand
+        (6, 3, (1, 6)),
+    ], ids=["3x4_formed", "3x4_woodbury", "6x8_woodbury", "1x6"])
+    def test_grid_solve_matches_the_dense_eigenbasis_route(self, monkeypatch, frames,
+                                                           per_body, grid):
+        # The oracle is the route the Kronecker-sum operand replaced: the
+        # same grid Gram formed densely and eigendecomposed as one P x P
+        # SymmetricOperand. Only the rotations' rounding differs.
+        scene, neighbors = self.grid_scene(frames, per_body, grid)
+        cfg = SolverConfig(lambda1=1e-2)
+        runs = [solve(scene.w, scene.camera, neighbors, cfg)]
+        original = mbnrsfm.admm._merged_gram
+
+        def dense_eigenbasis(merged, points):
+            gram = original(merged, points)
+            assert isinstance(gram, KroneckerSumOperand)
+            return SymmetricOperand(gram.matrix.toarray())
+
+        monkeypatch.setattr(mbnrsfm.admm, "_merged_gram", dense_eigenbasis)
+        runs.append(solve(scene.w, scene.camera, neighbors, cfg))
+        (shape_state, coeffs, trace), (oracle_state, oracle_coeffs, oracle_trace) = runs
+        assert trace.converged and len(trace) == len(oracle_trace)
+        assert_close_rel(shape_state.shapes, oracle_state.shapes, 1e-12)
+        assert_close_rel(coeffs, oracle_coeffs, 1e-12)
+        np.testing.assert_allclose(trace.objective, oracle_trace.objective, rtol=1e-13)
+        np.testing.assert_array_equal(
+            spectral_cluster(build_affinity(coeffs), 2, seed=0),
+            spectral_cluster(build_affinity(oracle_coeffs), 2, seed=0),
+        )
+
     def test_dense_grid_slack_keeps_twin_columns_exact_negatives(self):
         # What makes the edge form exact: on the dense [I | D] path the slack
         # and its dual hold each interior edge twice, as exact negatives, and
@@ -1107,7 +1164,7 @@ class TestSolve:
         # P = 10 <= 3F + 1 = 19: M^T M formed, one Cholesky factor of it + I
         (6, 5, None, CholeskyOperand, IdentityOperand),
         (4, 10, None, GramOperand, IdentityOperand),    # P = 20 > 13: Woodbury
-        (3, 6, (3, 4), GramOperand, SymmetricOperand),  # P = 12 > 10, sparse D D^T
+        (3, 6, (3, 4), GramOperand, KroneckerSumOperand),  # P = 12 > 10, csr D D^T
     ], ids=["sparse_narrow", "sparse_wide", "grid"])
     def test_sylvester_operand_types(self, monkeypatch, frames, per_body, grid, coeff_left,
                                      coeff_right):
@@ -1152,12 +1209,13 @@ class TestSolve:
         # With 3F + 1 >= P the coefficient step forms M^T M + eps I and
         # eigendecomposes it against the grid Gram each sweep, after the
         # SVT's F x F Gram; the module docstring says why no shifted
-        # Cholesky factor replaces it.
+        # Cholesky factor replaces it. The grid Gram's 3 x 3 and 4 x 4
+        # terms are factored once, in set-up.
         scene = generate_scene(default_two_body(frames=6, points_per_body=6))
         _, _, trace = solve(scene.w, scene.camera, build_neighbor_matrix(3, 4),
                             SolverConfig(max_iters=5))
         assert len(trace) == 5
-        assert eigh_inputs == [(12, 12), (6, 3, 3)] + [(6, 6), (12, 12)] * 5
+        assert eigh_inputs == [(3, 3), (4, 4), (6, 3, 3)] + [(6, 6), (12, 12)] * 5
 
     def test_sparse_mode_builds_no_identity_matrix(self, monkeypatch):
         # The merged operator of sparse mode is held as None: no step builds

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from conftest import identity_merged, random_state
+from conftest import identity_merged, path_laplacian, random_state
 
 import mbnrsfm.admm
 import mbnrsfm.linalg
@@ -16,6 +16,7 @@ from mbnrsfm.linalg import (
     CholeskyOperand,
     GramOperand,
     IdentityOperand,
+    KroneckerSumOperand,
     SymmetricOperand,
     _eigenvalue_clusters,
     as_matrix,
@@ -477,29 +478,7 @@ class TestSymmetricOperandSylvester:
         with pytest.raises(ValueError):
             SymmetricOperand(matrix)
 
-    def test_sparse_matrix_matches_dense(self):
-        # The grid solve's D D^T held as a csr matrix: the same eigenpairs
-        # bit for bit, and the same products and solutions up to rounding.
-        rng = np.random.default_rng(35)
-        merged = extend_with_identity(build_neighbor_matrix(3, 4))
-        dense = SymmetricOperand(merged @ merged.T)
-        sparse = SymmetricOperand(scipy.sparse.csr_array(merged @ merged.T))
-        assert scipy.sparse.issparse(sparse.matrix) and sparse.shape == (12, 12)
-        np.testing.assert_array_equal(sparse.eigenvalues, dense.eigenvalues)
-        np.testing.assert_array_equal(sparse.eigenvectors, dense.eigenvectors)
-        x = rng.normal(size=(12, 7))
-
-        def assert_close(actual, expected):
-            assert np.abs(actual - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
-
-        assert_close(mbnrsfm.linalg._left(sparse, x), mbnrsfm.linalg._left(dense, x))
-        assert_close(mbnrsfm.linalg._right(x.T, sparse), mbnrsfm.linalg._right(x.T, dense))
-        q = rng.normal(size=(12, 12))
-        for left in (GramOperand(coefficient_factor(rng, 3, 12), 1e-10),
-                     SymmetricOperand(random_spd(rng, 12))):
-            assert_close(solve_sylvester(left, sparse, q), solve_sylvester(left, dense, q))
-
-    @pytest.mark.parametrize("storage", ["stack", "dense", "sparse"])
+    @pytest.mark.parametrize("storage", ["stack", "dense"])
     def test_scaled_operand_equals_a_fresh_factorization(self, storage):
         # The shape step's camera operand R^T R / beta + I, derived from the
         # factored R^T R, against SymmetricOperand of that matrix: the same
@@ -507,15 +486,13 @@ class TestSymmetricOperandSylvester:
         rng = np.random.default_rng(41)
         blocks = _smooth_random_camera(rng, 5).blocks
         gram = np.einsum("fji,fjk->fik", blocks, blocks)
-        if storage != "stack":
+        if storage == "dense":
             gram = scipy.linalg.block_diag(*gram)
-        stored = scipy.sparse.csr_array(gram) if storage == "sparse" else gram
         beta = 0.37
-        derived = SymmetricOperand(stored).scaled(1.0 / beta, 1.0)
+        derived = SymmetricOperand(gram).scaled(1.0 / beta, 1.0)
         fresh = SymmetricOperand(gram / beta + np.eye(3 if storage == "stack" else 15))
         assert derived.shape == fresh.shape == (15, 15)
-        matrix = derived.matrix.toarray() if storage == "sparse" else derived.matrix
-        np.testing.assert_allclose(matrix, fresh.matrix, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(derived.matrix, fresh.matrix, rtol=1e-15, atol=0)
         np.testing.assert_allclose(derived.eigenvalues, fresh.eigenvalues, rtol=1e-14, atol=0)
         x = rng.normal(size=(15, 4))
         vectors = derived.eigenvectors
@@ -533,13 +510,16 @@ class TestSymmetricOperandSylvester:
             SymmetricOperand(np.eye(3)).scaled(scale, shift)
 
     @pytest.mark.parametrize("matrix", [
+        scipy.sparse.csr_array(np.eye(3)),
         scipy.sparse.csr_array(np.ones((2, 3))),
         scipy.sparse.csr_array((0, 0)),
         scipy.sparse.csr_array(np.array([[1.0, np.nan], [np.nan, 1.0]])),
         scipy.sparse.coo_array(np.ones(3)),
-    ], ids=["not_square", "empty", "nan", "one_dimensional"])
-    def test_rejects_malformed_sparse_operands(self, matrix):
-        with pytest.raises(ValueError):
+    ], ids=["square", "not_square", "empty", "nan", "one_dimensional"])
+    def test_rejects_sparse_matrices(self, matrix):
+        # A sparse operand is a KroneckerSumOperand's matrix; a
+        # SymmetricOperand factors dense arrays only.
+        with pytest.raises(ValueError, match="dense"):
             SymmetricOperand(matrix)
 
 
@@ -555,13 +535,19 @@ def coefficient_operand(m, shift):
     return SymmetricOperand(m.T @ m + shift * np.eye(m.shape[1]))
 
 
-def merged_gram_operands(merged):
-    """The right operand D D^T, formed from the factor D^T, sparse, and directly."""
+def merged_gram_operands(merged, grid):
+    """The right operand D D^T of a 3 x 4 grid's [I | D], or of the identity
+    without a grid: formed from the factor D^T, formed directly, and as the
+    Kronecker sum of I + 2 L_3 and 2 L_4 (I_3 and 0 without a grid) with
+    the csr product as its exact matrix."""
     factor = merged.T
     sparse = scipy.sparse.csr_array(merged)
+    weight = 2.0 if grid else 0.0
     return {
         "gram": SymmetricOperand(factor.T @ factor),
-        "sparse_gram": SymmetricOperand(sparse @ sparse.T),
+        "kronecker": KroneckerSumOperand(sparse @ sparse.T,
+                                         np.eye(3) + weight * path_laplacian(3),
+                                         weight * path_laplacian(4)),
         "symmetric": SymmetricOperand(merged @ merged.T),
     }
 
@@ -571,7 +557,7 @@ class TestGramOperandSylvester:
 
     @pytest.mark.parametrize("rows,lowrank", [(6, True), (12, False), (15, False)])
     @pytest.mark.parametrize("grid", [False, True])
-    @pytest.mark.parametrize("kind", ["gram", "sparse_gram", "symmetric"])
+    @pytest.mark.parametrize("kind", ["gram", "kronecker", "symmetric"])
     def test_matches_bartels_stewart_and_kronecker(self, rows, lowrank, grid, kind):
         # 12 points: 3F + 1 = 7 < 12 takes the Woodbury branch, 13 and 16
         # rows the P x P eigenbasis. The right operand is the identity of
@@ -584,8 +570,8 @@ class TestGramOperandSylvester:
         a = coefficient_operand(m, 1e-10)
         assert isinstance(a, GramOperand) == lowrank
         assert a.shape == (points, points)
-        b = merged_gram_operands(merged)[kind]
-        assert scipy.sparse.issparse(b.matrix) == (kind == "sparse_gram")
+        b = merged_gram_operands(merged, grid)[kind]
+        assert scipy.sparse.issparse(b.matrix) == (kind == "kronecker")
         q = rng.normal(size=(points, points))
         x = solve_sylvester(a, b, q)
         dense_a = m.T @ m + 1e-10 * np.eye(points)
@@ -677,6 +663,92 @@ class TestGramOperandSylvester:
         # formed and held as a SymmetricOperand, a sparse one as well.
         with pytest.raises(ValueError):
             GramOperand(factor, 1e-10)
+
+
+def kronecker_sum(first, second):
+    """first (x) I + I (x) second, formed."""
+    return (np.kron(first, np.eye(second.shape[0]))
+            + np.kron(np.eye(first.shape[0]), second))
+
+
+class TestKroneckerSumOperand:
+    """The grid Gram's right operand: two small eigenbases, no n x n one."""
+
+    ORDERS = [(1, 1), (1, 5), (5, 1), (2, 2), (12, 20)]
+
+    @staticmethod
+    def operand(rng, h, w, sparse=False):
+        first, second = random_spd(rng, h), random_spd(rng, w)
+        matrix = kronecker_sum(first, second)
+        return KroneckerSumOperand(scipy.sparse.csr_array(matrix) if sparse else matrix,
+                                   first, second), matrix
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=lambda o: f"{o[0]}x{o[1]}")
+    def test_rotations_equal_the_dense_kronecker_product(self, orders):
+        rng = np.random.default_rng(sum(orders))
+        op, matrix = self.operand(rng, *orders)
+        assert op.shape == matrix.shape
+        basis = np.kron(*op.bases)
+        x = rng.normal(size=(7, basis.shape[0]))
+        for arg in (x, np.asfortranarray(x)):
+            for rotate, dense in ((mbnrsfm.linalg._into_eigenbasis, basis),
+                                  (mbnrsfm.linalg._out_of_eigenbasis, basis.T)):
+                rotated = rotate(arg, op)
+                assert rotated.flags.c_contiguous
+                np.testing.assert_allclose(rotated, x @ dense, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("rows", [3, 15], ids=["woodbury", "eigenbases"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_both_paths_match_bartels_stewart_and_kronecker(self, rows, sparse):
+        # 3 x 4 terms, 12 points: a GramOperand of 4 rows, or a formed
+        # 16-row Gram held as a SymmetricOperand.
+        rng = np.random.default_rng(rows + sparse)
+        b, matrix = self.operand(rng, 3, 4, sparse)
+        m = coefficient_factor(rng, rows, 12)
+        a = coefficient_operand(m, 1e-10)
+        assert isinstance(a, GramOperand) == (rows == 3)
+        q = rng.normal(size=(12, 12))
+        x = solve_sylvester(a, b, q)
+        dense_a = m.T @ m + 1e-10 * np.eye(12)
+        direct = kron_solve(dense_a, matrix, q)
+        scale = 1 + np.abs(direct).max()
+        assert np.abs(x - solve_sylvester(dense_a, matrix, q)).max() <= 1e-9 * scale
+        assert np.abs(x - direct).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("rows", [3, 15], ids=["woodbury", "eigenbases"])
+    def test_residual_is_checked_against_the_matrix(self, rows):
+        # A matrix off the Kronecker sum of the terms: the solve in the
+        # terms' eigenbasis misses the bound against the matrix.
+        rng = np.random.default_rng(36)
+        first, second = random_spd(rng, 3), random_spd(rng, 4)
+        matrix = kronecker_sum(first, second)
+        matrix[[0, 5], [5, 0]] += 1e-3
+        a = coefficient_operand(coefficient_factor(rng, rows, 12), 1e-10)
+        with pytest.raises(NumericalError, match="exceeds bound") as err:
+            solve_sylvester(a, KroneckerSumOperand(matrix, first, second),
+                            rng.normal(size=(12, 12)))
+        assert not isinstance(err.value, SingularPencilError)
+
+    def test_singular_pencil_names_the_pair(self):
+        # Eigenvalues 1 + 1 and 2 + 1 on the right; -3 on the left cancels 3.
+        b = KroneckerSumOperand(np.diag([2.0, 3.0]), np.diag([1.0, 2.0]), np.eye(1))
+        with pytest.raises(SingularPencilError) as err:
+            solve_sylvester(SymmetricOperand(np.diag([1.0, -3.0])), b, np.ones((2, 2)))
+        assert "eigenvalue -3.0 of the left operand and 3.0 of the right" in str(err.value)
+
+    @pytest.mark.parametrize("matrix,first,second", [
+        (np.eye(6), np.eye(2), np.eye(2)),
+        (np.eye(6), np.ones((2, 3)), np.eye(3)),
+        (np.eye(6), np.eye(2), np.zeros((0, 0))),
+        (np.eye(4), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)),
+        (np.full((4, 4), np.inf), np.eye(2), np.eye(2)),
+        (scipy.sparse.csr_array(np.array([[np.nan]])), np.eye(1), np.eye(1)),
+        (np.eye(4)[:, :3], np.eye(2), np.eye(2)),
+    ], ids=["wrong_order", "term_not_square", "empty_term", "nan_term", "inf_matrix",
+            "nan_sparse_matrix", "matrix_not_square"])
+    def test_rejects_malformed_operands(self, matrix, first, second):
+        with pytest.raises(ValueError):
+            KroneckerSumOperand(matrix, first, second)
 
 
 class TestIdentityOperandSylvester:

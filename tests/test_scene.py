@@ -145,6 +145,27 @@ class TestNeighborMatrix:
         np.testing.assert_array_equal(nb.diff[:, 2], [1.0, -1.0])
         np.testing.assert_array_equal(nb.diff[:, 5], [-1.0, 1.0])
 
+    @staticmethod
+    def per_point_loop(height, width):
+        """The diff built point by point, direction by direction: the oracle."""
+        points = height * width
+        diff = np.zeros((points, 4 * points))
+        for row in range(height):
+            for col in range(width):
+                p = row * width + col
+                for d, (dr, dc) in enumerate(((-1, 0), (0, -1), (0, 1), (1, 0))):
+                    nr, nc = row + dr, col + dc
+                    if 0 <= nr < height and 0 <= nc < width:
+                        diff[p, 4 * p + d] = 1.0
+                        diff[nr * width + nc, 4 * p + d] = -1.0
+        return diff
+
+    @pytest.mark.parametrize("height,width", [(1, 1), (1, 5), (5, 1), (3, 4), (12, 20)])
+    def test_equals_the_per_point_loop(self, height, width):
+        nb = build_neighbor_matrix(height, width)
+        assert (nb.grid_height, nb.grid_width) == (height, width)
+        assert np.array_equal(nb.diff, self.per_point_loop(height, width))
+
     def test_columns_sum_to_zero(self):
         nb = build_neighbor_matrix(4, 5)
         np.testing.assert_array_equal(nb.diff.sum(axis=0), np.zeros(4 * 20))
