@@ -5,15 +5,6 @@ spectral clustering of the learned self-expression coefficients."""
 from .admm import SolverConfig, SolverTrace, solve
 from .clustering import build_affinity, spectral_cluster
 from .errors import ManifestError, NumericalError, ParseError, SingularPencilError
-from .linalg import (
-    CholeskyOperand,
-    GramOperand,
-    IdentityOperand,
-    SymmetricOperand,
-    soft_threshold,
-    solve_sylvester,
-    svt,
-)
 from .metrics import (
     reconstruction_error,
     reconstruction_error_whole,
@@ -22,10 +13,8 @@ from .metrics import (
 )
 from .scene import (
     CameraMotion,
-    NeighborMatrix,
     ShapeState,
     build_neighbor_matrix,
-    extend_with_identity,
     project,
     to_frame_rows,
     to_point_columns,
@@ -47,11 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BodySpec",
     "CameraMotion",
-    "CholeskyOperand",
-    "GramOperand",
-    "IdentityOperand",
     "ManifestError",
-    "NeighborMatrix",
     "NumericalError",
     "ParseError",
     "SceneData",
@@ -59,14 +44,12 @@ __all__ = [
     "SingularPencilError",
     "SolverConfig",
     "SolverTrace",
-    "SymmetricOperand",
     "SynthConfig",
     "build_affinity",
     "build_neighbor_matrix",
     "default_three_body",
     "default_two_body",
     "estimate_rigid_rotations",
-    "extend_with_identity",
     "generate_body",
     "generate_scene",
     "max_abs_measurement",
@@ -75,11 +58,8 @@ __all__ = [
     "reconstruction_error_whole",
     "reprojection_error",
     "segmentation_error",
-    "soft_threshold",
     "solve",
-    "solve_sylvester",
     "spectral_cluster",
-    "svt",
     "to_frame_rows",
     "to_point_columns",
 ]

@@ -50,39 +50,36 @@ left operand is the Gram M^T M + eps I of M = [S; 1^T], (3F+1) x P: when
 Woodbury identity, otherwise it is formed. Its right operand D D^T is
 constant over a run, so ``solve`` builds it once.
 
-With a spatial term ``solve`` builds the merged operator straight from
-the grid dimensions as an ``EdgeOperator``: [I | D_e], held as a
-``scipy.sparse.csr_array``, with one column e_p - e_q per unique
-4-neighbor edge, so the slack and its dual are P x (P + E), not P x 5P.
-``NeighborMatrix.diff`` holds each edge twice, as +d and -d, plus a zero
-column per border direction; shrinkage and negation are exactly odd, so
-over a run twin columns stay exact negatives and zero columns stay zero.
-The edge form is therefore the same iteration up to summation order, with
-each edge weighed by multiplicity 2 where twins add up: the coefficient
-right-hand side, the Gram I + 2 D_e D_e^T (equal to I + D D^T), and the
-objective's l1 term. The sweep applies [I | D_e] and its weighted
-transpose by slicing each row of the product's operand as the h x w grid
-(``EdgeOperator.times``), so no step function multiplies by the csr
-matrix and their outputs are C-ordered; the csr matrix builds the Gram and
-is the tests' oracle for those products.
+With a spatial term ``solve`` takes the merged operator as the
+``scene.EdgeOperator`` that ``scene.build_neighbor_matrix`` returns:
+[I | D_e], one column e_p - e_q per unique 4-neighbor edge, so the slack
+and its dual are P x (P + E), not P x 5P. Each edge stands for the +d and
+-d twins of the full 4-neighbor operator and is weighed by multiplicity 2
+where twins add up (the ``EdgeOperator`` docstring says why that is
+exact). The operator holds only the grid dimensions, and the sweep
+applies [I | D_e] and its weighted transpose by slicing each row of the
+product's operand as the h x w grid (``EdgeOperator.times``), so the
+outputs are C-ordered and no matrix of the operator is ever formed.
 
 The Gram I + 2 D_e D_e^T is I + 2L, L the grid Laplacian, which is the
 Kronecker sum of the h- and w-node path Laplacians. Its eigenbasis is
 therefore V_h (x) V_w, the separable 2-D DCT-II basis (Strang, *The
 Discrete Cosine Transform*, SIAM Review 1999), with eigenvalues
 1 + 2 (l_i + l_j). ``solve`` holds it once per run as a
-``linalg.KroneckerSumOperand``: set-up eigendecomposes only the h x h and
-w x w terms, and each rotation of a coefficient right-hand side is two
-small products on its (P, h, w) view instead of a P x P GEMM. Its exact
-matrix stays the csr product of D_e, which the residual check applies.
+``linalg.KroneckerSumOperand`` of its two terms I + 2 L_h and 2 L_w:
+set-up eigendecomposes only those h x h and w x w terms, each rotation of
+a coefficient right-hand side is two small products on its (P, h, w)
+view instead of a P x P GEMM, and the residual check applies the two
+terms to the solution the same way. The terms hold small integers, so
+they are the exact Gram.
 
 A formed left operand (3F+1 >= P) changes with S and is eigendecomposed
 every sweep. Shifted Cholesky, as in the shape step, cannot replace that
 ``eigh``: it takes one factor per cluster of the other operand's
 eigenvalues, and the Gram I + 2L has eigenvalues 1 + 2 lambda spread over
-[1, 17) without clusters. The step functions also take a plain dense or
-csr [I | D], each column counted once, which the tests use as the oracle;
-the dense one's Gram is a formed ``linalg.SymmetricOperand``.
+[1, 17) without clusters. The step functions also take a plain dense
+[I | D], each column counted once, which the tests use as the oracle; its
+Gram is a formed ``linalg.SymmetricOperand``.
 
 Without a spatial term the merged operator is the identity, and ``solve``
 passes ``merged=None`` for it: the step functions then skip every product
@@ -100,7 +97,6 @@ from dataclasses import dataclass, field
 from math import inf, sqrt
 
 import numpy as np
-import scipy.sparse
 
 from .linalg import (
     CholeskyOperand,
@@ -117,7 +113,7 @@ from .linalg import (
 )
 from .scene import (
     CameraMotion,
-    NeighborMatrix,
+    EdgeOperator,
     ShapeState,
     _project_checked,
     to_frame_rows,
@@ -126,88 +122,10 @@ from .scene import (
 )
 
 
-@dataclass(frozen=True)
-class EdgeOperator:
-    """The grid-mode merged operator [I | D_e]: one column per unique edge.
-
-    ``matrix`` is the P x (P + E) csr [I | D_e]. Column P + k of it is
-    e_p - e_q for the k-th 4-neighbor edge (p, q) of the row-major
-    ``height`` x ``width`` grid, q the right or lower neighbor of p; the
-    horizontal edges come first, so E = h(w-1) + (h-1)w. ``multiplicity``
-    is 1 on the identity columns and ``EDGE_MULTIPLICITY`` = 2 on the edge
-    columns, which stand for the +d and -d twins of ``NeighborMatrix.diff``
-    (the module docstring says why that is exact).
-
-    The sweep applies it by slicing the grid (``times`` and
-    ``times_weighted_transpose``); ``matrix`` builds the set-up Gram and is
-    the tests' oracle for those products.
-    """
-
-    matrix: scipy.sparse.csr_array
-    height: int
-    width: int
-
-    EDGE_MULTIPLICITY = 2.0
-
-    @classmethod
-    def from_grid(cls, height: int, width: int) -> "EdgeOperator":
-        index = np.arange(height * width).reshape(height, width)
-        first = np.concatenate([index[:, :-1].ravel(), index[:-1, :].ravel()])
-        second = np.concatenate([index[:, 1:].ravel(), index[1:, :].ravel()])
-        points, edges = index.size, first.size
-        cols = np.arange(points, points + edges)
-        matrix = scipy.sparse.csr_array(
-            (
-                np.concatenate([np.ones(points + edges), -np.ones(edges)]),
-                (np.concatenate([index.ravel(), first, second]),
-                 np.concatenate([np.arange(points), cols, cols])),
-            ),
-            shape=(points, points + edges),
-        )
-        return cls(matrix, height, width)
-
-    @property
-    def multiplicity(self) -> np.ndarray:
-        """The weight of each column: 1 per point, ``EDGE_MULTIPLICITY`` per edge."""
-        points, cols = self.matrix.shape
-        return np.concatenate([np.ones(points), np.full(cols - points, self.EDGE_MULTIPLICITY)])
-
-    def _blocks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The point, horizontal-edge and vertical-edge columns of an n x (P + E)
-        ``x``, as (n, h, w), (n, h, w-1) and (n, h-1, w) views."""
-        h, w = self.height, self.width
-        n, points = x.shape[0], h * w
-        split = points + h * (w - 1)
-        return (x[:, :points].reshape(n, h, w), x[:, points:split].reshape(n, h, w - 1),
-                x[:, split:].reshape(n, h - 1, w))
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """``x @ matrix`` as a C-ordered n x (P + E) array: x, then x_p - x_q per edge."""
-        out = np.empty((x.shape[0], self.matrix.shape[1]))
-        out[:, : x.shape[1]] = x
-        grid, horizontal, vertical = self._blocks(out)
-        np.subtract(grid[:, :, :-1], grid[:, :, 1:], out=horizontal)
-        np.subtract(grid[:, :-1, :], grid[:, 1:, :], out=vertical)
-        return out
-
-    def times_weighted_transpose(self, x: np.ndarray) -> np.ndarray:
-        """``(x * multiplicity) @ matrix.T`` as a C-ordered n x P array."""
-        _, horizontal, vertical = self._blocks(x)
-        out = x[:, : self.height * self.width].copy()
-        grid = out.reshape(x.shape[0], self.height, self.width)
-        for edges, head, tail in ((horizontal, grid[:, :, :-1], grid[:, :, 1:]),
-                                  (vertical, grid[:, :-1, :], grid[:, 1:, :])):
-            weighted = self.EDGE_MULTIPLICITY * edges
-            head += weighted
-            tail -= weighted
-        return out
-
-
-# The merged operator [I | D] as the step functions take it: dense or csr
-# (every column counted once), the grid's EdgeOperator, or None for the
-# identity of sparse mode. A csr [I | D] is a test oracle for the products
-# only: its Gram is passed in formed, as a SymmetricOperand.
-Merged = np.ndarray | scipy.sparse.csr_array | EdgeOperator | None
+# The merged operator [I | D] as the step functions take it: the grid's
+# EdgeOperator, None for the identity of sparse mode, or a dense [I | D]
+# with every column counted once, which is the tests' oracle.
+Merged = np.ndarray | EdgeOperator | None
 # The coefficient step's right operand D diag(multiplicity) D^T.
 MergedGram = SymmetricOperand | KroneckerSumOperand | IdentityOperand
 
@@ -461,21 +379,18 @@ def _merged_gram(merged: Merged, points: int) -> MergedGram:
     """The coefficient step's right operand D diag(multiplicity) D^T.
 
     For an EdgeOperator this is I + 2 D_e D_e^T, the same matrix as
-    I + D D^T of the full ``NeighborMatrix.diff``. D_e D_e^T is the grid
+    I + D D^T of the full 4-neighbor operator D. D_e D_e^T is the grid
     Laplacian, the Kronecker sum of the h- and w-node path Laplacians L_h
     and L_w, so the operand is held as the Kronecker sum of I + 2 L_h and
-    2 L_w, with the csr product of D_e as its exact matrix. A dense [I | D]
-    gives a SymmetricOperand of its formed Gram.
+    2 L_w. A dense [I | D] gives a SymmetricOperand of its formed Gram.
     """
     if merged is None:
         return IdentityOperand(points)
     if isinstance(merged, EdgeOperator):
-        weighted = merged.matrix.copy()
-        weighted.data *= merged.multiplicity[weighted.indices]
         weight = merged.EDGE_MULTIPLICITY
         first = np.eye(merged.height) + weight * _path_laplacian(merged.height)
         second = weight * _path_laplacian(merged.width)
-        return KroneckerSumOperand(weighted @ merged.matrix.T, first, second)
+        return KroneckerSumOperand(first, second)
     return SymmetricOperand(merged @ merged.T)
 
 
@@ -652,15 +567,16 @@ def pseudo_inverse_shapes(w: np.ndarray, camera: CameraMotion) -> np.ndarray:
 def solve(
     w,
     camera: CameraMotion,
-    neighbors: NeighborMatrix | None,
+    neighbors: EdgeOperator | None,
     config: SolverConfig,
     init_shapes=None,
 ) -> tuple[ShapeState, np.ndarray, SolverTrace]:
     """Run the full ADMM and return (shape state, coefficients, trace).
 
-    ``neighbors=None`` drops the spatial term; the merged operator then
-    degenerates to the identity, held as ``merged=None``, and the slack
-    simply mirrors the coefficients. Non-convergence within ``max_iters`` is
+    ``neighbors`` is the grid's merged operator from
+    ``scene.build_neighbor_matrix``; ``neighbors=None`` drops the spatial
+    term, the merged operator then degenerates to the identity, held as
+    ``merged=None``, and the slack simply mirrors the coefficients. Non-convergence within ``max_iters`` is
     not an error: the best-so-far state is returned with ``trace.converged``
     False, and downstream clustering remains meaningful.
 
@@ -678,11 +594,8 @@ def solve(
         raise ValueError(
             f"neighbor matrix covers {neighbors.points} points, scene has {points}"
         )
-    if neighbors is None:
-        merged, slack_cols = None, points
-    else:
-        merged = EdgeOperator.from_grid(neighbors.grid_height, neighbors.grid_width)
-        slack_cols = merged.matrix.shape[1]
+    merged = neighbors
+    slack_cols = points if merged is None else merged.columns
     merged_gram = _merged_gram(merged, points)
     camera_gram = _camera_gram(camera)
     backprojected = _backproject(w, camera)

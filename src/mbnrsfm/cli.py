@@ -65,7 +65,7 @@ def _solver_block(args) -> dict:
 def _synth_block(args, n_bodies: int) -> dict:
     factory = default_two_body if n_bodies == 2 else default_three_body
     # Unset flags keep the stock scene's own seed and body size.
-    stock = {"seed": args.seed, "points_per_body": args.points_per_body or None}
+    stock = {"seed": args.seed, "points_per_body": args.points_per_body}
     config = factory(frames=args.frames, basis_rank=args.basis_rank, noise_sigma=args.noise_sigma,
                      **{key: value for key, value in stock.items() if value is not None})
     return synth_block(replace(config, camera_mode=args.camera))

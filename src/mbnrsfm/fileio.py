@@ -11,9 +11,12 @@ Label files:
 Floats are written with Python's shortest round-trip repr and a '.' decimal
 separator; reading back reproduces the in-memory values bit for bit. Every
 writer goes through ``_write_lines``: UTF-8, LF line endings, a final newline.
-Zero-sized matrices are rejected on both ends. All parse failures, bytes
-that are not UTF-8 included, raise ParseError with the offending 1-based
-line number of the file (blank lines between labels are skipped but counted).
+Zero-sized matrices are rejected on both ends. A file may hold printable
+ASCII other than '_', tab, LF and CR only, which is all the writers
+produce; the readers reject anything else before parsing a token. All
+parse failures, bytes that are not UTF-8 or not allowed included, raise
+ParseError with the offending 1-based line number of the file (blank lines
+between labels are skipped but counted).
 
 Matrix values become text only in ``format_matrix``. ``write_matrix``
 returns the ``MatrixText`` it wrote and takes one in place of an array, so
@@ -48,6 +51,18 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# The bytes an MBNR1 file may hold: printable ASCII but '_', plus tab, LF
+# and CR. Python's float and int would also take '_' digit separators and
+# non-ASCII digits, and str.splitlines breaks lines at other control
+# characters; the writers produce none of them.
+_ALLOWED_BYTES = bytes(sorted(set(range(0x20, 0x7F)) - {ord("_")} | {0x09, 0x0A, 0x0D}))
+
+
+def _line_of(data: bytes, offset: int) -> int:
+    """The 1-based file line holding byte ``offset``: LF, CR and CR LF end a line."""
+    return len((data[:offset] + b"x").splitlines())
+
+
 def _read_header(path, kind: str, fields: tuple[str, ...]) -> tuple[list[str], list[int]]:
     """Read a UTF-8 text file and check its ``MBNR1 <kind> <fields...>`` header.
 
@@ -56,10 +71,18 @@ def _read_header(path, kind: str, fields: tuple[str, ...]) -> tuple[list[str], l
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
+        raise ParseError(path, _line_of(data, exc.start),
+                         f"not UTF-8 text ({exc.reason})") from None
+    disallowed = data.translate(None, _ALLOWED_BYTES)
+    if disallowed:
+        # Every byte before the first disallowed one is ASCII, so its offset
+        # in ``data`` is also its index in ``text``.
+        offset = min(map(data.find, set(disallowed)))
+        raise ParseError(path, _line_of(data, offset),
+                         f"character {text[offset]!r} is not allowed in MBNR1 text")
+    lines = text.splitlines()
     if not lines:
         raise ParseError(path, 1, f"empty file, expected {MAGIC} {kind} header")
     header = lines[0].split()

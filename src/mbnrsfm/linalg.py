@@ -23,8 +23,10 @@ The solver's two Sylvester equations have symmetric operands, and
   held with its eigendecomposition) left of a ``SymmetricOperand`` or a
   ``KroneckerSumOperand``: rotate into both eigenbases and divide. A
   ``KroneckerSumOperand`` (``first (x) I + I (x) second``, the grid Gram)
-  holds the eigenbases of its two small terms, not an n x n one, and is
-  rotated by two small products on the (r, h, w) view of an r x n array;
+  is defined by its two small terms and holds their eigenbases, not an
+  n x n one: it is rotated, and applied in the residual check, by two
+  small products on the (r, h, w) view of an r x n array, and no n x n
+  matrix of it exists;
 * a ``GramOperand`` left of either right operand above (``m^T m + shift I``
   held as its dense k x n factor ``m``, k < n): only the k x k Gram
   ``m m^T`` is factored, and each column of the right operand's eigenbasis
@@ -298,7 +300,7 @@ class SymmetricOperand:
 
 
 class KroneckerSumOperand:
-    """The symmetric operand ``first (x) I + I (x) second``, held with its terms' eigenpairs.
+    """The symmetric operand ``first (x) I + I (x) second``, defined by its two terms.
 
     ``first`` (h x h) and ``second`` (w x w) are dense symmetric matrices,
     each factored by one ``np.linalg.eigh``; the operand is n x n, n = h * w,
@@ -309,33 +311,24 @@ class KroneckerSumOperand:
     (``_kronecker_right``) and no n x n eigenbasis is ever formed. ``bases``
     holds ``(V_first, V_second)``.
 
-    ``matrix`` is the n x n operator itself, a dense array or a 2-D
-    scipy-sparse matrix. The Sylvester residual is checked against it, not
-    against the eigen-reconstruction, so a ``matrix`` that differs from the
-    Kronecker sum of the terms fails that check instead of passing unseen.
+    The n x n operator is never formed either. The Sylvester residual is
+    checked against the terms as given, ``first^T X_k + X_k second`` on each
+    (h, w) slice X_k (``_kronecker_sum_right``), not against the
+    eigen-reconstruction, so a term that is not symmetric (``eigh`` reads
+    only its lower triangle) fails that check instead of passing unseen.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "bases")
+    __slots__ = ("first", "second", "eigenvalues", "bases")
 
-    def __init__(self, matrix, first, second):
+    def __init__(self, first, second):
         terms = [np.asarray(term, dtype=float) for term in (first, second)]
         for term in terms:
             if term.ndim != 2 or term.shape[0] != term.shape[1] or term.size == 0:
                 raise ValueError(f"Kronecker-sum terms must be n x n, got shape {term.shape}")
             if not np.isfinite(term).all():
                 raise ValueError("Kronecker-sum term contains non-finite entries")
-        sparse = scipy.sparse.issparse(matrix)
-        mat = matrix if sparse else np.asarray(matrix, dtype=float)
-        n = terms[0].shape[0] * terms[1].shape[0]
-        if mat.shape != (n, n):
-            raise ValueError(
-                f"terms of orders {terms[0].shape[0]} and {terms[1].shape[0]} need an "
-                f"{n} x {n} matrix, got shape {mat.shape}"
-            )
-        if not np.isfinite(mat.data if sparse else mat).all():
-            raise ValueError("Kronecker-sum operand contains non-finite entries")
         (first_values, first_vectors), (second_values, second_vectors) = map(_eigh, terms)
-        self.matrix = mat
+        self.first, self.second = terms
         self.eigenvalues = (first_values[:, None] + second_values[None, :]).reshape(-1)
         self.bases = (first_vectors, second_vectors)
 
@@ -428,6 +421,8 @@ class IdentityOperand:
 
 _OPERANDS = (SymmetricOperand, KroneckerSumOperand, GramOperand, CholeskyOperand,
              IdentityOperand)
+# Operands held with their matrix, which products apply directly.
+_MATRIX_OPERANDS = (SymmetricOperand, CholeskyOperand)
 
 
 def _left(op, x: np.ndarray) -> np.ndarray:
@@ -436,7 +431,7 @@ def _left(op, x: np.ndarray) -> np.ndarray:
         return x
     if isinstance(op, GramOperand):
         return op.factor.T @ (op.factor @ x) + op.shift * x
-    if isinstance(op, _OPERANDS):
+    if isinstance(op, _MATRIX_OPERANDS):
         op = op.matrix
     if op.ndim == 2:
         return op @ x
@@ -450,12 +445,10 @@ def _right(x: np.ndarray, op) -> np.ndarray:
         return x
     if isinstance(op, GramOperand):
         return (x @ op.factor.T) @ op.factor + op.shift * x
-    if isinstance(op, _OPERANDS):
+    if isinstance(op, KroneckerSumOperand):
+        return _kronecker_sum_right(x, op.first, op.second)
+    if isinstance(op, _MATRIX_OPERANDS):
         op = op.matrix
-    if scipy.sparse.issparse(op):
-        # Only a KroneckerSumOperand holds a sparse matrix, and it is
-        # symmetric, so x @ op = (op @ x^T)^T.
-        return (op @ x.T).T
     if op.ndim == 2:
         return x @ op
     k, m, _ = op.shape
@@ -476,6 +469,21 @@ def _kronecker_right(x: np.ndarray, first: np.ndarray, second: np.ndarray) -> np
     h, w = first.shape[0], second.shape[0]
     inner = np.matmul(first.T, x.reshape(rows, h, w))
     return (inner.reshape(rows * h, w) @ second).reshape(rows, h * w)
+
+
+def _kronecker_sum_right(x: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``x @ (first (x) I + I (x) second)`` for an r x (h w) ``x``.
+
+    Row k of ``x`` viewed as an h x w matrix X_k maps to
+    ``first^T X_k + X_k second``: one batched ``matmul`` on the (r, h, w)
+    view and one GEMM on its (r h) x w reshape, as in ``_kronecker_right``.
+    """
+    rows = x.shape[0]
+    h, w = first.shape[0], second.shape[0]
+    grid = x.reshape(rows, h, w)
+    out = np.matmul(first.T, grid)
+    out += (grid.reshape(rows * h, w) @ second).reshape(rows, h, w)
+    return out.reshape(rows, h * w)
 
 
 def _into_eigenbasis(x: np.ndarray, op) -> np.ndarray:
@@ -563,7 +571,8 @@ def solve_sylvester(a, b, q) -> np.ndarray:
 
     The returned solution always satisfies
     ``||a x + x b - q||_F <= SYLVESTER_RTOL * (1 + ||q||_F)``, checked
-    against the original operators; where ``||q||_F`` overflows, both sides
+    against the original operators (a KroneckerSumOperand's two terms);
+    where ``||q||_F`` overflows, both sides
     are taken in units of max|q|, so the bound stays finite. A violation,
     or a non-finite solution, raises SingularPencilError (naming the
     offending eigenvalue pair) when the pencil is singular, NumericalError

@@ -11,6 +11,12 @@ Conventions used throughout the package:
 
 Tracks are assumed zero-centered per frame (no translation); the CLI
 applies that centering when importing measurement files.
+
+Grid-organized tracks add a spatial term through ``EdgeOperator``, the
+merged operator [I | D_e] over the unique 4-neighbor edges of a row-major
+grid, which ``build_neighbor_matrix`` returns. It holds the grid's two
+dimensions and nothing else; its docstring says why one column per edge,
+weighed twice, is exact against the full 4-neighbor operator.
 """
 
 from __future__ import annotations
@@ -24,9 +30,6 @@ from .linalg import as_matrix
 ROTATION_ORTHO_TOL = 1e-8
 # Float labels must stay below this in magnitude to cast to int64.
 _INT64_BOUND = 2.0**63
-
-# Fixed 4-neighborhood scan order: up, left, right, down.
-_NEIGHBOR_STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
 def validate_measurements(w) -> np.ndarray:
@@ -184,69 +187,93 @@ class ShapeState:
 
 
 @dataclass(frozen=True)
-class NeighborMatrix:
-    """Grid 4-neighbor difference operator.
+class EdgeOperator:
+    """The grid-mode merged operator [I | D_e]: one column per unique edge.
 
-    ``diff`` is P x 4P: for point p and direction d (up, left, right, down)
-    column 4p + d carries +1 at row p and -1 at the neighbor row, or is all
-    zero when the neighbor falls off the grid border.
+    It holds only the row-major ``height`` x ``width`` grid; every product
+    is taken by slicing the grid. Column P + k of [I | D_e] is e_p - e_q
+    for the k-th 4-neighbor edge (p, q), q the right or lower neighbor of
+    p; the horizontal edges come first, so there are ``columns`` =
+    P + E columns, E = h(w-1) + (h-1)w.
+
+    The full 4-neighbor difference operator D (P x 4P, the tests' oracle)
+    has, for point p and direction d (up, left, right, down), a column
+    4p + d with +1 at row p and -1 at the neighbor row, or an all-zero
+    column where the neighbor falls off the grid. So it holds each edge
+    twice, as +d and -d, plus the zero border columns. Shrinkage and
+    negation are exactly odd, so over an ADMM run twin columns of the slack
+    and its dual stay exact negatives and zero columns stay zero. The edge
+    form is therefore the same iteration up to summation order, with each
+    edge weighed by ``EDGE_MULTIPLICITY`` = 2 where twins add up: the
+    coefficient right-hand side, the Gram I + 2 D_e D_e^T (equal to
+    I + D D^T), and the objective's l1 term. ``multiplicity`` is that
+    weight per column, 1 on the identity columns.
     """
 
-    diff: np.ndarray
-    grid_height: int
-    grid_width: int
+    height: int
+    width: int
+
+    EDGE_MULTIPLICITY = 2.0
 
     def __post_init__(self):
-        # The solver rebuilds the operator from the grid dimensions, so a
-        # diff that does not fit them would silently change the problem.
-        dims = (self.grid_height, self.grid_width)
+        # bool is an int subclass, but True is no grid dimension.
+        dims = (self.height, self.width)
         if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
                    for d in dims):
             raise ValueError(f"grid dimensions must be positive integers, got {dims}")
-        points = self.grid_height * self.grid_width
-        if np.shape(self.diff) != (points, 4 * points):
-            raise ValueError(
-                f"a {self.grid_height} x {self.grid_width} grid needs a "
-                f"{points} x {4 * points} diff, got {np.shape(self.diff)}"
-            )
 
     @property
     def points(self) -> int:
-        return self.diff.shape[0]
+        return self.height * self.width
+
+    @property
+    def columns(self) -> int:
+        """P + E: one column per point, then one per unique edge."""
+        h, w = self.height, self.width
+        return h * w + h * (w - 1) + (h - 1) * w
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """The weight of each column: 1 per point, ``EDGE_MULTIPLICITY`` per edge."""
+        points = self.points
+        return np.concatenate([np.ones(points),
+                               np.full(self.columns - points, self.EDGE_MULTIPLICITY)])
+
+    def _blocks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The point, horizontal-edge and vertical-edge columns of an n x (P + E)
+        ``x``, as (n, h, w), (n, h, w-1) and (n, h-1, w) views."""
+        h, w = self.height, self.width
+        n, points = x.shape[0], h * w
+        split = points + h * (w - 1)
+        return (x[:, :points].reshape(n, h, w), x[:, points:split].reshape(n, h, w - 1),
+                x[:, split:].reshape(n, h - 1, w))
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``x @ [I | D_e]`` as a C-ordered n x (P + E) array: x, then x_p - x_q per edge."""
+        out = np.empty((x.shape[0], self.columns))
+        out[:, : x.shape[1]] = x
+        grid, horizontal, vertical = self._blocks(out)
+        np.subtract(grid[:, :, :-1], grid[:, :, 1:], out=horizontal)
+        np.subtract(grid[:, :-1, :], grid[:, 1:, :], out=vertical)
+        return out
+
+    def times_weighted_transpose(self, x: np.ndarray) -> np.ndarray:
+        """``(x * multiplicity) @ [I | D_e]^T`` as a C-ordered n x P array."""
+        _, horizontal, vertical = self._blocks(x)
+        out = x[:, : self.points].copy()
+        grid = out.reshape(x.shape[0], self.height, self.width)
+        for edges, head, tail in ((horizontal, grid[:, :, :-1], grid[:, :, 1:]),
+                                  (vertical, grid[:, :-1, :], grid[:, 1:, :])):
+            weighted = self.EDGE_MULTIPLICITY * edges
+            head += weighted
+            tail -= weighted
+        return out
 
 
-def build_neighbor_matrix(grid_height: int, grid_width: int) -> NeighborMatrix:
-    """Construct the 4-neighbor difference matrix for a row-major grid.
+def build_neighbor_matrix(grid_height: int, grid_width: int) -> EdgeOperator:
+    """The merged 4-neighbor operator [I | D_e] of a row-major grid.
 
-    Per direction, the points whose neighbor lies on the grid form one
-    rectangle of the grid; their columns are filled by one index assignment
-    each for the +1 and the -1 entries.
+    Nothing is formed: the operator holds the two dimensions, which must be
+    positive integers, and applies itself by slicing the grid.
     """
-    if grid_height < 1 or grid_width < 1:
-        raise ValueError(
-            f"grid must be at least 1 x 1, got {grid_height} x {grid_width}"
-        )
-    points = grid_height * grid_width
-    index = np.arange(points).reshape(grid_height, grid_width)
-    diff = np.zeros((points, 4 * points))
-    for d, (dr, dc) in enumerate(_NEIGHBOR_STEPS):
-        p = index[max(-dr, 0) : grid_height - max(dr, 0),
-                  max(-dc, 0) : grid_width - max(dc, 0)].ravel()
-        diff[p, 4 * p + d] = 1.0
-        diff[p + dr * grid_width + dc, 4 * p + d] = -1.0
-    return NeighborMatrix(diff, grid_height, grid_width)
-
-
-def extend_with_identity(
-    neighbors: NeighborMatrix | None, num_points: int | None = None
-) -> np.ndarray:
-    """Merge the identity with the neighbor differences: [I | D], P x 5P.
-
-    With ``neighbors`` absent (sparse tracks, no spatial term) the extension
-    degenerates to the P x P identity; ``num_points`` must then be given.
-    """
-    if neighbors is None:
-        if num_points is None:
-            raise ValueError("num_points is required when no neighbor matrix is given")
-        return np.eye(num_points)
-    return np.hstack([np.eye(neighbors.points), neighbors.diff])
+    return EdgeOperator(grid_height, grid_width)

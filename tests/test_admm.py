@@ -4,14 +4,22 @@ import scipy.linalg
 import scipy.sparse
 from dataclasses import replace
 
-from conftest import identity_merged, path_laplacian, random_state
+from conftest import (
+    dense_merged,
+    edge_csr,
+    edge_expansion,
+    identity_merged,
+    kronecker_sum,
+    neighbor_diff,
+    path_laplacian,
+    random_state,
+)
 
 import mbnrsfm.admm
 from mbnrsfm.admm import (
     COEFF_STABILIZER,
     AdmmState,
     DualState,
-    EdgeOperator,
     SolverConfig,
     _merged_gram,
     augmented_lagrangian,
@@ -44,7 +52,6 @@ import mbnrsfm.scene
 from mbnrsfm.metrics import reprojection_error, segmentation_error
 from mbnrsfm.scene import (
     build_neighbor_matrix,
-    extend_with_identity,
     to_frame_rows,
     to_point_columns,
 )
@@ -185,8 +192,8 @@ class TestStepsMatchCopyingFormulas:
     def merged_problem(seed, merged_kind, frames=5):
         """A random state with the slack shaped for ``merged_kind``."""
         rng = np.random.default_rng(seed)
-        merged = {"identity": None, "grid": EdgeOperator.from_grid(3, 4)}[merged_kind]
-        cols = 12 if merged is None else merged.matrix.shape[1]
+        merged = {"identity": None, "grid": build_neighbor_matrix(3, 4)}[merged_kind]
+        cols = 12 if merged is None else merged.columns
         return merged, random_state(rng, frames, 12, slack_cols=cols)
 
     @pytest.mark.parametrize("merged_kind", ["identity", "grid"])
@@ -398,7 +405,7 @@ class TestUpdateCoefficients:
         assert np.abs(raw - direct).max() <= 1e-7 * (1 + np.abs(direct).max())
 
     def grid_problem(self):
-        merged = extend_with_identity(build_neighbor_matrix(2, 3))
+        merged = dense_merged(build_neighbor_matrix(2, 3))
         rng = np.random.default_rng(53)
         state = random_state(rng, 3, 6, slack_cols=merged.shape[1])
         return state, merged
@@ -489,79 +496,6 @@ def assert_close_rel(actual, expected, rtol):
     assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
 
 
-class TestSparseMergedOperator:
-    """Every step accepts the grid operator [I | D] dense or as csr_array,
-    given the formed Gram."""
-
-    @pytest.fixture
-    def problem(self):
-        merged = extend_with_identity(build_neighbor_matrix(3, 4))
-        rng = np.random.default_rng(71)
-        _, camera, w, _ = small_problem(seed=71, frames=4, points=12)
-        state = random_state(rng, 4, 12, slack_cols=merged.shape[1])
-        return camera, w, state, merged, scipy.sparse.csr_array(merged)
-
-    def test_update_slack(self, problem):
-        _, _, state, dense, sparse = problem
-        cfg = SolverConfig(lambda1=0.3)
-        out = update_slack(state, sparse, cfg)
-        assert isinstance(out, np.ndarray)
-        assert_close_rel(out, update_slack(state, dense, cfg), 1e-12)
-
-    def test_coefficient_steps(self, problem):
-        # The csr form is an oracle for the products; its Gram is passed in
-        # formed, as the dense form builds it.
-        _, _, state, dense, sparse = problem
-        gram = SymmetricOperand(dense @ dense.T)
-        assert_close_rel(solve_coeff_subproblem(state, sparse, gram),
-                         solve_coeff_subproblem(state, dense, gram), 1e-12)
-        assert_close_rel(update_coefficients(state, sparse, gram),
-                         update_coefficients(state, dense, gram), 1e-12)
-
-    def test_constraint_residuals(self, problem):
-        _, _, state, dense, sparse = problem
-        assert_close_rel(constraint_residuals(constraint_gaps(state, sparse)),
-                         constraint_residuals(constraint_gaps(state, dense)), 1e-12)
-
-    def test_update_duals(self, problem):
-        _, _, state, dense, sparse = problem
-        cfg = SolverConfig()
-        out = update_duals(state.duals, constraint_gaps(state, sparse), cfg)
-        expected = update_duals(state.duals, constraint_gaps(state, dense), cfg)
-        for name in ("y_reshuffle", "y_selfexpr", "y_slack", "y_colsum"):
-            assert isinstance(getattr(out, name), np.ndarray)
-            assert_close_rel(getattr(out, name), getattr(expected, name), 1e-12)
-        assert out.beta == expected.beta
-
-    def test_augmented_lagrangian(self, problem):
-        camera, w, state, dense, sparse = problem
-        cfg = SolverConfig(lambda1=0.3)
-        assert_close_rel(augmented_lagrangian(w, camera, state, sparse, cfg),
-                         augmented_lagrangian(w, camera, state, dense, cfg), 1e-12)
-
-
-def edge_expansion(edge, neighbors):
-    """The 0/+-1 matrix X with [I | D] = edge.matrix @ X, P + E rows by 5P columns.
-
-    Column P + c of X selects the edge column that equals column c of
-    ``neighbors.diff``, with the sign that makes them equal; a border
-    column of the diff selects nothing.
-    """
-    points = neighbors.points
-    edges = edge.matrix.toarray()[:, points:]
-    expansion = np.zeros((edge.matrix.shape[1], 5 * points))
-    expansion[:points, :points] = np.eye(points)
-    for c, column in enumerate(neighbors.diff.T):
-        if not column.any():
-            continue
-        match = [(k, sign) for k in range(edges.shape[1]) for sign in (1.0, -1.0)
-                 if np.array_equal(sign * edges[:, k], column)]
-        assert len(match) == 1
-        k, sign = match[0]
-        expansion[points + k, points + c] = sign
-    return expansion
-
-
 class TestEdgeOperator:
     """Grid mode's [I | D_e] with multiplicity 2 against the P x 5P [I | D]."""
 
@@ -570,44 +504,45 @@ class TestEdgeOperator:
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
     def test_one_column_per_unique_edge(self, grid):
         height, width = grid
-        neighbors = build_neighbor_matrix(height, width)
-        edge = EdgeOperator.from_grid(height, width)
+        edge = build_neighbor_matrix(height, width)
         points, edges = height * width, height * (width - 1) + (height - 1) * width
-        assert isinstance(edge.matrix, scipy.sparse.csr_array)
-        assert edge.matrix.shape == (points, points + edges)
+        assert (edge.points, edge.columns) == (points, points + edges)
+        assert edge_csr(edge).shape == (points, points + edges)
         np.testing.assert_array_equal(
             edge.multiplicity, np.r_[np.ones(points), np.full(edges, 2.0)])
         # Every nonzero diff column is +-1 times exactly one edge column,
         # and every edge column stands for exactly two of them.
-        expansion = edge_expansion(edge, neighbors)
-        np.testing.assert_array_equal(edge.matrix @ expansion, extend_with_identity(neighbors))
+        expansion = edge_expansion(edge)
+        np.testing.assert_array_equal(edge_csr(edge) @ expansion, dense_merged(edge))
         np.testing.assert_array_equal(np.abs(expansion).sum(axis=1), edge.multiplicity)
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
     def test_grid_slicing_products_match_the_csr_matrix(self, grid):
-        # The sweep's products slice the grid; the csr matrix is the oracle.
-        # Subtracting one neighbor from another is what the csr product sums,
-        # so the forward product agrees bit for bit.
-        edge = EdgeOperator.from_grid(*grid)
-        points, cols = edge.matrix.shape
-        rng = np.random.default_rng(points)
-        x, y = rng.normal(size=(7, points)), rng.normal(size=(7, cols))
+        # The sweep's products slice the grid; the csr [I | D_e] is the
+        # oracle. Subtracting one neighbor from another is what the csr
+        # product sums, so the forward product agrees bit for bit.
+        edge = build_neighbor_matrix(*grid)
+        matrix = edge_csr(edge)
+        rng = np.random.default_rng(edge.points)
+        x, y = rng.normal(size=(7, edge.points)), rng.normal(size=(7, edge.columns))
         for arg in (x, np.asfortranarray(x)):
             product = edge.times(arg)
             assert product.flags.c_contiguous
-            np.testing.assert_array_equal(product, x @ edge.matrix)
+            np.testing.assert_array_equal(product, x @ matrix)
         product = edge.times_weighted_transpose(y)
         assert product.flags.c_contiguous
-        assert_close_rel(product, (y * edge.multiplicity) @ edge.matrix.T, 1e-15)
+        assert_close_rel(product, (y * edge.multiplicity) @ matrix.T, 1e-15)
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
-    def test_gram_equals_full_operator_gram_exactly(self, grid):
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 7), (7, 1), (2, 2), (12, 20)],
+                             ids=lambda g: f"{g[0]}x{g[1]}")
+    def test_gram_terms_equal_full_operator_gram_exactly(self, grid):
+        # The Gram is held by its two terms only; formed as their Kronecker
+        # sum it is I + D D^T of the full 4-neighbor operator, bit for bit.
         neighbors = build_neighbor_matrix(*grid)
-        full = extend_with_identity(neighbors)
-        gram = _merged_gram(EdgeOperator.from_grid(*grid), neighbors.points)
+        full = dense_merged(neighbors)
+        gram = _merged_gram(neighbors, neighbors.points)
         assert isinstance(gram, KroneckerSumOperand)
-        assert scipy.sparse.issparse(gram.matrix)
-        np.testing.assert_array_equal(gram.matrix.toarray(), full @ full.T)
+        np.testing.assert_array_equal(kronecker_sum(gram.first, gram.second), full @ full.T)
 
     @pytest.mark.parametrize("grid", [(1, 1), (1, 7), (7, 1), (2, 2), (12, 20)],
                              ids=lambda g: f"{g[0]}x{g[1]}")
@@ -616,8 +551,8 @@ class TestEdgeOperator:
         # kron(V_h, V_w) and eigenvalues 1 + 2 (l_i + l_j), with
         # l_k = 2 - 2 cos(pi k / n) on an n-node path, rebuild the exact Gram.
         height, width = grid
-        gram = _merged_gram(EdgeOperator.from_grid(height, width), height * width)
-        exact = gram.matrix.toarray()
+        gram = _merged_gram(build_neighbor_matrix(height, width), height * width)
+        exact = kronecker_sum(gram.first, gram.second)
         basis = np.kron(*gram.bases)
         rebuilt = (basis * gram.eigenvalues) @ basis.T
         assert np.abs(rebuilt - exact).max() <= 1e-13 * np.abs(exact).max()
@@ -635,14 +570,13 @@ class TestEdgeOperator:
         # A random edge-form state and the P x 5P state it stands for: the
         # slack and its dual expanded through X, so twin columns are exact
         # negatives and border columns are zero.
-        neighbors = build_neighbor_matrix(3, 4)
-        edge = EdgeOperator.from_grid(3, 4)
-        expansion = edge_expansion(edge, neighbors)
+        edge = build_neighbor_matrix(3, 4)
+        expansion = edge_expansion(edge)
         _, camera, w, _ = small_problem(seed=72, frames=4, points=12)
-        state = random_state(np.random.default_rng(72), 4, 12, slack_cols=edge.matrix.shape[1])
+        state = random_state(np.random.default_rng(72), 4, 12, slack_cols=edge.columns)
         full = replace(state, slack=state.slack @ expansion,
                        duals=replace(state.duals, y_slack=state.duals.y_slack @ expansion))
-        return camera, w, state, edge, full, extend_with_identity(neighbors), expansion
+        return camera, w, state, edge, full, dense_merged(edge), expansion
 
     def test_slack_and_gaps_are_the_expanded_edge_form(self, problem):
         _, _, state, edge, full, dense, expansion = problem
@@ -766,7 +700,7 @@ class TestWideScenes:
         shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
         assert trace.converged
 
-        merged = extend_with_identity(neighbors, num_points=scene.w.shape[1])
+        merged = dense_merged(neighbors, num_points=scene.w.shape[1])
         oracle, iterations = eigenbasis_sweep(scene.w, scene.camera, merged, cfg)
         assert len(trace) == iterations
         assert_close_rel(shape_state.shapes, oracle.shapes, 1e-9)
@@ -1034,7 +968,7 @@ class TestSolve:
         """
         points = scene.w.shape[1]
         frames = scene.camera.frames
-        merged = extend_with_identity(neighbors)
+        merged = dense_merged(neighbors)
         merged_gram = SymmetricOperand(merged @ merged.T)
         shapes = pseudo_inverse_shapes(scene.w, scene.camera)
         state = AdmmState(
@@ -1098,7 +1032,7 @@ class TestSolve:
         def dense_eigenbasis(merged, points):
             gram = original(merged, points)
             assert isinstance(gram, KroneckerSumOperand)
-            return SymmetricOperand(gram.matrix.toarray())
+            return SymmetricOperand(kronecker_sum(gram.first, gram.second))
 
         monkeypatch.setattr(mbnrsfm.admm, "_merged_gram", dense_eigenbasis)
         runs.append(solve(scene.w, scene.camera, neighbors, cfg))
@@ -1112,13 +1046,34 @@ class TestSolve:
             spectral_cluster(build_affinity(oracle_coeffs), 2, seed=0),
         )
 
+    @pytest.mark.parametrize("frames,per_body,grid", [
+        (10, 6, (3, 4)),   # P = 12 <= 3F + 1 = 31: formed left operand
+        (4, 10, (4, 5)),   # P = 20 > 3F + 1 = 13: Woodbury left operand
+    ], ids=["3x4_formed", "4x5_woodbury"])
+    def test_grid_solve_builds_no_csr_matrix(self, monkeypatch, frames, per_body, grid):
+        # Grid mode forms no sparse matrix, in set-up or in the residual
+        # check: with csr_array made to raise, solve returns the same bits.
+        scene, neighbors = self.grid_scene(frames, per_body, grid)
+        cfg = SolverConfig(lambda1=1e-2)
+        expected_state, expected_coeffs, expected_trace = solve(
+            scene.w, scene.camera, neighbors, cfg)
+
+        def no_csr(*args, **kwargs):
+            raise AssertionError("grid mode built a csr_array")
+
+        monkeypatch.setattr(scipy.sparse, "csr_array", no_csr)
+        shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
+        assert np.array_equal(shape_state.shapes, expected_state.shapes)
+        assert np.array_equal(coeffs, expected_coeffs)
+        assert vars(trace) == vars(expected_trace) and len(trace) > 1
+
     def test_dense_grid_slack_keeps_twin_columns_exact_negatives(self):
         # What makes the edge form exact: on the dense [I | D] path the slack
         # and its dual hold each interior edge twice, as exact negatives, and
         # the border columns stay exactly zero, in every sweep.
         scene, neighbors = self.grid_scene()
         points = neighbors.points
-        columns = neighbors.diff.T
+        columns = neighbor_diff(neighbors.height, neighbors.width).T
         border = [points + c for c, col in enumerate(columns) if not col.any()]
         twins = [(points + c, points + t) for c, col in enumerate(columns)
                  for t, other in enumerate(columns)
@@ -1164,17 +1119,17 @@ class TestSolve:
         # P = 10 <= 3F + 1 = 19: M^T M formed, one Cholesky factor of it + I
         (6, 5, None, CholeskyOperand, IdentityOperand),
         (4, 10, None, GramOperand, IdentityOperand),    # P = 20 > 13: Woodbury
-        (3, 6, (3, 4), GramOperand, KroneckerSumOperand),  # P = 12 > 10, csr D D^T
+        (3, 6, (3, 4), GramOperand, KroneckerSumOperand),  # P = 12 > 10: Woodbury
     ], ids=["sparse_narrow", "sparse_wide", "grid"])
     def test_sylvester_operand_types(self, monkeypatch, frames, per_body, grid, coeff_left,
                                      coeff_right):
-        # Which operand each of the two solves per sweep gets, and whether
-        # the merged Gram is held sparse; all looked up on mbnrsfm.admm.
+        # Which operand each of the two solves per sweep gets; all looked
+        # up on mbnrsfm.admm.
         calls = []
         original = mbnrsfm.admm.solve_sylvester
 
         def recording(a, b, q):
-            calls.append((type(a), type(b), scipy.sparse.issparse(getattr(b, "matrix", None))))
+            calls.append((type(a), type(b)))
             return original(a, b, q)
 
         monkeypatch.setattr(mbnrsfm.admm, "solve_sylvester", recording)
@@ -1182,8 +1137,7 @@ class TestSolve:
         neighbors = build_neighbor_matrix(*grid) if grid else None
         _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=3))
         assert len(trace) == 3
-        assert calls == [(SymmetricOperand, CholeskyOperand, False),
-                         (coeff_left, coeff_right, grid is not None)] * 3
+        assert calls == [(SymmetricOperand, CholeskyOperand), (coeff_left, coeff_right)] * 3
 
     @pytest.mark.parametrize("frames,per_body", [(6, 5), (4, 10)],
                              ids=["formed_left", "woodbury"])

@@ -98,6 +98,45 @@ class TestMatrixFormat:
         assert err.value.line == 3
         assert "UTF-8" in str(err.value)
 
+    @pytest.mark.parametrize("text,line,char", [
+        ("MBNR1 matrix 1 2\n1_0 2.5\n", 2, "_"),               # float("1_0") is 10.0
+        ("MBNR1 matrix 1 2\n1.0 \uff12.5\n", 2, "\uff12"),    # float("\uff12.5") is 2.5
+        ("MBNR1 matrix \uff12 1_0\n1.0\n", 1, "\uff12"),      # int() reads it as 2 x 10
+        ("MBNR1 matrix 2 2\n1.0 2.0\f\n3.0 4.0\n", 2, "\f"),  # splitlines breaks at \f
+    ], ids=["digit_separator", "fullwidth_digit", "header", "form_feed"])
+    def test_rejects_text_the_writer_never_produces(self, tmp_path, text, line, char):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert err.value.line == line
+        assert f"character {char!r} is not allowed" in err.value.reason
+
+    def test_non_utf8_bytes_after_cr_line_ends_report_line(self, tmp_path):
+        # CR alone ends a line, as it does for the parser.
+        path = tmp_path / "m.mtx"
+        path.write_bytes(b"MBNR1 matrix 2 1\r1.0\r\xff\r")
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert err.value.line == 3
+        assert "UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("char", ["\v", "\x1c", "\x1d", "\x1e", "\x00", "\x7f", "\x85"])
+    def test_rejects_control_characters(self, tmp_path, char):
+        # Tab, CR and LF are the only control characters a file may hold;
+        # CR line ends count as line breaks when the line is named.
+        path = tmp_path / "m.mtx"
+        path.write_bytes(f"MBNR1 matrix 2 1\r1.0\r\n2.0{char}\n".encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert err.value.line == 3
+        assert f"character {char!r} is not allowed" in err.value.reason
+
+    def test_tab_cr_and_lf_are_allowed(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(b"MBNR1 matrix 2 2\r\n1.0\t2.0\r3.0 4.0\n")
+        np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_writer_rejects_nonfinite(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "m.mtx", np.array([[np.nan]]))
@@ -266,6 +305,18 @@ class TestLabelFormat:
             read_labels(path)
         assert err.value.line == 3
         assert "UTF-8" in str(err.value)
+
+
+    @pytest.mark.parametrize("label", ["\u0663", "1_0", "\uff11"],
+                             ids=["arabic_indic_digit", "digit_separator", "fullwidth_digit"])
+    def test_rejects_text_the_writer_never_produces(self, tmp_path, label):
+        # int() reads these as 3, 10 and 1.
+        path = tmp_path / "l.txt"
+        path.write_bytes(f"MBNR1 labels 2\n0\n\n{label}\n".encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert err.value.line == 4
+        assert "is not allowed" in err.value.reason
 
 
 class TestAuxiliaryWriters:

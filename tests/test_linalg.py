@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from conftest import identity_merged, path_laplacian, random_state
+from conftest import dense_merged, identity_merged, kronecker_sum, path_laplacian, random_state
 
 import mbnrsfm.admm
 import mbnrsfm.linalg
@@ -27,7 +27,7 @@ from mbnrsfm.linalg import (
     svt,
     svt_with_spectrum,
 )
-from mbnrsfm.scene import CameraMotion, build_neighbor_matrix, extend_with_identity
+from mbnrsfm.scene import CameraMotion, build_neighbor_matrix
 from mbnrsfm.synth import _smooth_random_camera
 
 finite_reals = st.floats(min_value=-1e100, max_value=1e100,
@@ -517,8 +517,7 @@ class TestSymmetricOperandSylvester:
         scipy.sparse.coo_array(np.ones(3)),
     ], ids=["square", "not_square", "empty", "nan", "one_dimensional"])
     def test_rejects_sparse_matrices(self, matrix):
-        # A sparse operand is a KroneckerSumOperand's matrix; a
-        # SymmetricOperand factors dense arrays only.
+        # A SymmetricOperand factors dense arrays only.
         with pytest.raises(ValueError, match="dense"):
             SymmetricOperand(matrix)
 
@@ -538,15 +537,12 @@ def coefficient_operand(m, shift):
 def merged_gram_operands(merged, grid):
     """The right operand D D^T of a 3 x 4 grid's [I | D], or of the identity
     without a grid: formed from the factor D^T, formed directly, and as the
-    Kronecker sum of I + 2 L_3 and 2 L_4 (I_3 and 0 without a grid) with
-    the csr product as its exact matrix."""
+    Kronecker sum of I + 2 L_3 and 2 L_4 (I_3 and 0 without a grid)."""
     factor = merged.T
-    sparse = scipy.sparse.csr_array(merged)
     weight = 2.0 if grid else 0.0
     return {
         "gram": SymmetricOperand(factor.T @ factor),
-        "kronecker": KroneckerSumOperand(sparse @ sparse.T,
-                                         np.eye(3) + weight * path_laplacian(3),
+        "kronecker": KroneckerSumOperand(np.eye(3) + weight * path_laplacian(3),
                                          weight * path_laplacian(4)),
         "symmetric": SymmetricOperand(merged @ merged.T),
     }
@@ -565,13 +561,12 @@ class TestGramOperandSylvester:
         rng = np.random.default_rng(rows + 2 * grid)
         points = 12
         neighbors = build_neighbor_matrix(3, 4) if grid else None
-        merged = extend_with_identity(neighbors, num_points=points)
+        merged = dense_merged(neighbors, num_points=points)
         m = coefficient_factor(rng, rows, points)
         a = coefficient_operand(m, 1e-10)
         assert isinstance(a, GramOperand) == lowrank
         assert a.shape == (points, points)
         b = merged_gram_operands(merged, grid)[kind]
-        assert scipy.sparse.issparse(b.matrix) == (kind == "kronecker")
         q = rng.normal(size=(points, points))
         x = solve_sylvester(a, b, q)
         dense_a = m.T @ m + 1e-10 * np.eye(points)
@@ -665,23 +660,15 @@ class TestGramOperandSylvester:
             GramOperand(factor, 1e-10)
 
 
-def kronecker_sum(first, second):
-    """first (x) I + I (x) second, formed."""
-    return (np.kron(first, np.eye(second.shape[0]))
-            + np.kron(np.eye(first.shape[0]), second))
-
-
 class TestKroneckerSumOperand:
     """The grid Gram's right operand: two small eigenbases, no n x n one."""
 
     ORDERS = [(1, 1), (1, 5), (5, 1), (2, 2), (12, 20)]
 
     @staticmethod
-    def operand(rng, h, w, sparse=False):
+    def operand(rng, h, w):
         first, second = random_spd(rng, h), random_spd(rng, w)
-        matrix = kronecker_sum(first, second)
-        return KroneckerSumOperand(scipy.sparse.csr_array(matrix) if sparse else matrix,
-                                   first, second), matrix
+        return KroneckerSumOperand(first, second), kronecker_sum(first, second)
 
     @pytest.mark.parametrize("orders", ORDERS, ids=lambda o: f"{o[0]}x{o[1]}")
     def test_rotations_equal_the_dense_kronecker_product(self, orders):
@@ -697,13 +684,27 @@ class TestKroneckerSumOperand:
                 assert rotated.flags.c_contiguous
                 np.testing.assert_allclose(rotated, x @ dense, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("orders", ORDERS, ids=lambda o: f"{o[0]}x{o[1]}")
+    def test_residual_product_equals_the_dense_kronecker_sum(self, orders):
+        # The residual check applies first (x) I + I (x) second through the
+        # terms on the (r, h, w) view; the formed Kronecker sum is the oracle.
+        # The terms are not symmetric here, so a transposed term would show.
+        rng = np.random.default_rng(sum(orders) + 1)
+        first, second = (rng.normal(size=(n, n)) for n in orders)
+        op = KroneckerSumOperand(first, second)
+        x = rng.normal(size=(7, orders[0] * orders[1]))
+        expected = x @ kronecker_sum(first, second)
+        for arg in (x, np.asfortranarray(x)):
+            product = mbnrsfm.linalg._right(arg, op)
+            assert product.flags.c_contiguous
+            np.testing.assert_allclose(product, expected, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("rows", [3, 15], ids=["woodbury", "eigenbases"])
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-    def test_both_paths_match_bartels_stewart_and_kronecker(self, rows, sparse):
+    def test_both_paths_match_bartels_stewart_and_kronecker(self, rows):
         # 3 x 4 terms, 12 points: a GramOperand of 4 rows, or a formed
         # 16-row Gram held as a SymmetricOperand.
-        rng = np.random.default_rng(rows + sparse)
-        b, matrix = self.operand(rng, 3, 4, sparse)
+        rng = np.random.default_rng(rows)
+        b, matrix = self.operand(rng, 3, 4)
         m = coefficient_factor(rng, rows, 12)
         a = coefficient_operand(m, 1e-10)
         assert isinstance(a, GramOperand) == (rows == 3)
@@ -716,39 +717,38 @@ class TestKroneckerSumOperand:
         assert np.abs(x - direct).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("rows", [3, 15], ids=["woodbury", "eigenbases"])
-    def test_residual_is_checked_against_the_matrix(self, rows):
-        # A matrix off the Kronecker sum of the terms: the solve in the
-        # terms' eigenbasis misses the bound against the matrix.
+    def test_residual_is_checked_against_the_terms(self, rows):
+        # A term that is not symmetric: eigh reads its lower triangle only,
+        # so the solve in the terms' eigenbasis misses the bound against the
+        # terms as given.
         rng = np.random.default_rng(36)
         first, second = random_spd(rng, 3), random_spd(rng, 4)
-        matrix = kronecker_sum(first, second)
-        matrix[[0, 5], [5, 0]] += 1e-3
+        first[0, 2] += 1e-3
         a = coefficient_operand(coefficient_factor(rng, rows, 12), 1e-10)
         with pytest.raises(NumericalError, match="exceeds bound") as err:
-            solve_sylvester(a, KroneckerSumOperand(matrix, first, second),
+            solve_sylvester(a, KroneckerSumOperand(first, second),
                             rng.normal(size=(12, 12)))
         assert not isinstance(err.value, SingularPencilError)
 
     def test_singular_pencil_names_the_pair(self):
         # Eigenvalues 1 + 1 and 2 + 1 on the right; -3 on the left cancels 3.
-        b = KroneckerSumOperand(np.diag([2.0, 3.0]), np.diag([1.0, 2.0]), np.eye(1))
+        b = KroneckerSumOperand(np.diag([1.0, 2.0]), np.eye(1))
         with pytest.raises(SingularPencilError) as err:
             solve_sylvester(SymmetricOperand(np.diag([1.0, -3.0])), b, np.ones((2, 2)))
         assert "eigenvalue -3.0 of the left operand and 3.0 of the right" in str(err.value)
 
-    @pytest.mark.parametrize("matrix,first,second", [
-        (np.eye(6), np.eye(2), np.eye(2)),
-        (np.eye(6), np.ones((2, 3)), np.eye(3)),
-        (np.eye(6), np.eye(2), np.zeros((0, 0))),
-        (np.eye(4), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)),
-        (np.full((4, 4), np.inf), np.eye(2), np.eye(2)),
-        (scipy.sparse.csr_array(np.array([[np.nan]])), np.eye(1), np.eye(1)),
-        (np.eye(4)[:, :3], np.eye(2), np.eye(2)),
-    ], ids=["wrong_order", "term_not_square", "empty_term", "nan_term", "inf_matrix",
-            "nan_sparse_matrix", "matrix_not_square"])
-    def test_rejects_malformed_operands(self, matrix, first, second):
+    @pytest.mark.parametrize("first,second", [
+        (np.ones((2, 3)), np.eye(3)),
+        (np.eye(2), np.zeros((0, 0))),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)),
+        (np.eye(2), np.full((2, 2), np.inf)),
+        (np.ones(4), np.eye(2)),
+        (np.eye(2), np.ones((2, 2, 2))),
+    ], ids=["term_not_square", "empty_term", "nan_term", "inf_term", "one_dimensional_term",
+            "three_dimensional_term"])
+    def test_rejects_malformed_operands(self, first, second):
         with pytest.raises(ValueError):
-            KroneckerSumOperand(matrix, first, second)
+            KroneckerSumOperand(first, second)
 
 
 class TestIdentityOperandSylvester:

@@ -465,6 +465,16 @@ class TestCliExitCodes:
         assert "parse error" in err
         assert f"{bad}:2:" in err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_points_per_body_exit_4(self, tmp_path, capsys, count):
+        # A given 0 is a body size like any other, not an unset flag.
+        out = tmp_path / "out"
+        code = cli.main(["synth", "--out", str(out), "--points-per-body", count,
+                         "--frames", "4"])
+        assert code == 4
+        assert "body needs at least one point" in capsys.readouterr().err
+        assert not (out / "W.mtx").exists()
+
     def test_degenerate_input_exit_4(self, tmp_path, capsys):
         # Rank-deficient tracks make the rigid initializer refuse; input
         # degeneracies are bad-input failures, not numerical ones.

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import dense_merged, neighbor_diff
 from mbnrsfm.scene import (
     CameraMotion,
-    NeighborMatrix,
+    EdgeOperator,
     ShapeState,
     build_neighbor_matrix,
-    extend_with_identity,
     project,
     to_frame_rows,
     to_point_columns,
@@ -121,98 +123,86 @@ class TestShapeState:
         np.testing.assert_array_equal(state.frame_rows, to_frame_rows(s))
 
 
-class TestNeighborMatrix:
-    def test_one_by_one_grid_all_zero(self):
+class TestBuildNeighborMatrix:
+    def test_one_by_one_grid_has_no_edges(self):
         nb = build_neighbor_matrix(1, 1)
-        assert nb.diff.shape == (1, 4)
-        assert not nb.diff.any()
-
-    def test_three_by_three_center_connects_cross(self):
-        # Row-major 3x3 grid; the center has up/left/right/down neighbors at
-        # indices 1, 3, 5, 7.
-        nb = build_neighbor_matrix(3, 3)
-        center = 4
-        for d, neighbor in enumerate((1, 3, 5, 7)):
-            col = nb.diff[:, 4 * center + d]
-            assert col[center] == 1.0
-            assert col[neighbor] == -1.0
-            assert np.count_nonzero(col) == 2
-
-    def test_one_by_two_grid_hand_enumeration(self):
-        nb = build_neighbor_matrix(1, 2)
-        nonzero_cols = np.flatnonzero(np.any(nb.diff != 0, axis=0))
-        np.testing.assert_array_equal(nonzero_cols, [2, 5])
-        np.testing.assert_array_equal(nb.diff[:, 2], [1.0, -1.0])
-        np.testing.assert_array_equal(nb.diff[:, 5], [-1.0, 1.0])
+        assert (nb.points, nb.columns) == (1, 1)
+        np.testing.assert_array_equal(nb.multiplicity, [1.0])
+        np.testing.assert_array_equal(nb.times(np.array([[2.5]])), [[2.5]])
 
     @staticmethod
-    def per_point_loop(height, width):
-        """The diff built point by point, direction by direction: the oracle."""
-        points = height * width
-        diff = np.zeros((points, 4 * points))
-        for row in range(height):
-            for col in range(width):
-                p = row * width + col
-                for d, (dr, dc) in enumerate(((-1, 0), (0, -1), (0, 1), (1, 0))):
-                    nr, nc = row + dr, col + dc
-                    if 0 <= nr < height and 0 <= nc < width:
-                        diff[p, 4 * p + d] = 1.0
-                        diff[nr * width + nc, 4 * p + d] = -1.0
-        return diff
+    def formed(nb):
+        """[I | D_e] formed by applying the operator to the identity."""
+        return nb.times(np.eye(nb.points))
+
+    def test_three_by_three_center_connects_cross(self):
+        # Row-major 3x3 grid; the center's up/left/right/down neighbors are
+        # 1, 3, 5, 7, and each of its four edges is one column.
+        merged = self.formed(build_neighbor_matrix(3, 3))
+        center = 4
+        edges = merged[:, 9:]
+        touching = edges[:, edges[center] != 0]
+        assert touching.shape[1] == 4
+        others = sorted(int(np.flatnonzero((col != 0) & (np.arange(9) != center))[0])
+                        for col in touching.T)
+        assert others == [1, 3, 5, 7]
+        assert all(np.count_nonzero(col) == 2 and col.sum() == 0 for col in touching.T)
+
+    def test_one_by_two_grid_hand_enumeration(self):
+        np.testing.assert_array_equal(self.formed(build_neighbor_matrix(1, 2)),
+                                      [[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
 
     @pytest.mark.parametrize("height,width", [(1, 1), (1, 5), (5, 1), (3, 4), (12, 20)])
-    def test_equals_the_per_point_loop(self, height, width):
+    def test_edges_are_the_per_point_loop_columns_once_each(self, height, width):
+        # Every nonzero column of the full per-point 4-neighbor operator is
+        # +-1 times one edge column, and each edge column is hit twice, as
+        # its multiplicity says.
         nb = build_neighbor_matrix(height, width)
-        assert (nb.grid_height, nb.grid_width) == (height, width)
-        assert np.array_equal(nb.diff, self.per_point_loop(height, width))
+        assert (nb.height, nb.width) == (height, width)
+        edges = self.formed(nb)[:, nb.points:]
+        full = neighbor_diff(height, width)
+        full = full[:, full.any(axis=0)]
+        hits = np.abs(edges.T @ full).round() == 2
+        assert hits.sum(axis=0).tolist() == [1] * full.shape[1]
+        np.testing.assert_array_equal(hits.sum(axis=1), nb.multiplicity[nb.points:])
 
     def test_columns_sum_to_zero(self):
-        nb = build_neighbor_matrix(4, 5)
-        np.testing.assert_array_equal(nb.diff.sum(axis=0), np.zeros(4 * 20))
+        merged = self.formed(build_neighbor_matrix(4, 5))
+        np.testing.assert_array_equal(merged[:, 20:].sum(axis=0), np.zeros(31))
+
+    def test_weighted_l1_equals_the_full_operator_l1(self):
+        # The l1 term of the edge form, each edge weighed twice, is that of
+        # the dense P x 5P [I | D].
+        rng = np.random.default_rng(9)
+        nb = build_neighbor_matrix(2, 3)
+        c = rng.normal(size=(6, 6))
+        lhs = np.abs(nb.times(c)) @ nb.multiplicity
+        rhs = np.abs(c @ dense_merged(nb)).sum(axis=1)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=0)
 
     def test_zero_sized_grid_rejected(self):
         with pytest.raises(ValueError):
             build_neighbor_matrix(0, 3)
 
-    @pytest.mark.parametrize("shape,height,width", [
-        ((12, 48), 3, 5),   # 15-point grid, 12-point diff
-        ((12, 7), 3, 4),    # right point count, wrong column count
-    ], ids=["wrong_points", "wrong_columns"])
-    def test_diff_that_does_not_fit_the_grid_rejected(self, shape, height, width):
-        with pytest.raises(ValueError, match="diff"):
-            NeighborMatrix(np.zeros(shape), height, width)
-
     @pytest.mark.parametrize("height,width", [(0, 3), (3, -1), (2.0, 6), (True, 12)])
     def test_bad_grid_dimensions_rejected(self, height, width):
         with pytest.raises(ValueError, match="positive integers"):
-            NeighborMatrix(np.zeros((12, 48)), height, width)
+            EdgeOperator(height, width)
 
-    def test_direct_construction_of_a_fitting_diff(self):
-        nb = build_neighbor_matrix(3, 4)
-        same = NeighborMatrix(nb.diff, np.int64(3), 4)
-        assert same.points == 12
+    def test_direct_construction_with_numpy_integers(self):
+        nb = EdgeOperator(np.int64(3), 4)
+        assert nb == build_neighbor_matrix(3, 4)
+        assert (nb.points, nb.columns) == (12, 12 + 17)
 
-
-class TestExtendWithIdentity:
-    def test_single_point(self):
-        nb = build_neighbor_matrix(1, 1)
-        np.testing.assert_array_equal(extend_with_identity(nb), [[1, 0, 0, 0, 0]])
-
-    def test_l1_additivity(self):
-        rng = np.random.default_rng(9)
-        nb = build_neighbor_matrix(2, 3)
-        c = rng.normal(size=(6, 6))
-        merged = extend_with_identity(nb)
-        lhs = np.abs(c @ merged).sum()
-        rhs = np.abs(c).sum() + np.abs(c @ nb.diff).sum()
-        assert abs(lhs - rhs) <= 1e-12 * (1 + rhs)
-
-    def test_sparse_mode_is_identity(self):
-        np.testing.assert_array_equal(extend_with_identity(None, num_points=3), np.eye(3))
-
-    def test_missing_point_count_rejected(self):
-        with pytest.raises(ValueError):
-            extend_with_identity(None)
+    def test_holds_only_the_grid_dimensions(self):
+        # Nothing is formed: at 25 x 40 a dense P x 4P diff took 30.6 MiB.
+        tracemalloc.start()
+        try:
+            build_neighbor_matrix(25, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestValidators:
