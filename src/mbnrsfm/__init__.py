@@ -13,7 +13,6 @@ from .metrics import (
 )
 from .scene import (
     CameraMotion,
-    ShapeState,
     build_neighbor_matrix,
     project,
     to_frame_rows,
@@ -40,7 +39,6 @@ __all__ = [
     "NumericalError",
     "ParseError",
     "SceneData",
-    "ShapeState",
     "SingularPencilError",
     "SolverConfig",
     "SolverTrace",

@@ -28,11 +28,12 @@ thresholded are the spectrum of the new low-rank copy, so each sweep takes
 one partial SVD, and none when ``lambda2`` is 0.
 
 That partial SVD forms only the singular triplets the threshold keeps
-(``linalg.svt_with_spectrum``): one LAPACK ``dsyevr`` call returns the
-eigenpairs of the min(F, 3P)-square Gram of the F x 3P target above the
-squared threshold, and the result is assembled from those alone. Past
-``linalg.SVT_GRAM_MAX_RATIO``, where squaring the target would cost too
-many digits, the thin SVD runs instead; no benchmark sweep gets there.
+(``linalg.svt``, which returns them with the new copy): one LAPACK
+``dsyevr`` call returns the eigenpairs of the min(F, 3P)-square Gram of the
+F x 3P target above the squared threshold, and the result is assembled
+from those alone. Past ``linalg.SVT_GRAM_MAX_RATIO``, where squaring the
+target would cost too many digits, the thin SVD runs instead; no benchmark
+sweep gets there.
 
 Both Sylvester equations have symmetric operands. Inside the loop a P x P
 matrix is eigendecomposed only in grid mode with 3F+1 >= P (see below).
@@ -61,23 +62,18 @@ applies [I | D_e] and its weighted transpose by slicing each row of the
 product's operand as the h x w grid (``EdgeOperator.times``), so the
 outputs are C-ordered and no matrix of the operator is ever formed.
 
-The Gram I + 2 D_e D_e^T is I + 2L, L the grid Laplacian, which is the
-Kronecker sum of the h- and w-node path Laplacians. Its eigenbasis is
-therefore V_h (x) V_w, the separable 2-D DCT-II basis (Strang, *The
-Discrete Cosine Transform*, SIAM Review 1999), with eigenvalues
-1 + 2 (l_i + l_j). ``solve`` holds it once per run as a
-``linalg.KroneckerSumOperand`` of its two terms I + 2 L_h and 2 L_w:
-set-up eigendecomposes only those h x h and w x w terms, each rotation of
-a coefficient right-hand side is two small products on its (P, h, w)
-view instead of a P x P GEMM, and the residual check applies the two
-terms to the solution the same way. The terms hold small integers, so
-they are the exact Gram.
+The coefficient step's right operand, the Gram I + 2 D_e D_e^T, is built
+once per run by ``EdgeOperator.gram``, whose docstring says why it is a
+``linalg.KroneckerSumOperand`` of two small path-Laplacian terms: set-up
+eigendecomposes only those h x h and w x w terms, and the rotations of a
+coefficient right-hand side and the residual check apply them on its
+(P, h, w) view.
 
 A formed left operand (3F+1 >= P) changes with S and is eigendecomposed
 every sweep. Shifted Cholesky, as in the shape step, cannot replace that
 ``eigh``: it takes one factor per cluster of the other operand's
-eigenvalues, and the Gram I + 2L has eigenvalues 1 + 2 lambda spread over
-[1, 17) without clusters. The step functions also take a plain dense
+eigenvalues, and the grid Gram has eigenvalues spread over [1, 17)
+without clusters. The step functions also take a plain dense
 [I | D], each column counted once, which the tests use as the oracle; its
 Gram is a formed ``linalg.SymmetricOperand``.
 
@@ -108,13 +104,11 @@ from .linalg import (
     frobenius_norm,
     solve_sylvester,
     soft_threshold,
-    svt,  # noqa: F401  unused here; bench/tracing.py wraps mbnrsfm.admm.svt by name
-    svt_with_spectrum,
+    svt,
 )
 from .scene import (
     CameraMotion,
     EdgeOperator,
-    ShapeState,
     _project_checked,
     to_frame_rows,
     validate_measurements,
@@ -334,8 +328,8 @@ def update_lowrank(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Nuclear-norm proximal update of the frame-row copy.
 
-    Returns svt(g(S) - y_reshuffle / beta, lambda2 / beta) together with its
-    singular values, the thresholded spectrum of the SVT (None when
+    Returns ``svt(g(S) - y_reshuffle / beta, lambda2 / beta)``: the new copy
+    and its singular values, the thresholded spectrum of the SVT (None when
     lambda2 is 0, where no SVD is taken).
     """
     beta = state.duals.beta
@@ -344,7 +338,7 @@ def update_lowrank(
     lam2 = config.nuclear_weight(frames, points)
     target = state.duals.y_reshuffle / beta
     np.subtract(state.shapes.reshape(target.shape), target, out=target)
-    return svt_with_spectrum(target, lam2 / beta)
+    return svt(target, lam2 / beta)
 
 
 def _times_merged(x: np.ndarray, merged: Merged) -> np.ndarray:
@@ -365,32 +359,21 @@ def _times_merged_transpose(x: np.ndarray, merged: Merged) -> np.ndarray:
 def _weighted_sum(x: np.ndarray, merged: Merged) -> float:
     """The sum of a slack-shaped ``x``, each column counted by its multiplicity."""
     if isinstance(merged, EdgeOperator):
-        return (x @ merged.multiplicity).sum()
+        return merged.weighted_sum(x)
     return x.sum()
-
-
-def _path_laplacian(n: int) -> np.ndarray:
-    """The n x n Laplacian of a path of n nodes, d^T d for its (n-1) x n difference matrix d."""
-    differences = np.diff(np.eye(n), axis=0)
-    return differences.T @ differences
 
 
 def _merged_gram(merged: Merged, points: int) -> MergedGram:
     """The coefficient step's right operand D diag(multiplicity) D^T.
 
-    For an EdgeOperator this is I + 2 D_e D_e^T, the same matrix as
-    I + D D^T of the full 4-neighbor operator D. D_e D_e^T is the grid
-    Laplacian, the Kronecker sum of the h- and w-node path Laplacians L_h
-    and L_w, so the operand is held as the Kronecker sum of I + 2 L_h and
-    2 L_w. A dense [I | D] gives a SymmetricOperand of its formed Gram.
+    An EdgeOperator builds its own (``EdgeOperator.gram``), a Kronecker sum
+    equal to I + D D^T of the full 4-neighbor operator D; a dense [I | D]
+    gives a SymmetricOperand of its formed Gram.
     """
     if merged is None:
         return IdentityOperand(points)
     if isinstance(merged, EdgeOperator):
-        weight = merged.EDGE_MULTIPLICITY
-        first = np.eye(merged.height) + weight * _path_laplacian(merged.height)
-        second = weight * _path_laplacian(merged.width)
-        return KroneckerSumOperand(first, second)
+        return merged.gram()
     return SymmetricOperand(merged @ merged.T)
 
 
@@ -570,8 +553,11 @@ def solve(
     neighbors: EdgeOperator | None,
     config: SolverConfig,
     init_shapes=None,
-) -> tuple[ShapeState, np.ndarray, SolverTrace]:
-    """Run the full ADMM and return (shape state, coefficients, trace).
+) -> tuple[np.ndarray, np.ndarray, SolverTrace]:
+    """Run the full ADMM and return (shapes, coefficients, trace).
+
+    ``shapes`` is the 3F x P stack S and ``coefficients`` the P x P matrix
+    C with its diagonal zeroed.
 
     ``neighbors`` is the grid's merged operator from
     ``scene.build_neighbor_matrix``; ``neighbors=None`` drops the spatial
@@ -635,4 +621,4 @@ def solve(
             trace.converged = True
             break
 
-    return ShapeState(state.shapes), state.coeffs, trace
+    return state.shapes, state.coeffs, trace

@@ -72,8 +72,10 @@ def _synth_block(args, n_bodies: int) -> dict:
 
 
 def _inputs_block(args) -> dict:
-    inputs = {key: getattr(args, key) for key in INPUT_FILES if getattr(args, key, None)}
-    if getattr(args, "grid", None):
+    # Only a flag left out is unset: an empty value is passed on and rejected.
+    inputs = {key: getattr(args, key) for key in INPUT_FILES
+              if getattr(args, key, None) is not None}
+    if getattr(args, "grid", None) is not None:
         try:
             h, w = args.grid.lower().split("x")
             inputs["grid"] = [int(h), int(w)]

@@ -1,15 +1,16 @@
 """Dense linear-algebra kernels used by every solver step.
 
 Decompositions are delegated to LAPACK through numpy and scipy.
-``svt_with_spectrum`` (which ``svt`` wraps) takes only the singular
-triplets that survive its threshold: one partial eigendecomposition
-(``dsyevr``) of the n x n Gram of the input's short side, restricted to
-eigenvalues above the squared threshold. Where squaring would cost too many
-digits (n * sigma_1 / tau above ``SVT_GRAM_MAX_RATIO``) it takes the thin
-``numpy.linalg.svd`` instead. Symmetric eigendecompositions of operands go
-through ``numpy.linalg.eigh``, that of a Kronecker sum through one per
-term; a ``SymmetricOperand`` can derive a scaled and shifted copy of itself
-from its stored eigenpairs without another one. Cholesky factors come from
+``svt`` returns the thresholded matrix with its spectrum and forms only
+the singular triplets that survive the threshold: one partial
+eigendecomposition (``dsyevr``) of the n x n Gram of the input's short
+side, restricted to eigenvalues above the squared threshold. Where
+squaring would cost too many digits (n * sigma_1 / tau above
+``SVT_GRAM_MAX_RATIO``) it takes the thin ``numpy.linalg.svd`` instead.
+Symmetric eigendecompositions of operands go through ``numpy.linalg.eigh``,
+that of a Kronecker sum through one per term; a ``SymmetricOperand`` can
+derive a scaled and shifted copy of itself from its stored eigenpairs
+without another one. Cholesky factors come from
 LAPACK ``dpotrf``, called directly with no scipy wrapper, and are applied
 by one of two routes chosen from the input size alone: a factor that
 serves at least as many right-hand sides as its order becomes its inverse
@@ -138,30 +139,17 @@ def soft_threshold(x, tau: float):
     return x - np.clip(x, -tau, tau)
 
 
-def svt(m, tau: float) -> np.ndarray:
+def svt(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Singular value thresholding, the proximal operator of the nuclear norm.
 
     Returns the unique minimizer of ``tau * ||X||_* + 0.5 * ||X - m||_F^2``,
     which for the thin SVD ``m = u @ diag(sigma) @ vh`` is
-    ``u @ diag(soft_threshold(sigma, tau)) @ vh``. ``svt_with_spectrum``
-    says how it is computed, and bounds the error of its usual route by
-    about ``n * eps * sigma_1 / tau`` relative to sigma_1 (n the shorter
-    side), at most ``SVT_GRAM_MAX_RATIO * eps``. A zero threshold is the
-    identity and skips the decomposition. Non-finite input raises
-    ValueError; a decomposition that does not converge, or any other LAPACK
-    failure, raises NumericalError.
-    """
-    return svt_with_spectrum(m, tau)[0]
-
-
-def svt_with_spectrum(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """``svt`` plus the thresholded singular values it scaled ``u`` by.
-
-    Those values are the spectrum of the returned matrix, so its nuclear
-    norm is their sum and needs no second SVD. The spectrum has the n
-    entries of the thin SVD (n = min of the two sides), in descending
-    order, zero past the k kept ones. With a zero threshold nothing is
-    decomposed and the spectrum is None.
+    ``u @ diag(soft_threshold(sigma, tau)) @ vh``, together with those
+    thresholded singular values. They are the spectrum of the returned
+    matrix, so its nuclear norm is their sum and needs no second SVD. The
+    spectrum has the n entries of the thin SVD (n = min of the two sides),
+    in descending order, zero past the k kept ones. A zero threshold is the
+    identity: nothing is decomposed and the spectrum is None.
 
     Only the k kept triplets are formed. ``s`` is the orientation of ``m``
     with n rows, and one LAPACK ``dsyevr`` call returns the eigenpairs of
@@ -177,6 +165,9 @@ def svt_with_spectrum(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
     by about 2.2e-11 * sigma_1, and while ``tau^2`` and the Gram are finite
     and far from underflow. Otherwise the result is the thin-SVD formula
     above, from ``np.linalg.svd`` of ``m``.
+
+    Non-finite input raises ValueError; a decomposition that does not
+    converge, or any other LAPACK failure, raises NumericalError.
     """
     mat = as_matrix(m, "svt input")
     if tau == 0:
@@ -208,7 +199,7 @@ def svt_with_spectrum(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _svt_thin_svd(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """``svt_with_spectrum`` by the thin SVD of ``mat``, for a large sigma_1 / tau.
+    """``svt`` by the thin SVD of ``mat``, for a large sigma_1 / tau.
     A wide ``mat`` is decomposed as its tall transpose; the result is C-ordered."""
     wide = mat.shape[0] < mat.shape[1]
     try:

@@ -14,10 +14,12 @@ plot-ready per-frame pointcloud files.
 ``manifest_from_dict`` checks everything a manifest says on its own: each
 key's JSON type (numbers must be finite), the ``inputs.grid`` shape (two
 positive integers, checked by ``RunManifest`` itself), and that every file
-input exists. So a rejected manifest creates no output directory.
-The checks that need the scene run after it is read or generated and before
-any artifact is written: the grid covers its points, a pipeline's cluster
-count is at most its point count, and ``init_s`` is 3F x P.
+input is a regular file. So a rejected manifest creates no output
+directory. The checks that need the scene run after it is read or
+generated and before any artifact is written: W has the 2F rows of the
+rotations' F frames, ``s_gt`` is 3F x P, ``labels_gt`` holds P labels, the
+grid covers the points, a pipeline's cluster count is at most its point
+count, and ``init_s`` is 3F x P.
 
 Exit-code policy (applied by the CLI): 0 success, 2 parse error,
 3 numerical failure, 4 bad manifest. Non-convergence is not a failure; the
@@ -223,8 +225,9 @@ def manifest_from_dict(data: dict, base_dir=".") -> RunManifest:
         version=data.get("version", ""),
     )
     for key, value in inputs.items():
-        if _names_file(key, value) and not Path(value).exists():
-            raise ManifestError(f"input file for {key!r} does not exist: {value}")
+        if _names_file(key, value) and not Path(value).is_file():
+            raise ManifestError(f"input file for {key!r} does not exist or is not a "
+                                f"regular file: {value}")
     return manifest
 
 
@@ -292,12 +295,12 @@ def run_pipeline(manifest: RunManifest) -> dict:
     with _Stage("solve"):
         w_centered, means = _center_rows(scene["w"])
         fileio.write_matrix(out / "centering.mtx", means)
-        shape_state, coeffs, trace = solve(
+        shapes, coeffs, trace = solve(
             w_centered, scene["camera"], scene["neighbors"], manifest.solver,
             init_shapes=scene["init_shapes"],
         )
         # Formatted once: Ssharp.mtx and the point clouds reuse the tokens of S.mtx.
-        shape_text = fileio.write_matrix(out / "S.mtx", shape_state.shapes)
+        shape_text = fileio.write_matrix(out / "S.mtx", shapes)
         fileio.write_matrix(out / "Ssharp.mtx", shape_text.frame_rows())
         fileio.write_matrix(out / "C.mtx", coeffs)
         fileio.write_trace_csv(out / "trace.csv", trace)
@@ -310,7 +313,7 @@ def run_pipeline(manifest: RunManifest) -> dict:
     metrics = {
         "converged": trace.converged,
         "iterations": len(trace),
-        "reprojection": reprojection_error(w_centered, scene["camera"], shape_state.shapes),
+        "reprojection": reprojection_error(w_centered, scene["camera"], shapes),
     }
 
     if manifest.command == "solve":
@@ -325,10 +328,8 @@ def run_pipeline(manifest: RunManifest) -> dict:
 
     with _Stage("eval"):
         if scene["shapes_gt"] is not None:
-            metrics["e3d"] = reconstruction_error(shape_state.shapes, scene["shapes_gt"])
-            metrics["e3d_whole"] = reconstruction_error_whole(
-                shape_state.shapes, scene["shapes_gt"]
-            )
+            metrics["e3d"] = reconstruction_error(shapes, scene["shapes_gt"])
+            metrics["e3d_whole"] = reconstruction_error_whole(shapes, scene["shapes_gt"])
         if scene["labels_gt"] is not None:
             metrics["ems"] = segmentation_error(labels, scene["labels_gt"])
         fileio.write_metrics_csv(out / "metrics.csv", metrics)
@@ -363,6 +364,13 @@ def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
         labels_gt = fileio.read_labels(inputs["labels_gt"]) if "labels_gt" in inputs else None
 
     frames, points = camera.frames, w.shape[1]
+    if w.shape[0] != 2 * frames:
+        raise ManifestError(f"W has {w.shape[0]} rows, but the rotations give {frames} frames "
+                            f"({2 * frames} rows)")
+    if shapes_gt is not None and shapes_gt.shape != (3 * frames, points):
+        raise ManifestError(f"s_gt must be {3 * frames} x {points}, got {shapes_gt.shape}")
+    if labels_gt is not None and labels_gt.size != points:
+        raise ManifestError(f"labels_gt must hold {points} labels, got {labels_gt.size}")
     if grid is not None:
         if grid[0] * grid[1] != points:
             raise ManifestError(f"grid {grid[0]} x {grid[1]} does not cover {points} points")

@@ -16,7 +16,10 @@ Grid-organized tracks add a spatial term through ``EdgeOperator``, the
 merged operator [I | D_e] over the unique 4-neighbor edges of a row-major
 grid, which ``build_neighbor_matrix`` returns. It holds the grid's two
 dimensions and nothing else; its docstring says why one column per edge,
-weighed twice, is exact against the full 4-neighbor operator.
+weighed twice, is exact against the full 4-neighbor operator. It applies
+that weight itself: in its products, in ``weighted_sum`` and in ``gram``,
+the coefficient step's right operand, held as the Kronecker sum of two
+path-Laplacian terms.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import KroneckerSumOperand, as_matrix
 
 ROTATION_ORTHO_TOL = 1e-8
 # Float labels must stay below this in magnitude to cast to int64.
@@ -162,31 +165,6 @@ def _project_checked(camera: CameraMotion, mat: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ShapeState:
-    """A published solver shape: the 3F x P stack.
-
-    ``frame_rows`` derives the F x 3P frame-row layout on demand.
-    """
-
-    shapes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "shapes", validate_shapes(self.shapes))
-
-    @property
-    def frame_rows(self) -> np.ndarray:
-        return to_frame_rows(self.shapes)
-
-    @property
-    def frames(self) -> int:
-        return self.shapes.shape[0] // 3
-
-    @property
-    def points(self) -> int:
-        return self.shapes.shape[1]
-
-
-@dataclass(frozen=True)
 class EdgeOperator:
     """The grid-mode merged operator [I | D_e]: one column per unique edge.
 
@@ -207,7 +185,8 @@ class EdgeOperator:
     edge weighed by ``EDGE_MULTIPLICITY`` = 2 where twins add up: the
     coefficient right-hand side, the Gram I + 2 D_e D_e^T (equal to
     I + D D^T), and the objective's l1 term. ``multiplicity`` is that
-    weight per column, 1 on the identity columns.
+    weight per column, 1 on the identity columns; ``gram`` and
+    ``weighted_sum`` apply it.
     """
 
     height: int
@@ -239,6 +218,29 @@ class EdgeOperator:
         return np.concatenate([np.ones(points),
                                np.full(self.columns - points, self.EDGE_MULTIPLICITY)])
 
+    def weighted_sum(self, x: np.ndarray) -> float:
+        """The sum of an n x (P + E) ``x``, each column counted by its multiplicity."""
+        return (x @ self.multiplicity).sum()
+
+    def gram(self) -> KroneckerSumOperand:
+        """The Gram I + 2 D_e D_e^T of [I | D_e], each column weighed by its multiplicity.
+
+        It is the same matrix as I + D D^T of the full 4-neighbor operator
+        D. D_e D_e^T is the grid Laplacian L, the Kronecker sum of the h-
+        and w-node path Laplacians L_h and L_w, so the Gram is held as the
+        Kronecker sum of its two terms I + 2 L_h and 2 L_w. Its eigenbasis
+        is therefore V_h (x) V_w, the separable 2-D DCT-II basis (Strang,
+        *The Discrete Cosine Transform*, SIAM Review 1999), with eigenvalues
+        1 + 2 (l_i + l_j): only the h x h and w x w terms are
+        eigendecomposed, and each rotation of an r x P array is two small
+        products on its (r, h, w) view instead of a P x P GEMM. The terms
+        hold small integers, so they are the exact Gram.
+        """
+        weight = self.EDGE_MULTIPLICITY
+        first = np.eye(self.height) + weight * _path_laplacian(self.height)
+        second = weight * _path_laplacian(self.width)
+        return KroneckerSumOperand(first, second)
+
     def _blocks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The point, horizontal-edge and vertical-edge columns of an n x (P + E)
         ``x``, as (n, h, w), (n, h, w-1) and (n, h-1, w) views."""
@@ -268,6 +270,12 @@ class EdgeOperator:
             head += weighted
             tail -= weighted
         return out
+
+
+def _path_laplacian(n: int) -> np.ndarray:
+    """The n x n Laplacian of a path of n nodes, d^T d for its (n-1) x n difference matrix d."""
+    differences = np.diff(np.eye(n), axis=0)
+    return differences.T @ differences
 
 
 def build_neighbor_matrix(grid_height: int, grid_width: int) -> EdgeOperator:

@@ -22,10 +22,10 @@ def default_scene():
 @pytest.fixture(scope="session")
 def default_run(default_scene):
     """Solve the stock two-body scene once; reused by several suites."""
-    shape_state, coeffs, trace = solve(
+    shapes, coeffs, trace = solve(
         default_scene.w, default_scene.camera, None, SolverConfig()
     )
-    return default_scene, shape_state, coeffs, trace
+    return default_scene, shapes, coeffs, trace
 
 
 def random_state(rng, frames, points, slack_cols=None, beta=0.7):

@@ -73,7 +73,7 @@ def test_criterion_1_proximal_operator_oracles():
     for _ in range(20):
         m = rng.normal(size=(7, 6)) * rng.uniform(0.5, 3.0)
         tau = rng.uniform(0.05, 1.5)
-        out = svt(m, tau)
+        out = svt(m, tau)[0]
 
         def prox_objective(x):
             return tau * np.linalg.svd(x, compute_uv=False).sum() \
@@ -198,16 +198,16 @@ def test_criterion_4_joint_reconstruction_and_segmentation():
     cfg = SolverConfig()
     for seed in TWO_BODY_SEEDS:
         scene = generate_scene(default_two_body(seed=seed))
-        shape_state, coeffs, _ = solve(scene.w, scene.camera, None, cfg)
+        shapes, coeffs, _ = solve(scene.w, scene.camera, None, cfg)
         labels = spectral_cluster(build_affinity(coeffs), 2, 0)
         worst_ems = max(worst_ems, segmentation_error(labels, scene.labels))
-        worst_e3d = max(worst_e3d, reconstruction_error(shape_state.shapes, scene.shapes))
+        worst_e3d = max(worst_e3d, reconstruction_error(shapes, scene.shapes))
     for seed in THREE_BODY_SEEDS:
         scene = generate_scene(default_three_body(seed=seed))
-        shape_state, coeffs, _ = solve(scene.w, scene.camera, None, cfg)
+        shapes, coeffs, _ = solve(scene.w, scene.camera, None, cfg)
         labels = spectral_cluster(build_affinity(coeffs), 3, 0)
         worst_ems = max(worst_ems, segmentation_error(labels, scene.labels))
-        worst_e3d = max(worst_e3d, reconstruction_error(shape_state.shapes, scene.shapes))
+        worst_e3d = max(worst_e3d, reconstruction_error(shapes, scene.shapes))
     elapsed = time.perf_counter() - start
     ok = worst_ems == 0.0 and worst_e3d <= 0.05 and elapsed < 600.0
     report(4, "joint reconstruction and segmentation", ok,
@@ -229,9 +229,9 @@ def test_criterion_5_noise_degradation(default_scene):
                 rng.normal(0.0, fraction * max_w, default_scene.w.shape)
                 if fraction > 0 else 0.0
             )
-            shape_state, coeffs, _ = solve(w, default_scene.camera, None, cfg)
+            shapes, coeffs, _ = solve(w, default_scene.camera, None, cfg)
             labels = spectral_cluster(build_affinity(coeffs), 2, 0)
-            es.append(reconstruction_error(shape_state.shapes, default_scene.shapes))
+            es.append(reconstruction_error(shapes, default_scene.shapes))
             ms.append(segmentation_error(labels, default_scene.labels))
         mean_e3d.append(float(np.mean(es)))
         mean_ems.append(float(np.mean(ms)))
@@ -271,10 +271,10 @@ def test_criterion_6_real_sequence_reproduction():
         labels_gt = read_labels(sequence / "labels_gt.txt")
         s_gt = read_matrix(sequence / "S_gt.mtx")
         clusters = int(labels_gt.max()) + 1
-        shape_state, coeffs, _ = solve(w, camera, None, cfg)
+        shapes, coeffs, _ = solve(w, camera, None, cfg)
         labels = spectral_cluster(build_affinity(coeffs), clusters, 0)
         ems = segmentation_error(labels, labels_gt)
-        e3d = reconstruction_error(shape_state.shapes, s_gt)
+        e3d = reconstruction_error(shapes, s_gt)
         seq_ok = (ems == expected["ems"]
                   and abs(e3d - expected["e3d"]) <= 0.2 * expected["e3d"])
         ok = ok and seq_ok

@@ -46,7 +46,7 @@ from mbnrsfm.linalg import (
     SymmetricOperand,
     soft_threshold,
     solve_sylvester,
-    svt_with_spectrum,
+    svt,
 )
 import mbnrsfm.scene
 from mbnrsfm.metrics import reprojection_error, segmentation_error
@@ -174,7 +174,7 @@ class TestStepsMatchCopyingFormulas:
         cfg = SolverConfig()
         beta = state.duals.beta
         target = to_frame_rows(state.shapes) - state.duals.y_reshuffle / beta
-        expected, expected_spectrum = svt_with_spectrum(target, cfg.nuclear_weight(5, 7) / beta)
+        expected, expected_spectrum = svt(target, cfg.nuclear_weight(5, 7) / beta)
         out, spectrum = update_lowrank(state, cfg)
         assert np.array_equal(out, expected) and np.array_equal(spectrum, expected_spectrum)
 
@@ -540,7 +540,7 @@ class TestEdgeOperator:
         # sum it is I + D D^T of the full 4-neighbor operator, bit for bit.
         neighbors = build_neighbor_matrix(*grid)
         full = dense_merged(neighbors)
-        gram = _merged_gram(neighbors, neighbors.points)
+        gram = neighbors.gram()
         assert isinstance(gram, KroneckerSumOperand)
         np.testing.assert_array_equal(kronecker_sum(gram.first, gram.second), full @ full.T)
 
@@ -551,7 +551,7 @@ class TestEdgeOperator:
         # kron(V_h, V_w) and eigenvalues 1 + 2 (l_i + l_j), with
         # l_k = 2 - 2 cos(pi k / n) on an n-node path, rebuild the exact Gram.
         height, width = grid
-        gram = _merged_gram(build_neighbor_matrix(height, width), height * width)
+        gram = build_neighbor_matrix(height, width).gram()
         exact = kronecker_sum(gram.first, gram.second)
         basis = np.kron(*gram.bases)
         rebuilt = (basis * gram.eigenvalues) @ basis.T
@@ -563,7 +563,7 @@ class TestEdgeOperator:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_path_laplacian(self, n):
-        np.testing.assert_array_equal(mbnrsfm.admm._path_laplacian(n), path_laplacian(n))
+        np.testing.assert_array_equal(mbnrsfm.scene._path_laplacian(n), path_laplacian(n))
 
     @pytest.fixture
     def problem(self):
@@ -697,13 +697,13 @@ class TestWideScenes:
     def test_solve_matches_eigenbasis_oracle(self, name):
         scene, neighbors = self.scene(name)
         cfg = SolverConfig()
-        shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
+        shapes, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
         assert trace.converged
 
         merged = dense_merged(neighbors, num_points=scene.w.shape[1])
         oracle, iterations = eigenbasis_sweep(scene.w, scene.camera, merged, cfg)
         assert len(trace) == iterations
-        assert_close_rel(shape_state.shapes, oracle.shapes, 1e-9)
+        assert_close_rel(shapes, oracle.shapes, 1e-9)
         assert_close_rel(coeffs, oracle.coeffs, 1e-9)
         np.testing.assert_array_equal(
             spectral_cluster(build_affinity(coeffs), 2, seed=0),
@@ -782,10 +782,10 @@ class TestSolve:
         # Weak nuclear weight: the data residual of the penalized fixed
         # point scales with lambda2, and rigid data needs little rank help.
         cfg = SolverConfig(lambda2=0.01)
-        shape_state, _, trace = solve(w, camera, None, cfg)
+        shapes, _, trace = solve(w, camera, None, cfg)
         assert trace.converged
         assert trace.r2[-1] <= cfg.epsilon
-        assert reprojection_error(w, camera, shape_state.shapes) <= 1e-3
+        assert reprojection_error(w, camera, shapes) <= 1e-3
 
     def test_two_body_scene_segments_exactly(self, default_run):
         scene, _, coeffs, trace = default_run
@@ -793,10 +793,11 @@ class TestSolve:
         labels = spectral_cluster(build_affinity(coeffs), 2, seed=0)
         assert segmentation_error(labels, scene.labels) == 0.0
 
-    def test_published_state_is_consistent(self, default_run):
-        _, shape_state, coeffs, _ = default_run
-        np.testing.assert_array_equal(shape_state.frame_rows,
-                                      to_frame_rows(shape_state.shapes))
+    def test_returns_the_shape_stack_and_zero_diagonal_coefficients(self, default_run):
+        scene, shapes, coeffs, _ = default_run
+        frames, points = scene.camera.frames, scene.w.shape[1]
+        assert type(shapes) is np.ndarray and shapes.shape == (3 * frames, points)
+        assert type(coeffs) is np.ndarray and coeffs.shape == (points, points)
         assert np.abs(np.diag(coeffs)).max() == 0.0
 
     def test_column_sums_near_one_at_convergence(self, default_run):
@@ -835,11 +836,11 @@ class TestSolve:
         config = default_two_body(frames=10, points_per_body=8, basis_rank=1)
         scene = generate_scene(config)
         cfg = SolverConfig(max_iters=40)
-        shape_state, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
+        shapes, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
 
         state, iterations = self.sparse_sweep(scene, None, cfg)
         assert iterations == len(trace)
-        np.testing.assert_array_equal(shape_state.shapes, state.shapes)
+        np.testing.assert_array_equal(shapes, state.shapes)
         np.testing.assert_array_equal(coeffs, state.coeffs)
 
     @pytest.mark.parametrize("frames,per_body", [(10, 8), (4, 10)],
@@ -850,21 +851,21 @@ class TestSolve:
         # is the old path, kept as the oracle; it agrees up to rounding.
         scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
         cfg = SolverConfig()
-        shape_state, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
+        shapes, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
         assert trace.converged
 
         oracle, iterations = self.sparse_sweep(scene, identity_merged(scene.w.shape[1]), cfg)
         assert iterations == len(trace)
-        assert_close_rel(shape_state.shapes, oracle.shapes, 1e-9)
+        assert_close_rel(shapes, oracle.shapes, 1e-9)
         assert_close_rel(coeffs, oracle.coeffs, 1e-9)
 
     def test_zero_iterations_returns_initialization(self):
         scene = generate_scene(default_two_body(frames=6, points_per_body=5))
         cfg = SolverConfig(max_iters=0)
-        shape_state, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
+        shapes, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
         assert len(trace) == 0 and not trace.converged
         np.testing.assert_array_equal(
-            shape_state.shapes, pseudo_inverse_shapes(scene.w, scene.camera)
+            shapes, pseudo_inverse_shapes(scene.w, scene.camera)
         )
         assert not coeffs.any()
 
@@ -1001,14 +1002,14 @@ class TestSolve:
         # up to summation order.
         scene, neighbors = self.grid_scene(frames, per_body, grid)
         cfg = SolverConfig(lambda1=1e-2)
-        shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
+        shapes, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
         assert trace.converged
 
         objectives = []
         for _, state in self.dense_grid_sweeps(scene, neighbors, cfg):
             objectives.append(objective_value(scene.w, scene.camera, state, cfg))
         assert len(trace) == len(objectives)
-        assert_close_rel(shape_state.shapes, state.shapes, 1e-9)
+        assert_close_rel(shapes, state.shapes, 1e-9)
         assert_close_rel(coeffs, state.coeffs, 1e-9)
         # The l1 term counts each edge twice, as the dense slack does.
         np.testing.assert_allclose(trace.objective, objectives, rtol=1e-9)
@@ -1036,9 +1037,9 @@ class TestSolve:
 
         monkeypatch.setattr(mbnrsfm.admm, "_merged_gram", dense_eigenbasis)
         runs.append(solve(scene.w, scene.camera, neighbors, cfg))
-        (shape_state, coeffs, trace), (oracle_state, oracle_coeffs, oracle_trace) = runs
+        (shapes, coeffs, trace), (oracle_shapes, oracle_coeffs, oracle_trace) = runs
         assert trace.converged and len(trace) == len(oracle_trace)
-        assert_close_rel(shape_state.shapes, oracle_state.shapes, 1e-12)
+        assert_close_rel(shapes, oracle_shapes, 1e-12)
         assert_close_rel(coeffs, oracle_coeffs, 1e-12)
         np.testing.assert_allclose(trace.objective, oracle_trace.objective, rtol=1e-13)
         np.testing.assert_array_equal(
@@ -1055,15 +1056,15 @@ class TestSolve:
         # check: with csr_array made to raise, solve returns the same bits.
         scene, neighbors = self.grid_scene(frames, per_body, grid)
         cfg = SolverConfig(lambda1=1e-2)
-        expected_state, expected_coeffs, expected_trace = solve(
+        expected_shapes, expected_coeffs, expected_trace = solve(
             scene.w, scene.camera, neighbors, cfg)
 
         def no_csr(*args, **kwargs):
             raise AssertionError("grid mode built a csr_array")
 
         monkeypatch.setattr(scipy.sparse, "csr_array", no_csr)
-        shape_state, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
-        assert np.array_equal(shape_state.shapes, expected_state.shapes)
+        shapes, coeffs, trace = solve(scene.w, scene.camera, neighbors, cfg)
+        assert np.array_equal(shapes, expected_shapes)
         assert np.array_equal(coeffs, expected_coeffs)
         assert vars(trace) == vars(expected_trace) and len(trace) > 1
 
@@ -1281,6 +1282,24 @@ class TestSolve:
         assert trace.converged and len(trace) > 1
         assert calls == ([] if lambda2 == 0 else [("dsyevr", (8, 8))] * len(trace))
 
+    @pytest.mark.parametrize("grid", [False, True], ids=["sparse", "grid"])
+    def test_low_rank_step_calls_svt_by_its_name_on_admm(self, monkeypatch, grid):
+        # The low-rank step looks the SVT up on mbnrsfm.admm, where the
+        # benchmark's tracing wraps it: one call per sweep, on the F x 3P target.
+        calls = []
+
+        def counting(m, tau, _original=mbnrsfm.admm.svt):
+            calls.append(m.shape)
+            return _original(m, tau)
+
+        monkeypatch.setattr(mbnrsfm.admm, "svt", counting)
+        scene, neighbors = self.grid_scene()
+        frames, points = scene.camera.frames, scene.w.shape[1]
+        _, _, trace = solve(scene.w, scene.camera, neighbors if grid else None,
+                            SolverConfig(lambda1=1e-2))
+        assert trace.converged and len(trace) > 1
+        assert calls == [(frames, 3 * points)] * len(trace)
+
     @pytest.mark.parametrize("seed,frames,per_body", [(1, 30, 30),
                                                       (DEFAULT_TWO_BODY_SEED, 120, 60)],
                              ids=["two_body_seed1", "120_frames"])
@@ -1292,7 +1311,7 @@ class TestSolve:
         scene = generate_scene(default_two_body(seed=seed, frames=frames,
                                                 points_per_body=per_body))
         ratios = []
-        original = mbnrsfm.admm.svt_with_spectrum
+        original = mbnrsfm.admm.svt
 
         def recording(m, tau):
             ratios.append(min(m.shape) * np.linalg.svd(m, compute_uv=False)[0] / tau)
@@ -1302,7 +1321,7 @@ class TestSolve:
                     patch.setattr(owner, name, None)
                 return original(m, tau)
 
-        monkeypatch.setattr(mbnrsfm.admm, "svt_with_spectrum", recording)
+        monkeypatch.setattr(mbnrsfm.admm, "svt", recording)
         _, _, trace = solve(scene.w, scene.camera, None, SolverConfig())
         assert trace.converged and len(ratios) == len(trace)
         assert max(ratios) < SVT_GRAM_MAX_RATIO

@@ -11,7 +11,7 @@ from mbnrsfm.errors import ManifestError
 from mbnrsfm.fileio import read_labels, read_matrix, write_labels, write_matrix
 from mbnrsfm.metrics import segmentation_error
 from mbnrsfm.pipeline import RunManifest, load_manifest, manifest_from_dict, run_pipeline
-from mbnrsfm.scene import project, to_frame_rows
+from mbnrsfm.scene import CameraMotion, project, to_frame_rows
 from mbnrsfm.synth import (
     assemble_body, default_three_body, default_two_body, generate_scene, _smooth_random_camera,
 )
@@ -406,6 +406,23 @@ class TestSceneChecks:
         assert "[scene] init_s must be 18 x 12, got (18, 11)" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("labels_gt", np.zeros(5, dtype=np.int64), "labels_gt must hold 12 labels, got 5"),
+        ("s_gt", np.zeros((18, 11)), "s_gt must be 18 x 12, got (18, 11)"),
+        ("rotations", CameraMotion.identity(3).stacked(),
+         "W has 12 rows, but the rotations give 3 frames (6 rows)"),
+    ], ids=["labels_gt", "s_gt", "rotations"])
+    def test_input_that_does_not_fit_the_scene(self, tmp_path, capsys, key, value, message):
+        data = small_scene_manifest(tmp_path, "files")
+        path = tmp_path / "input"
+        (write_labels if key == "labels_gt" else write_matrix)(path, value)
+        data["inputs"][key] = str(path)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data))
+        assert cli.main(["pipeline", "--manifest", str(manifest)]) == 4
+        assert f"[scene] {message}" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_init_s_of_the_right_shape_is_used(self, tmp_path):
         data = small_scene_manifest(tmp_path, "files")
         data["solver"] = {"max_iters": 0}
@@ -591,6 +608,30 @@ class TestCliExitCodes:
                          "--bodies", "2", "--frames", "6", "--points-per-body", "5", *flags])
         assert code == 4
         assert "bad manifest or inputs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--grid", "--init-s"])
+    def test_empty_flag_exit_4(self, tmp_path, capsys, flag):
+        # An empty value is a value: it is rejected, not taken for a flag left out.
+        code = cli.main(["pipeline", "--out", str(tmp_path / "out"), "--clusters", "2",
+                         "--bodies", "2", "--frames", "4", "--points-per-body", "5", flag, ""])
+        assert code == 4
+        assert "bad manifest or inputs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("w", ["", "subdir"], ids=["empty", "directory"])
+    def test_input_that_is_not_a_regular_file_exit_4(self, tmp_path, capsys, w):
+        (tmp_path / "subdir").mkdir()
+        scene = generate_scene(default_two_body(frames=4, points_per_body=5))
+        write_matrix(tmp_path / "R.mtx", scene.camera.stacked())
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "version": "MBNR1", "command": "solve", "output_dir": "out",
+            "inputs": {"w": w, "rotations": "R.mtx"},
+        }))
+        assert cli.main(["pipeline", "--manifest", str(manifest)]) == 4
+        err = capsys.readouterr().err
+        assert "input file for 'w' does not exist or is not a regular file" in err
         assert not (tmp_path / "out").exists()
 
     def test_uncovering_grid_exit_4_leaves_no_ground_truth(self, tmp_path, capsys):

@@ -27,7 +27,6 @@ def test_exports_are_the_solver_and_scene_api():
         "NumericalError",
         "ParseError",
         "SceneData",
-        "ShapeState",
         "SingularPencilError",
         "SolverConfig",
         "SolverTrace",

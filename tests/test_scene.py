@@ -7,7 +7,6 @@ from conftest import dense_merged, neighbor_diff
 from mbnrsfm.scene import (
     CameraMotion,
     EdgeOperator,
-    ShapeState,
     build_neighbor_matrix,
     project,
     to_frame_rows,
@@ -111,16 +110,6 @@ class TestCameraMotion:
         camera = random_camera(np.random.default_rng(5), 4)
         again = CameraMotion.from_stacked(camera.stacked())
         np.testing.assert_array_equal(again.blocks, camera.blocks)
-
-
-class TestShapeState:
-    def test_accepts_consistent_pair(self):
-        rng = np.random.default_rng(6)
-        s = rng.normal(size=(9, 4))
-        state = ShapeState(s)
-        assert state.frames == 3
-        assert state.points == 4
-        np.testing.assert_array_equal(state.frame_rows, to_frame_rows(s))
 
 
 class TestBuildNeighborMatrix:
