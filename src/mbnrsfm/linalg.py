@@ -17,45 +17,28 @@ serves at least as many right-hand sides as its order becomes its inverse
 through ``dpotri`` and is applied by one BLAS ``dsymm``, at GEMM rate; a
 factor that serves fewer is applied by the two triangular solves of
 ``dpotrs``.
-The solver's two Sylvester equations have symmetric operands, and
-``solve_sylvester`` picks its method from the operand types:
-
-* a ``SymmetricOperand`` (a dense matrix or a stack of diagonal blocks,
-  held with its eigendecomposition) left of a ``SymmetricOperand`` or a
-  ``KroneckerSumOperand``: rotate into both eigenbases and divide. A
-  ``KroneckerSumOperand`` (``first (x) I + I (x) second``, the grid Gram)
-  is defined by its two small terms and holds their eigenbases, not an
-  n x n one: it is rotated, and applied in the residual check, by two
-  small products on the (r, h, w) view of an r x n array, and no n x n
-  matrix of it exists;
-* a ``GramOperand`` left of either right operand above (``m^T m + shift I``
-  held as its dense k x n factor ``m``, k < n): only the k x k Gram
-  ``m m^T`` is factored, and each column of the right operand's eigenbasis
-  is solved by the Woodbury identity, so the n x n operand is never formed;
-* a ``CholeskyOperand`` on the right of a ``SymmetricOperand`` (an
-  unfactored positive-semidefinite matrix): rows whose left eigenvalues
-  cluster share one Cholesky factor of the right operand shifted by the
-  cluster's center, and refinement sweeps against the exact operators
-  remove the spread inside a cluster when the residual bound asks for it.
-  A cluster with at least as many rows as the right operand's order takes
-  the inverse route, a smaller one ``dpotrs``. The clusters are found in
-  the left operand's stored ascending order (``SymmetricOperand.ascending``),
-  which a ``scaled`` copy shares, so no solve sorts its eigenvalues;
-* an ``IdentityOperand`` (the n x n identity, stored as n alone) on the
-  right of a ``GramOperand`` or a ``CholeskyOperand``: the equation is
-  ``(a + I) x = q``, solved by the Woodbury identity with the shift raised
-  by one, or by one Cholesky factor of ``a + I``, which always takes the
-  inverse route (``q`` has n columns);
-* two plain arrays: scipy's general Bartels-Stewart implementation, which
-  stays the reference for the structured paths.
+The solver's two Sylvester equations have symmetric operands, held in the
+operand classes below. ``solve_sylvester`` looks up the method for each
+supported pair of operand types in ``_BUILDERS`` (its docstring lists
+them) and solves two plain arrays by scipy's general Bartels-Stewart
+implementation, which stays the unrefined reference for the structured
+paths.
 
 This module owns the contracts the rest of the package relies on: validated
 inputs, explicit failures instead of silent garbage, and a verified residual
-on every Sylvester solve.
+on every Sylvester solve. Every structured solve takes one path: its pair
+builds a function that solves the equation for any right-hand side, which
+solves ``q``; the residual is checked against the exact operators, and
+while the bound is missed, up to ``MAX_REFINEMENT_SWEEPS`` times, the same
+function solves the residual and the result is subtracted. A shifted
+factor, an explicit inverse or a Woodbury update loses digits in proportion
+to the conditioning of the operand, which grows with the square of the
+data's scale; refinement against the exact operators recovers them, and
+runs only when the first solve misses the bound.
 
-Each Sylvester solve runs, its residual check included, under one
-``np.errstate`` (``_quiet``) that silences division by zero, overflow and
-invalid operations: any of them leaves a non-finite entry, which the check
+The solve, its refinement and its check run under one ``np.errstate``
+(``_quiet``) that silences division by zero, overflow and invalid
+operations: any of them leaves a non-finite entry, which the check
 rejects. The check forms the residual first. A non-finite entry anywhere in
 the solution makes the residual's norm non-finite, which meets no bound, so
 the solution is scanned for non-finite entries only when the bound is
@@ -87,7 +70,7 @@ SINGULAR_PENCIL_TOL = 1e-12
 # instead of its own eigenvalue then leaves an error of at most half this
 # fraction, and each refinement sweep shrinks it by that factor again.
 SHIFT_CLUSTER_RTOL = 1e-3
-# Refinement sweeps a shifted-Cholesky solve may take to meet the bound.
+# Refinement sweeps a structured Sylvester solve may take to meet the bound.
 MAX_REFINEMENT_SWEEPS = 3
 # The SVT takes its singular triplets from the Gram of the input's short
 # side (n rows) only while n * sigma_1 / tau stays at or below this. That
@@ -303,10 +286,12 @@ class KroneckerSumOperand:
     holds ``(V_first, V_second)``.
 
     The n x n operator is never formed either. The Sylvester residual is
-    checked against the terms as given, ``first^T X_k + X_k second`` on each
-    (h, w) slice X_k (``_kronecker_sum_right``), not against the
-    eigen-reconstruction, so a term that is not symmetric (``eigh`` reads
-    only its lower triangle) fails that check instead of passing unseen.
+    checked, and refined, against the terms as given,
+    ``first^T X_k + X_k second`` on each (h, w) slice X_k
+    (``_kronecker_sum_right``), not against the eigen-reconstruction. A term
+    that is not symmetric (``eigh`` reads only its lower triangle) is solved
+    as its symmetric lower part: a mild asymmetry is refined away, and one
+    that refinement cannot absorb fails the check instead of passing unseen.
     """
 
     __slots__ = ("first", "second", "eigenvalues", "bases")
@@ -370,9 +355,10 @@ class CholeskyOperand:
     It stands on the right of a SymmetricOperand, where ``solve_sylvester``
     factors ``matrix + c I`` by Cholesky once per cluster ``c`` of the left
     eigenvalues, or on the left of an IdentityOperand, where it factors
-    ``matrix + I`` once. A factor that serves at least as many rows as its
-    order n is applied through its inverse (``dpotri``, then ``dsymm``), one
-    that serves fewer by ``dpotrs``. Nothing is decomposed at construction.
+    ``matrix + I`` once; refinement reuses the factors. A factor that serves
+    at least as many rows as its order n is applied through its inverse
+    (``dpotri``, then ``dsymm``), one that serves fewer by ``dpotrs``.
+    Nothing is decomposed at construction.
     """
 
     __slots__ = ("matrix",)
@@ -391,19 +377,20 @@ class CholeskyOperand:
 
 
 class IdentityOperand:
-    """The n x n identity as a Sylvester operand; only n is stored.
+    """The n x n identity as a Sylvester operand, held as n unit eigenvalues.
 
-    It stands on the right of a GramOperand or a CholeskyOperand, where
-    ``solve_sylvester`` solves ``(a + I) x = q`` without any rotation.
-    Products with it return their operand.
+    It stands on the right of a GramOperand, as an eigenbasis operand whose
+    rotations and products return their operand, or of a CholeskyOperand,
+    where ``solve_sylvester`` solves ``(a + I) x = q``.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "eigenvalues")
 
     def __init__(self, n: int):
         if not (isinstance(n, (int, np.integer)) and n > 0):
             raise ValueError(f"identity operand size must be a positive integer, got {n!r}")
         self.n = int(n)
+        self.eigenvalues = np.ones(self.n)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -478,7 +465,10 @@ def _kronecker_sum_right(x: np.ndarray, first: np.ndarray, second: np.ndarray) -
 
 
 def _into_eigenbasis(x: np.ndarray, op) -> np.ndarray:
-    """``x @ V`` for V the eigenvectors of a SymmetricOperand or KroneckerSumOperand."""
+    """``x @ V`` for V the eigenvectors of a SymmetricOperand, a
+    KroneckerSumOperand or an IdentityOperand (V = I: ``x`` itself)."""
+    if isinstance(op, IdentityOperand):
+        return x
     if isinstance(op, KroneckerSumOperand):
         return _kronecker_right(x, *op.bases)
     return _right(x, op.eigenvectors)
@@ -486,6 +476,8 @@ def _into_eigenbasis(x: np.ndarray, op) -> np.ndarray:
 
 def _out_of_eigenbasis(x: np.ndarray, op) -> np.ndarray:
     """``x @ V^T``, undoing ``_into_eigenbasis``."""
+    if isinstance(op, IdentityOperand):
+        return x
     if isinstance(op, KroneckerSumOperand):
         return _kronecker_right(x, *(basis.T for basis in op.bases))
     return _right(x, op.eigenvectors.swapaxes(-1, -2))
@@ -495,8 +487,6 @@ def _spectrum(op) -> np.ndarray:
     """All n eigenvalues of an operand (used to diagnose a failed solve)."""
     if isinstance(op, CholeskyOperand):
         return np.linalg.eigvalsh(op.matrix)
-    if isinstance(op, IdentityOperand):
-        return np.ones(op.n)
     if isinstance(op, GramOperand):
         n = op.shape[0]
         flat = np.full(n - op.eigenvalues.size, op.shift)
@@ -516,10 +506,6 @@ def _check_operand_shapes(a_shape, b_shape, q_shape) -> None:
         )
 
 
-# Right operands held with an eigenbasis that the solve rotates into and out of.
-_EIGENBASIS_OPERANDS = (SymmetricOperand, KroneckerSumOperand)
-
-
 def solve_sylvester(a, b, q) -> np.ndarray:
     """Solve ``a @ x + x @ b = q`` for ``x``.
 
@@ -528,7 +514,7 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     paths in this package guarantee that by construction (a positive-definite
     left operand against a positive-semidefinite right one).
 
-    The operand pair picks the method:
+    The operand pair picks the method (``_BUILDERS``):
 
     * ``a`` a SymmetricOperand, ``b`` a SymmetricOperand or a
       KroneckerSumOperand: with ``a = U diag(l) U^T`` and
@@ -536,53 +522,54 @@ def solve_sylvester(a, b, q) -> np.ndarray:
       the stored factorizations. Block-stack operands are applied per
       block; for a KroneckerSumOperand V is ``kron(V_first, V_second)``,
       applied by two small products and never formed.
-    * ``a`` a GramOperand, ``b`` a SymmetricOperand or a
-      KroneckerSumOperand: column j of ``q V`` is solved against
-      ``m^T m + (shift + m_j) I`` by the Woodbury identity.
-      With ``b`` an IdentityOperand, V = I and every m_j = 1, so ``q`` is
-      solved against ``m^T m + (shift + 1) I`` with no rotation.
+    * ``a`` a GramOperand, ``b`` a SymmetricOperand, a KroneckerSumOperand
+      or an IdentityOperand (V = I, every m_j = 1): column j of ``q V`` is
+      solved against ``m^T m + (shift + m_j) I`` by the Woodbury identity.
     * ``a`` a SymmetricOperand, ``b`` a CholeskyOperand: row i of ``U^T q``
       is solved against ``b + l_i I`` through the Cholesky factor of ``b``
       shifted by the center of the cluster holding l_i (eigenvalues within
       SHIFT_CLUSTER_RTOL of the cluster's smallest). A cluster of at least
       m rows applies the inverse that ``dpotri`` forms from its factor, by
       one ``dsymm``; a cluster of fewer rows applies the factor by
-      ``dpotrs``. While the residual misses the bound, up to
-      MAX_REFINEMENT_SWEEPS sweeps solve the same way for the residual
-      taken against the exact operators and subtract the result.
+      ``dpotrs``.
     * ``a`` a CholeskyOperand, ``b`` an IdentityOperand: ``x`` solves
       ``(a + I) x = q`` through one Cholesky factor of ``a + I``; ``q``
       has as many columns as its order, so its inverse is applied.
     * both operands plain arrays: scipy's Bartels-Stewart (real Schur forms
       of both operands plus back-substitution). This is the general routine
-      and the reference the structured paths are tested against.
+      and the unrefined reference the structured paths are tested against.
 
     Any other pair, plain arrays mixed with operands included, raises
     TypeError.
 
-    The returned solution always satisfies
+    Every structured pair solves ``q``, then, while the residual misses the
+    bound, up to MAX_REFINEMENT_SWEEPS sweeps solve the same way for the
+    residual taken against the exact operators and subtract the result. The
+    returned solution always satisfies
     ``||a x + x b - q||_F <= SYLVESTER_RTOL * (1 + ||q||_F)``, checked
-    against the original operators (a KroneckerSumOperand's two terms);
-    where ``||q||_F`` overflows, both sides
-    are taken in units of max|q|, so the bound stays finite. A violation,
-    or a non-finite solution, raises SingularPencilError (naming the
+    against the original operators (a KroneckerSumOperand's two terms as
+    given); where ``||q||_F`` overflows, both sides are taken in units of
+    max|q|, so the bound stays finite. A violation that refinement cannot
+    remove, or a non-finite solution, raises SingularPencilError (naming the
     offending eigenvalue pair) when the pencil is singular, NumericalError
     otherwise.
     """
     if not isinstance(a, _OPERANDS) and not isinstance(b, _OPERANDS):
         return _solve_bartels_stewart(a, b, q)
-    if isinstance(a, SymmetricOperand) and isinstance(b, _EIGENBASIS_OPERANDS):
-        return _solve_in_eigenbases(a, b, q)
-    if isinstance(a, GramOperand) and isinstance(b, (*_EIGENBASIS_OPERANDS, IdentityOperand)):
-        return _solve_woodbury(a, b, q)
-    if isinstance(a, SymmetricOperand) and isinstance(b, CholeskyOperand):
-        return _solve_shifted_cholesky(a, b, q)
-    if isinstance(a, CholeskyOperand) and isinstance(b, IdentityOperand):
-        return _solve_plus_identity(a, b, q)
-    raise TypeError(
-        f"solve_sylvester has no method for a {type(a).__name__} left operand "
-        f"and a {type(b).__name__} right operand"
-    )
+    builder = _BUILDERS.get((type(a), type(b)))
+    if builder is None:
+        raise TypeError(
+            f"solve_sylvester has no method for a {type(a).__name__} left operand "
+            f"and a {type(b).__name__} right operand"
+        )
+    q = _structured_rhs(a, b, q)
+
+    def eigenvalues():
+        return _spectrum(a), _spectrum(b)
+
+    with _quiet():
+        solve = builder(a, b, eigenvalues)
+        return _verified(a, b, q, solve(q), eigenvalues, correction=solve)
 
 
 def _solve_bartels_stewart(a, b, q) -> np.ndarray:
@@ -616,10 +603,6 @@ def _structured_rhs(a, b, q) -> np.ndarray:
     return q
 
 
-def _spectra(a, b):
-    return lambda: (_spectrum(a), _spectrum(b))
-
-
 def _quiet():
     """The one ``np.errstate`` a structured solve runs under, its check included.
 
@@ -630,31 +613,30 @@ def _quiet():
     return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _solve_in_eigenbases(a: SymmetricOperand, b, q) -> np.ndarray:
+def _in_eigenbases(a: SymmetricOperand, b, eigenvalues):
     """A SymmetricOperand left of a SymmetricOperand or a KroneckerSumOperand."""
-    q = _structured_rhs(a, b, q)
     u = a.eigenvectors
-    with _quiet():
-        inner = _into_eigenbasis(_left(u.swapaxes(-1, -2), q), b)
-        inner /= a.eigenvalues[:, None] + b.eigenvalues[None, :]
-        x = _out_of_eigenbasis(_left(u, inner), b)
-        return _verified(a, b, q, x, _spectra(a, b))
+    sums = a.eigenvalues[:, None] + b.eigenvalues[None, :]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        inner = _into_eigenbasis(_left(u.swapaxes(-1, -2), r), b)
+        inner /= sums
+        return _out_of_eigenbasis(_left(u, inner), b)
+    return solve
 
 
-def _solve_woodbury(a: GramOperand, b, q) -> np.ndarray:
+def _woodbury(a: GramOperand, b, eigenvalues):
     """A GramOperand left of a SymmetricOperand, a KroneckerSumOperand or the identity."""
-    q = _structured_rhs(a, b, q)
-    identity = isinstance(b, IdentityOperand)
     basis = a.eigenvectors
-    shifts = a.shift + (1.0 if identity else b.eigenvalues)
-    with _quiet():
-        rotated = q if identity else _into_eigenbasis(q, b)
+    shifts = a.shift + b.eigenvalues
+    sums = a.eigenvalues[:, None] + shifts
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        rotated = _into_eigenbasis(r, b)
         inner = basis.T @ rotated
-        inner /= a.eigenvalues[:, None] + shifts
-        x = (rotated - basis @ inner) / shifts
-        if not identity:
-            x = _out_of_eigenbasis(x, b)
-        return _verified(a, b, q, x, _spectra(a, b))
+        inner /= sums
+        return _out_of_eigenbasis((rotated - basis @ inner) / shifts, b)
+    return solve
 
 
 def _eigenvalue_clusters(values: np.ndarray, ascending: np.ndarray) -> list:
@@ -676,32 +658,24 @@ def _eigenvalue_clusters(values: np.ndarray, ascending: np.ndarray) -> list:
     return clusters
 
 
-def _solve_shifted_cholesky(a: SymmetricOperand, b: CholeskyOperand, q) -> np.ndarray:
+def _shifted_cholesky_rows(a: SymmetricOperand, b: CholeskyOperand, eigenvalues):
     """A SymmetricOperand left of an unfactored positive-semidefinite operand."""
-    q = _structured_rhs(a, b, q)
     u = a.eigenvectors
-    eigenvalues = _spectra(a, b)
     solvers = [(rows, _shifted_cholesky(b, center, rows.size, "right", eigenvalues))
                for rows, center in _eigenvalue_clusters(a.eigenvalues, a.ascending)]
 
-    def solve_rows(r: np.ndarray) -> np.ndarray:
+    def solve(r: np.ndarray) -> np.ndarray:
         rotated = _left(u.swapaxes(-1, -2), r)
         out = np.empty_like(rotated)
-        for rows, solve in solvers:
-            out[rows] = solve(rotated[rows].T, overwrite_b=1).T
+        for rows, solve_cluster in solvers:
+            out[rows] = solve_cluster(rotated[rows].T, overwrite_b=1).T
         return _left(u, out)
-
-    with _quiet():
-        return _verified(a, b, q, solve_rows(q), eigenvalues, correction=solve_rows)
+    return solve
 
 
-def _solve_plus_identity(a: CholeskyOperand, b: IdentityOperand, q) -> np.ndarray:
+def _plus_identity(a: CholeskyOperand, b: IdentityOperand, eigenvalues):
     """An unfactored positive-semidefinite operand left of the identity."""
-    q = _structured_rhs(a, b, q)
-    eigenvalues = _spectra(a, b)
-    solve = _shifted_cholesky(a, 1.0, q.shape[1], "left", eigenvalues)
-    with _quiet():
-        return _verified(a, b, q, solve(q), eigenvalues)
+    return _shifted_cholesky(a, 1.0, b.n, "left", eigenvalues)
 
 
 def _shifted_cholesky(op: CholeskyOperand, shift: float, columns: int, side: str,
@@ -748,6 +722,21 @@ def _check_factor(routine: str, info: int, shape, detail: str, eigenvalues) -> N
     _check_lapack(routine, info, shape)
 
 
+# The builder of each structured (left, right) operand pair: given the operands
+# and the diagnosing ``eigenvalues`` callable, it returns a function that solves
+# the pair for any right-hand side without changing it, which
+# ``solve_sylvester`` applies to ``q`` and, in refinement, to residuals.
+_BUILDERS = {
+    (SymmetricOperand, SymmetricOperand): _in_eigenbases,
+    (SymmetricOperand, KroneckerSumOperand): _in_eigenbases,
+    (GramOperand, SymmetricOperand): _woodbury,
+    (GramOperand, KroneckerSumOperand): _woodbury,
+    (GramOperand, IdentityOperand): _woodbury,
+    (SymmetricOperand, CholeskyOperand): _shifted_cholesky_rows,
+    (CholeskyOperand, IdentityOperand): _plus_identity,
+}
+
+
 def frobenius_norm(v: np.ndarray) -> float:
     """The Frobenius norm as ``np.linalg.norm`` computes it for a real array:
     the square root of the dot product of v's elements in memory order."""
@@ -760,10 +749,11 @@ def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:
 
     ``a`` and ``b`` are operands, dense matrices or block stacks;
     ``eigenvalues`` is a zero-argument callable giving both operands'
-    eigenvalues, only called on failure. ``correction``, when given, maps a
-    residual to the solution error it implies; while the bound is missed it
-    is subtracted from ``x``, at most MAX_REFINEMENT_SWEEPS times. The
-    caller runs it under ``_quiet``.
+    eigenvalues, only called on failure. ``correction`` maps a residual to
+    the solution error it implies; while the bound is missed it is
+    subtracted from ``x``, at most MAX_REFINEMENT_SWEEPS times. Every
+    structured solve passes its own solve; Bartels-Stewart passes none and
+    is not refined. The caller runs this under ``_quiet``.
 
     The residual comes first: every entry of ``x`` reaches the residual, so
     a non-finite ``x`` gives a non-finite norm, which meets no bound. ``x``

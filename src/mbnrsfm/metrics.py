@@ -87,9 +87,13 @@ def segmentation_error(labels_est, labels_gt) -> float:
 
 
 def reprojection_error(w, camera: CameraMotion, shapes) -> float:
-    """Relative orthographic reprojection residual ||W - R S||_F / ||W||_F."""
+    """Relative reprojection residual ||W - R S||_F / ||W||_F; W and R S must have one shape."""
     w = np.asarray(w, dtype=float)
     denom = np.linalg.norm(w)
     if denom == 0:
         raise ValueError("measurement matrix is all zero")
-    return float(np.linalg.norm(w - project(camera, shapes)) / denom)
+    projected = project(camera, shapes)
+    if w.shape != projected.shape:
+        raise ValueError(
+            f"measurement shape {w.shape} does not match projection {projected.shape}")
+    return float(np.linalg.norm(w - projected) / denom)

@@ -415,7 +415,8 @@ def _run_eval(manifest: RunManifest, out: Path | None) -> dict:
             metrics["e3d"] = reconstruction_error(s_est, s_gt)
             metrics["e3d_whole"] = reconstruction_error_whole(s_est, s_gt)
         if "w" in inputs and "rotations" in inputs and "s_est" in inputs:
-            w = fileio.read_matrix(inputs["w"])
+            # Row-centred as ``run_pipeline`` solves and scores it.
+            w, _ = _center_rows(fileio.read_matrix(inputs["w"]))
             camera = CameraMotion.from_stacked(fileio.read_matrix(inputs["rotations"]))
             metrics["reprojection"] = reprojection_error(
                 w, camera, fileio.read_matrix(inputs["s_est"])

@@ -54,10 +54,12 @@ def validate_shapes(s, name: str = "shape stack") -> np.ndarray:
 
 
 def validate_labels(labels, num_points: int | None = None) -> np.ndarray:
-    """Check a vector of nonnegative integer cluster ids."""
+    """Check a vector of nonnegative integer cluster ids; booleans and text are not ids."""
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"labels must be a non-empty 1-D vector, got shape {arr.shape}")
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
     if not np.issubdtype(arr.dtype, np.integer):
         # Whole values inside int64's range only: NaN fails the first test,
         # inf and values too large to cast the second.

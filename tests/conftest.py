@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import mbnrsfm.linalg
 from mbnrsfm import SolverConfig, default_two_body, generate_scene, solve
 from mbnrsfm.admm import AdmmState, DualState
 
@@ -26,6 +27,24 @@ def default_run(default_scene):
         default_scene.w, default_scene.camera, None, SolverConfig()
     )
     return default_scene, shapes, coeffs, trace
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """The residual shape of every refinement sweep a structured Sylvester
+    solve takes, recorded by wrapping the ``correction`` it hands to
+    ``linalg._verified``."""
+    calls = []
+    original = mbnrsfm.linalg._verified
+
+    def recording(a, b, q, x, eigenvalues, correction=None):
+        def counted(residual):
+            calls.append(residual.shape)
+            return correction(residual)
+        return original(a, b, q, x, eigenvalues, counted if correction else None)
+
+    monkeypatch.setattr(mbnrsfm.linalg, "_verified", recording)
+    return calls
 
 
 def random_state(rng, frames, points, slack_cols=None, beta=0.7):

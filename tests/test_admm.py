@@ -1349,3 +1349,48 @@ class TestSolve:
         scene, _, _, trace = default_run
         assert len(trace.objective) == len(trace)
         assert all(np.isfinite(v) for v in trace.objective)
+
+
+def row_centred(w):
+    """W with each row's mean removed, as the pipeline hands it to ``solve``."""
+    return w - w.mean(axis=1, keepdims=True)
+
+
+class TestRefinementInSolve:
+    """When the Sylvester steps of a solve refine. On unit-scale scenes the
+    first solve always meets the bound, so refinement costs nothing and
+    leaves every artifact as it was; on pixel-unit W (W x 1e3 or 1e4) the
+    coefficient step's conditioning grows with |W|^2, and refinement is what
+    lets the solve run at all."""
+
+    @pytest.mark.parametrize("frames,per_body,grid", [(30, 30, None), (30, 120, (12, 20))],
+                             ids=["default_two_body", "grid_12x20"])
+    def test_unit_scale_solve_takes_no_refinement(self, refinements, frames, per_body, grid):
+        scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
+        neighbors = build_neighbor_matrix(*grid) if grid else None
+        _, _, trace = solve(row_centred(scene.w), scene.camera, neighbors, SolverConfig())
+        assert trace.converged
+        assert refinements == []
+
+    @pytest.mark.parametrize("frames,per_body,grid", [(30, 120, (12, 20)), (120, 60, None)],
+                             ids=["grid_12x20", "long_sequence"])
+    def test_pixel_unit_scene_runs_its_first_sweeps(self, frames, per_body, grid):
+        scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
+        neighbors = build_neighbor_matrix(*grid) if grid else None
+        _, _, trace = solve(1e3 * row_centred(scene.w), scene.camera, neighbors,
+                            SolverConfig(max_iters=3))
+        assert len(trace) == 3
+
+    @pytest.mark.parametrize("frames,per_body,grid", [
+        (4, 10, (4, 5)), (4, 10, None), (10, 8, None),
+    ], ids=["grid_woodbury", "sparse_woodbury", "sparse_cholesky"])
+    def test_pixel_unit_scene_converges_by_refinement(self, refinements, frames, per_body,
+                                                      grid):
+        # The sizes of the three scenes CI runs through the console script at
+        # W x 1e4.
+        scene = generate_scene(default_two_body(frames=frames, points_per_body=per_body))
+        neighbors = build_neighbor_matrix(*grid) if grid else None
+        _, _, trace = solve(1e4 * row_centred(scene.w), scene.camera, neighbors,
+                            SolverConfig())
+        assert trace.converged
+        assert refinements

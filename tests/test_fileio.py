@@ -260,6 +260,14 @@ class TestLabelFormat:
         write_labels(path, labels)
         np.testing.assert_array_equal(read_labels(path), labels)
 
+    @pytest.mark.parametrize("labels", [np.array([True, False]), np.array(["1", "2"])],
+                             ids=["bool", "str"])
+    def test_boolean_and_text_labels_are_not_written(self, tmp_path, labels):
+        path = tmp_path / "l.txt"
+        with pytest.raises(ValueError, match="labels must be integers"):
+            write_labels(path, labels)
+        assert not path.exists()
+
     def test_negative_id_rejected(self, tmp_path):
         path = tmp_path / "l.txt"
         path.write_text("MBNR1 labels 2\n0\n-1\n")

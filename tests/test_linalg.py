@@ -717,15 +717,30 @@ class TestKroneckerSumOperand:
     def test_residual_is_checked_against_the_terms(self, rows):
         # A term that is not symmetric: eigh reads its lower triangle only,
         # so the solve in the terms' eigenbasis misses the bound against the
-        # terms as given.
+        # terms as given, by more than refinement can remove.
         rng = np.random.default_rng(36)
         first, second = random_spd(rng, 3), random_spd(rng, 4)
-        first[0, 2] += 1e-3
+        first[0, 2] += 1.0
         a = coefficient_operand(coefficient_factor(rng, rows, 12), 1e-10)
         with pytest.raises(NumericalError, match="exceeds bound") as err:
             solve_sylvester(a, KroneckerSumOperand(first, second),
                             rng.normal(size=(12, 12)))
         assert not isinstance(err.value, SingularPencilError)
+
+    @pytest.mark.parametrize("rows", [3, 15], ids=["woodbury", "eigenbases"])
+    def test_mild_asymmetry_is_refined_against_the_terms(self, refinements, rows):
+        # A small asymmetry leaves the first solve off the bound; refinement
+        # against the terms as given meets it against the formed,
+        # non-symmetric Kronecker sum.
+        rng = np.random.default_rng(36)
+        first, second = random_spd(rng, 3), random_spd(rng, 4)
+        first[0, 2] += 1e-3
+        m = coefficient_factor(rng, rows, 12)
+        q = rng.normal(size=(12, 12))
+        x = solve_sylvester(coefficient_operand(m, 1e-10), KroneckerSumOperand(first, second), q)
+        assert refinements
+        residual = (m.T @ m + 1e-10 * np.eye(12)) @ x + x @ kronecker_sum(first, second) - q
+        assert np.linalg.norm(residual) <= SYLVESTER_RTOL * (1 + np.linalg.norm(q))
 
     def test_singular_pencil_names_the_pair(self):
         # Eigenvalues 1 + 1 and 2 + 1 on the right; -3 on the left cancels 3.
@@ -822,6 +837,39 @@ class TestIdentityOperandSylvester:
     def test_rejects_bad_size(self, n):
         with pytest.raises(ValueError):
             IdentityOperand(n)
+
+
+class TestRefinementOfScaledOperands:
+    """Pixel-unit data: the coefficient step's left operand M^T M + eps I with
+    S of rank 4 scaled by 1e3 to 1e5. The Woodbury update and the explicit
+    inverse lose digits in proportion to its condition number, so the first
+    solve misses the bound; refinement against the exact operators meets it."""
+
+    @staticmethod
+    def problem(pair, scale):
+        rng = np.random.default_rng(61)
+        rows, points = (25, 20) if pair == "cholesky-identity" else (7, 20)
+        s = scale * (rng.normal(size=(rows, 4)) @ rng.normal(size=(4, points)))
+        m = np.vstack([s, np.ones(points)])
+        q = s.T @ (s + rng.normal(size=s.shape))
+        formed = m.T @ m + COEFF_STABILIZER * np.eye(points)
+        if pair == "gram-kronecker":
+            first, second = np.eye(4) + 2.0 * path_laplacian(4), 2.0 * path_laplacian(5)
+            return (GramOperand(m, COEFF_STABILIZER), KroneckerSumOperand(first, second), q,
+                    formed, kronecker_sum(first, second))
+        left = (GramOperand(m, COEFF_STABILIZER) if pair == "gram-identity"
+                else CholeskyOperand(formed))
+        return left, IdentityOperand(points), q, formed, np.eye(points)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("pair", ["gram-kronecker", "gram-identity", "cholesky-identity"])
+    def test_badly_scaled_left_operand_meets_the_bound(self, refinements, pair, scale):
+        # At unit scale the first solve meets the bound and nothing refines.
+        a, b, q, dense_a, dense_b = self.problem(pair, scale)
+        x = solve_sylvester(a, b, q)
+        assert bool(refinements) == (scale > 1.0)
+        residual = np.linalg.norm(dense_a @ x + x @ dense_b - q)
+        assert residual <= SYLVESTER_RTOL * (1 + np.linalg.norm(q))
 
 
 def near_orthonormal_camera(rng, frames, defect):

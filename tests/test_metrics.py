@@ -158,6 +158,14 @@ class TestReprojectionError:
         with pytest.raises(ValueError):
             reprojection_error(np.zeros((4, 3)), CameraMotion.identity(2), np.zeros((6, 3)))
 
+    @pytest.mark.parametrize("w_shape", [(4, 4), (6, 3), (4,)], ids=["points", "frames", "1d"])
+    def test_shape_mismatch_names_both_shapes(self, w_shape):
+        # Not numpy's broadcast message: the measurement and projection shapes.
+        with pytest.raises(ValueError) as err:
+            reprojection_error(np.ones(w_shape), CameraMotion.identity(2), np.ones((6, 3)))
+        assert str(err.value) == (f"measurement shape {w_shape} does not match "
+                                  f"projection (4, 3)")
+
     def test_additive_perturbation(self):
         rng = np.random.default_rng(11)
         camera = _smooth_random_camera(rng, 4)

@@ -667,13 +667,17 @@ class TestCliExitCodes:
         assert len(flags) > len(PIPELINE_ARTIFACTS) and flags == explicit
 
     def test_synth_then_solve_then_eval_round_trip(self, tmp_path, capsys):
+        # W is moved off its row means: the pipeline solves and scores the
+        # row-centred W, and eval must score the same, to the bit.
         scene_dir = tmp_path / "scene"
         assert cli.main(["synth", "--out", str(scene_dir), "--bodies", "2"]) == 0
+        w = read_matrix(scene_dir / "W.mtx")
+        write_matrix(scene_dir / "W_offset.mtx", w + 0.05 * np.arange(w.shape[0])[:, None])
         run_dir = tmp_path / "run"
+        measurements = ["--w", str(scene_dir / "W_offset.mtx"),
+                        "--rotations", str(scene_dir / "rotations.mtx")]
         assert cli.main([
-            "pipeline", "--out", str(run_dir), "--clusters", "2",
-            "--w", str(scene_dir / "W.mtx"),
-            "--rotations", str(scene_dir / "rotations.mtx"),
+            "pipeline", "--out", str(run_dir), "--clusters", "2", *measurements,
             "--s-gt", str(scene_dir / "S_gt.mtx"),
             "--labels-gt", str(scene_dir / "labels_gt.txt"),
         ]) == 0
@@ -683,7 +687,10 @@ class TestCliExitCodes:
             "--labels-est", str(run_dir / "labels.txt"),
             "--labels-gt", str(scene_dir / "labels_gt.txt"),
             "--s-est", str(run_dir / "S.mtx"),
-            "--s-gt", str(scene_dir / "S_gt.mtx"),
+            "--s-gt", str(scene_dir / "S_gt.mtx"), *measurements,
         ]) == 0
-        out = capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
         assert "ems: 0.0" in out
+        recorded = dict(line.split(",") for line in
+                        (run_dir / "metrics.csv").read_text().splitlines()[1:])
+        assert f"reprojection: {recorded['reprojection']}" in out

@@ -203,6 +203,16 @@ class TestValidators:
         with pytest.raises(ValueError):
             validate_labels(np.array([0.5, 1.0]))
 
+    @pytest.mark.parametrize("labels", [
+        np.array([True, False]), np.array(["1", "2"]), np.array([1, "a"], dtype=object),
+        np.array([1 + 0j, 2 + 0j]),
+    ], ids=["bool", "str", "object", "complex"])
+    def test_boolean_and_non_numeric_labels_rejected(self, labels):
+        # A bool would pass as 0/1 and a string would raise TypeError from
+        # np.floor; both are ValueErrors, which the CLI maps to exit 4.
+        with pytest.raises(ValueError, match="labels must be integers"):
+            validate_labels(labels)
+
     def test_labels_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             validate_labels(np.array([0, -1]))
