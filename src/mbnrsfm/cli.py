@@ -49,12 +49,12 @@ def _add_scene_source_flags(parser):
 def _add_synth_flags(parser):
     parser.add_argument("--bodies", type=int, choices=(2, 3), default=None,
                         help="generate a stock 2- or 3-body scene instead of reading files")
-    parser.add_argument("--frames", type=int, default=30)
-    parser.add_argument("--points-per-body", type=int, default=None)
-    parser.add_argument("--basis-rank", type=int, default=2)
-    parser.add_argument("--noise-sigma", type=float, default=0.0)
-    parser.add_argument("--camera", choices=("identity", "smooth_random"),
-                        default="smooth_random")
+    # Left out, each flag keeps the stock scene's own default.
+    parser.add_argument("--frames", type=int)
+    parser.add_argument("--points-per-body", type=int)
+    parser.add_argument("--basis-rank", type=int)
+    parser.add_argument("--noise-sigma", type=float)
+    parser.add_argument("--camera", choices=("identity", "smooth_random"))
 
 
 def _solver_block(args) -> dict:
@@ -64,11 +64,11 @@ def _solver_block(args) -> dict:
 
 def _synth_block(args, n_bodies: int) -> dict:
     factory = default_two_body if n_bodies == 2 else default_three_body
-    # Unset flags keep the stock scene's own seed and body size.
-    stock = {"seed": args.seed, "points_per_body": args.points_per_body}
-    config = factory(frames=args.frames, basis_rank=args.basis_rank, noise_sigma=args.noise_sigma,
-                     **{key: value for key, value in stock.items() if value is not None})
-    return synth_block(replace(config, camera_mode=args.camera))
+    stock = ("seed", "frames", "points_per_body", "basis_rank", "noise_sigma")
+    config = factory(**{key: getattr(args, key) for key in stock if getattr(args, key) is not None})
+    if args.camera is not None:
+        config = replace(config, camera_mode=args.camera)
+    return synth_block(config)
 
 
 def _inputs_block(args) -> dict:
@@ -126,8 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--labels-gt", required=True)
     p_eval.add_argument("--s-est")
     p_eval.add_argument("--s-gt")
-    p_eval.add_argument("--w")
-    p_eval.add_argument("--rotations")
+    p_eval.add_argument("--w", help="measurement matrix file (enables reprojection)")
+    p_eval.add_argument("--rotations",
+                        help=f"stacked 2Fx3 rotation file, or '{RIGID_INIT}' to estimate "
+                             "them from the row-centred --w, as solve does")
     p_eval.add_argument("--out", default="")
 
     p_pipe = sub.add_parser("pipeline", help="synth/load, solve, cluster, evaluate")

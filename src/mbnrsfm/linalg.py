@@ -404,9 +404,7 @@ _MATRIX_OPERANDS = (SymmetricOperand, CholeskyOperand)
 
 
 def _left(op, x: np.ndarray) -> np.ndarray:
-    """``op @ x`` for an operand, a dense matrix or a (k, m, m) block stack."""
-    if isinstance(op, IdentityOperand):
-        return x
+    """``op @ x`` for a left operand of ``_BUILDERS``, a dense matrix or a (k, m, m) block stack."""
     if isinstance(op, GramOperand):
         return op.factor.T @ (op.factor @ x) + op.shift * x
     if isinstance(op, _MATRIX_OPERANDS):
@@ -418,11 +416,9 @@ def _left(op, x: np.ndarray) -> np.ndarray:
 
 
 def _right(x: np.ndarray, op) -> np.ndarray:
-    """``x @ op`` for an operand, a dense matrix or a (k, m, m) block stack."""
+    """``x @ op`` for a right operand of ``_BUILDERS``, a dense matrix or a (k, m, m) block stack."""
     if isinstance(op, IdentityOperand):
         return x
-    if isinstance(op, GramOperand):
-        return (x @ op.factor.T) @ op.factor + op.shift * x
     if isinstance(op, KroneckerSumOperand):
         return _kronecker_sum_right(x, op.first, op.second)
     if isinstance(op, _MATRIX_OPERANDS):

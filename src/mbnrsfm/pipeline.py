@@ -11,15 +11,23 @@ centering.mtx (per-row means subtracted from W before solving), S.mtx,
 Ssharp.mtx, C.mtx, trace.csv, A.mtx, labels.txt, metrics.csv, and
 plot-ready per-frame pointcloud files.
 
+Every command reads its inputs through ``_acquire_scene`` and scores
+through ``_scores``, so ``eval`` scores external results exactly as
+``pipeline`` scores its own. metrics.csv lists converged and iterations
+(solve and pipeline), then reprojection (of the row-centred W), e3d and
+e3d_whole (given ground-truth shapes) and ems (given both label sets),
+each only when its inputs exist.
+
 ``manifest_from_dict`` checks everything a manifest says on its own: each
-key's JSON type (numbers must be finite), the ``inputs.grid`` shape (two
-positive integers, checked by ``RunManifest`` itself), and that every file
-input is a regular file. So a rejected manifest creates no output
+key's JSON type (numbers must be finite), the ``inputs.grid`` shape, that
+every file input is a regular file, and that the scene has one source: a
+synth block (not on eval) or the files ``w`` and ``rotations`` (which may
+be "rigid-init"), never both. So a rejected manifest creates no output
 directory. The checks that need the scene run after it is read or
 generated and before any artifact is written: W has the 2F rows of the
-rotations' F frames, ``s_gt`` is 3F x P, ``labels_gt`` holds P labels, the
-grid covers the points, a pipeline's cluster count is at most its point
-count, and ``init_s`` is 3F x P.
+rotations' F frames, ``s_gt``, ``init_s`` and ``s_est`` are 3F x P,
+``labels_gt`` and ``labels_est`` hold P labels, the grid covers the
+points, and a pipeline's cluster count is at most its point count.
 
 Exit-code policy (applied by the CLI): 0 success, 2 parse error,
 3 numerical failure, 4 bad manifest. Non-convergence is not a failure; the
@@ -53,6 +61,11 @@ COMMANDS = ("synth", "solve", "eval", "pipeline")
 RIGID_INIT = "rigid-init"
 # Keys of the inputs block that name files ("rotations" may be RIGID_INIT).
 INPUT_FILES = ("w", "rotations", "s_gt", "labels_gt", "init_s", "labels_est", "s_est")
+# The file inputs read next to W: 3F x P shape stacks and P-label files.
+_SHAPE_INPUTS = ("s_gt", "init_s", "s_est")
+_LABEL_INPUTS = ("labels_gt", "labels_est")
+# The inputs a synth block generates itself.
+_SCENE_INPUTS = ("w", "rotations", "s_gt", "labels_gt")
 
 # The JSON type each manifest key takes, per block; a key not listed is
 # unknown. ``int`` excludes booleans, ``float`` takes any finite number, and
@@ -100,14 +113,21 @@ class RunManifest:
             raise ManifestError(f"unknown command {self.command!r}, expected one of {COMMANDS}")
         if self.command in ("synth", "solve", "pipeline") and not self.output_dir:
             raise ManifestError(f"command {self.command!r} requires an output directory")
-        if self.command in ("synth",) and self.synth is None:
+        if self.command == "synth" and self.synth is None:
             raise ManifestError("synth command requires a synth block")
-        if self.command in ("solve", "pipeline") and self.synth is None:
-            if "w" not in self.inputs or "rotations" not in self.inputs:
-                raise ManifestError(
-                    f"{self.command} requires either a synth block or "
-                    "inputs.w plus inputs.rotations"
-                )
+        # One scene source: a synth block, or the files W and rotations.
+        if self.command == "eval" and self.synth is not None:
+            raise ManifestError("eval scores the files it is given and takes no synth block")
+        given = [key for key in _SCENE_INPUTS if key in self.inputs]
+        if self.synth is not None and given:
+            raise ManifestError(f"a synth block generates the scene; it cannot be combined "
+                                f"with inputs {given}")
+        if ("w" in self.inputs) != ("rotations" in self.inputs):
+            raise ManifestError("inputs.w and inputs.rotations must be given together "
+                                f"(rotations may be {RIGID_INIT!r})")
+        if self.command in ("solve", "pipeline") and self.synth is None and "w" not in self.inputs:
+            raise ManifestError(f"{self.command} requires either a synth block or "
+                                "inputs.w plus inputs.rotations")
         if self.command == "pipeline":
             if self.clusters is None or self.clusters < 1:
                 raise ManifestError("pipeline requires a positive cluster count")
@@ -244,11 +264,6 @@ def load_manifest(path) -> RunManifest:
     return manifest_from_dict(data, base_dir=path.parent)
 
 
-def _center_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    means = w.mean(axis=1, keepdims=True)
-    return w - means, means
-
-
 class _Stage:
     """Context manager that tags errors with the failing pipeline stage.
 
@@ -284,20 +299,22 @@ def run_pipeline(manifest: RunManifest) -> dict:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    if manifest.command == "eval":
-        return _run_eval(manifest, out)
-
     with _Stage("scene"):
         scene = _acquire_scene(manifest, out)
     if manifest.command == "synth":
         return {"command": "synth", "artifacts": scene["written"]}
+    if manifest.command == "eval":
+        with _Stage("eval"):
+            metrics = _scores(scene, scene["s_est"], scene["labels_est"])
+            if out is not None:
+                fileio.write_metrics_csv(out / "metrics.csv", metrics)
+        return {"command": "eval", "metrics": metrics}
 
     with _Stage("solve"):
-        w_centered, means = _center_rows(scene["w"])
-        fileio.write_matrix(out / "centering.mtx", means)
+        fileio.write_matrix(out / "centering.mtx", scene["means"])
         shapes, coeffs, trace = solve(
-            w_centered, scene["camera"], scene["neighbors"], manifest.solver,
-            init_shapes=scene["init_shapes"],
+            scene["w"], scene["camera"], scene["neighbors"], manifest.solver,
+            init_shapes=scene["init_s"],
         )
         # Formatted once: Ssharp.mtx and the point clouds reuse the tokens of S.mtx.
         shape_text = fileio.write_matrix(out / "S.mtx", shapes)
@@ -305,34 +322,21 @@ def run_pipeline(manifest: RunManifest) -> dict:
         fileio.write_matrix(out / "C.mtx", coeffs)
         fileio.write_trace_csv(out / "trace.csv", trace)
 
-    summary = {
-        "command": manifest.command,
-        "converged": trace.converged,
-        "iterations": len(trace),
-    }
-    metrics = {
-        "converged": trace.converged,
-        "iterations": len(trace),
-        "reprojection": reprojection_error(w_centered, scene["camera"], shapes),
-    }
-
-    if manifest.command == "solve":
-        fileio.write_metrics_csv(out / "metrics.csv", metrics)
-        return summary
-
-    with _Stage("cluster"):
-        affinity = build_affinity(coeffs)
-        fileio.write_matrix(out / "A.mtx", affinity)
-        labels = spectral_cluster(affinity, manifest.clusters, manifest.seed)
-        fileio.write_labels(out / "labels.txt", labels)
+    metrics = {"converged": trace.converged, "iterations": len(trace)}
+    summary = {"command": manifest.command, **metrics}
+    labels = None
+    if manifest.command == "pipeline":
+        with _Stage("cluster"):
+            affinity = build_affinity(coeffs)
+            fileio.write_matrix(out / "A.mtx", affinity)
+            labels = spectral_cluster(affinity, manifest.clusters, manifest.seed)
+            fileio.write_labels(out / "labels.txt", labels)
 
     with _Stage("eval"):
-        if scene["shapes_gt"] is not None:
-            metrics["e3d"] = reconstruction_error(shapes, scene["shapes_gt"])
-            metrics["e3d_whole"] = reconstruction_error_whole(shapes, scene["shapes_gt"])
-        if scene["labels_gt"] is not None:
-            metrics["ems"] = segmentation_error(labels, scene["labels_gt"])
+        metrics.update(_scores(scene, shapes, labels))
         fileio.write_metrics_csv(out / "metrics.csv", metrics)
+    if manifest.command == "solve":
+        return summary
 
     with _Stage("export"):
         fileio.write_pointcloud_frames(out / "pointcloud", shape_text, labels)
@@ -342,85 +346,70 @@ def run_pipeline(manifest: RunManifest) -> dict:
 
 
 def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
-    """Generate or load the scene; for synth scenes, write the ground truth."""
+    """Generate or read the scene and every input the manifest names, checked against W.
+
+    W comes back row-centred, next to its row ``means``. A synth scene's
+    ground truth is written to ``out`` once every check has passed.
+    """
     inputs = manifest.inputs
-    neighbors = None
-    grid = inputs.get("grid")
-    written = []
-
+    scene = dict.fromkeys(("w", "means", "camera", "neighbors", *_SHAPE_INPUTS, *_LABEL_INPUTS))
+    scene["written"] = []
     if manifest.synth is not None:
-        scene = generate_scene(manifest.synth)
-        w, camera = scene.w, scene.camera
-        shapes_gt, labels_gt = scene.shapes, scene.labels
+        generated = generate_scene(manifest.synth)
+        w, scene["camera"] = generated.w, generated.camera
+        scene["s_gt"], scene["labels_gt"] = generated.shapes, generated.labels
     else:
-        w = fileio.read_matrix(inputs["w"])
+        w = fileio.read_matrix(inputs["w"]) if "w" in inputs else None
+    if w is not None:
+        scene["means"] = w.mean(axis=1, keepdims=True)
+        scene["w"] = w - scene["means"]
+    if "rotations" in inputs:
         rotations = inputs["rotations"]
-        if rotations == RIGID_INIT:
-            centered, _ = _center_rows(w)
-            camera = estimate_rigid_rotations(centered)
-        else:
-            camera = CameraMotion.from_stacked(fileio.read_matrix(rotations))
-        shapes_gt = fileio.read_matrix(inputs["s_gt"]) if "s_gt" in inputs else None
-        labels_gt = fileio.read_labels(inputs["labels_gt"]) if "labels_gt" in inputs else None
+        scene["camera"] = (estimate_rigid_rotations(scene["w"]) if rotations == RIGID_INIT
+                           else CameraMotion.from_stacked(fileio.read_matrix(rotations)))
+    for key in (*_SHAPE_INPUTS, *_LABEL_INPUTS):
+        if key in inputs:
+            read = fileio.read_matrix if key in _SHAPE_INPUTS else fileio.read_labels
+            scene[key] = read(inputs[key])
 
-    frames, points = camera.frames, w.shape[1]
-    if w.shape[0] != 2 * frames:
-        raise ManifestError(f"W has {w.shape[0]} rows, but the rotations give {frames} frames "
-                            f"({2 * frames} rows)")
-    if shapes_gt is not None and shapes_gt.shape != (3 * frames, points):
-        raise ManifestError(f"s_gt must be {3 * frames} x {points}, got {shapes_gt.shape}")
-    if labels_gt is not None and labels_gt.size != points:
-        raise ManifestError(f"labels_gt must hold {points} labels, got {labels_gt.size}")
-    if grid is not None:
-        if grid[0] * grid[1] != points:
-            raise ManifestError(f"grid {grid[0]} x {grid[1]} does not cover {points} points")
-        neighbors = build_neighbor_matrix(grid[0], grid[1])
-    if manifest.command == "pipeline" and manifest.clusters > points:
-        raise ManifestError(f"cannot split {points} points into {manifest.clusters} clusters")
-
-    init_shapes = fileio.read_matrix(inputs["init_s"]) if "init_s" in inputs else None
-    if init_shapes is not None and init_shapes.shape != (3 * frames, points):
-        raise ManifestError(f"init_s must be {3 * frames} x {points}, got {init_shapes.shape}")
+    if w is not None:
+        frames, points = scene["camera"].frames, w.shape[1]
+        if w.shape[0] != 2 * frames:
+            raise ManifestError(f"W has {w.shape[0]} rows, but the rotations give {frames} "
+                                f"frames ({2 * frames} rows)")
+        for key in _SHAPE_INPUTS:
+            if scene[key] is not None and scene[key].shape != (3 * frames, points):
+                raise ManifestError(f"{key} must be {3 * frames} x {points}, "
+                                    f"got {scene[key].shape}")
+        for key in _LABEL_INPUTS:
+            if scene[key] is not None and scene[key].size != points:
+                raise ManifestError(f"{key} must hold {points} labels, got {scene[key].size}")
+        grid = inputs.get("grid")
+        if grid is not None:
+            if grid[0] * grid[1] != points:
+                raise ManifestError(f"grid {grid[0]} x {grid[1]} does not cover {points} points")
+            scene["neighbors"] = build_neighbor_matrix(grid[0], grid[1])
+        if manifest.command == "pipeline" and manifest.clusters > points:
+            raise ManifestError(f"cannot split {points} points into {manifest.clusters} clusters")
 
     # Written last, so a run rejected by the checks above leaves no ground truth behind.
     if manifest.synth is not None and out is not None:
         fileio.write_matrix(out / "W.mtx", w)
-        fileio.write_matrix(out / "rotations.mtx", camera.stacked())
-        fileio.write_matrix(out / "S_gt.mtx", shapes_gt)
-        fileio.write_labels(out / "labels_gt.txt", labels_gt)
-        written = ["W.mtx", "rotations.mtx", "S_gt.mtx", "labels_gt.txt"]
-
-    return {
-        "w": w,
-        "camera": camera,
-        "neighbors": neighbors,
-        "shapes_gt": shapes_gt,
-        "labels_gt": labels_gt,
-        "init_shapes": init_shapes,
-        "written": written,
-    }
+        fileio.write_matrix(out / "rotations.mtx", scene["camera"].stacked())
+        fileio.write_matrix(out / "S_gt.mtx", scene["s_gt"])
+        fileio.write_labels(out / "labels_gt.txt", scene["labels_gt"])
+        scene["written"] = ["W.mtx", "rotations.mtx", "S_gt.mtx", "labels_gt.txt"]
+    return scene
 
 
-def _run_eval(manifest: RunManifest, out: Path | None) -> dict:
-    """Standalone metric evaluation, including external baseline label files."""
-    inputs = manifest.inputs
-    metrics = {}
-    with _Stage("eval"):
-        labels_est = fileio.read_labels(inputs["labels_est"])
-        labels_gt = fileio.read_labels(inputs["labels_gt"])
-        metrics["ems"] = segmentation_error(labels_est, labels_gt)
-        if "s_est" in inputs and "s_gt" in inputs:
-            s_est = fileio.read_matrix(inputs["s_est"])
-            s_gt = fileio.read_matrix(inputs["s_gt"])
-            metrics["e3d"] = reconstruction_error(s_est, s_gt)
-            metrics["e3d_whole"] = reconstruction_error_whole(s_est, s_gt)
-        if "w" in inputs and "rotations" in inputs and "s_est" in inputs:
-            # Row-centred as ``run_pipeline`` solves and scores it.
-            w, _ = _center_rows(fileio.read_matrix(inputs["w"]))
-            camera = CameraMotion.from_stacked(fileio.read_matrix(inputs["rotations"]))
-            metrics["reprojection"] = reprojection_error(
-                w, camera, fileio.read_matrix(inputs["s_est"])
-            )
-        if out is not None:
-            fileio.write_metrics_csv(out / "metrics.csv", metrics)
-    return {"command": "eval", "metrics": metrics}
+def _scores(scene: dict, shapes, labels) -> dict:
+    """Every metric that ``shapes``, ``labels`` and the scene allow, in metrics.csv order."""
+    scores = {}
+    if shapes is not None and scene["w"] is not None:
+        scores["reprojection"] = reprojection_error(scene["w"], scene["camera"], shapes)
+    if shapes is not None and scene["s_gt"] is not None:
+        scores["e3d"] = reconstruction_error(shapes, scene["s_gt"])
+        scores["e3d_whole"] = reconstruction_error_whole(shapes, scene["s_gt"])
+    if labels is not None and scene["labels_gt"] is not None:
+        scores["ems"] = segmentation_error(labels, scene["labels_gt"])
+    return scores

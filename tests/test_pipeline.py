@@ -449,6 +449,104 @@ class TestEvalCommand:
         assert (tmp_path / "out" / "metrics.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory):
+    """A 12-point, 6-frame synth scene on disk, and a pipeline run on its files."""
+    root = tmp_path_factory.mktemp("scene_files")
+    assert cli.main(["synth", "--out", str(root / "scene"), "--frames", "6",
+                     "--points-per-body", "6"]) == 0
+    assert cli.main(["pipeline", "--out", str(root / "run"), "--clusters", "2",
+                     *scene_flags(root / "scene", "s_gt", "labels_gt")]) == 0
+    return root
+
+
+def scene_flags(scene, *keys, rotations=None):
+    """--w and --rotations flags for a synth scene directory, plus its ground truth ``keys``."""
+    files = {"s_gt": "S_gt.mtx", "labels_gt": "labels_gt.txt"}
+    flags = ["--w", str(scene / "W.mtx"), "--rotations", rotations or str(scene / "rotations.mtx")]
+    for key in keys:
+        flags += [f"--{key.replace('_', '-')}", str(scene / files[key])]
+    return flags
+
+
+def metric_rows(path):
+    return path.read_text().splitlines()[1:]
+
+
+class TestOneLoaderOneScorer:
+    """solve, pipeline and eval read through one loader and score through one scorer."""
+
+    def eval_flags(self, root):
+        return ["eval", "--labels-est", str(root / "run" / "labels.txt"),
+                "--labels-gt", str(root / "scene" / "labels_gt.txt"),
+                "--s-est", str(root / "run" / "S.mtx"),
+                "--s-gt", str(root / "scene" / "S_gt.mtx")]
+
+    def test_eval_with_rigid_init_rotations(self, scene_files, tmp_path, capsys):
+        out = tmp_path / "eval"
+        flags = scene_flags(scene_files / "scene", rotations="rigid-init")
+        assert cli.main([*self.eval_flags(scene_files), *flags, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert [row.split(",")[0] for row in metric_rows(out / "metrics.csv")] == [
+            "reprojection", "e3d", "e3d_whole", "ems"]
+
+    def test_eval_s_est_of_the_wrong_shape_exit_4(self, scene_files, tmp_path, capsys):
+        write_matrix(tmp_path / "S.mtx", np.zeros((18, 11)))
+        flags = self.eval_flags(scene_files)
+        flags[flags.index("--s-est") + 1] = str(tmp_path / "S.mtx")
+        assert cli.main([*flags, *scene_flags(scene_files / "scene")]) == 4
+        assert "[scene] s_est must be 18 x 12, got (18, 11)" in capsys.readouterr().err
+
+    def test_solve_scores_its_ground_truth(self, scene_files, tmp_path):
+        out = tmp_path / "solve"
+        assert cli.main(["solve", "--out", str(out),
+                         *scene_flags(scene_files / "scene", "s_gt")]) == 0
+        solved = dict(row.split(",") for row in metric_rows(out / "metrics.csv"))
+        assert list(solved) == ["converged", "iterations", "reprojection", "e3d", "e3d_whole"]
+        run = dict(row.split(",") for row in metric_rows(scene_files / "run" / "metrics.csv"))
+        assert solved == {key: run[key] for key in solved}  # the pipeline's solve, to the bit
+
+
+# Manifests with more or less than one scene source: (id, command, inputs
+# named by file in the scene directory, whether a synth block is given). Each
+# is rejected before any output directory is made.
+LABELS = {"labels_est": "labels_gt.txt", "labels_gt": "labels_gt.txt"}
+SCENE_SOURCE_CLASHES = [
+    ("synth_and_w", "pipeline", {"w": "W.mtx"}, True),
+    ("synth_and_rotations", "pipeline", {"rotations": "rotations.mtx"}, True),
+    ("synth_and_s_gt", "pipeline", {"s_gt": "S_gt.mtx"}, True),
+    ("synth_and_labels_gt", "pipeline", {"labels_gt": "labels_gt.txt"}, True),
+    ("synth_on_eval", "eval", LABELS, True),
+    ("rigid_init_without_w", "eval", {**LABELS, "rotations": "rigid-init"}, False),
+    ("w_without_rotations", "eval", {**LABELS, "w": "W.mtx"}, False),
+]
+
+
+class TestOneSceneSource:
+    @pytest.mark.parametrize("command, inputs, synth", [c[1:] for c in SCENE_SOURCE_CLASHES],
+                             ids=[c[0] for c in SCENE_SOURCE_CLASHES])
+    def test_rejected_exit_4_without_output(self, scene_files, tmp_path, capsys, command,
+                                            inputs, synth):
+        data = pipeline_manifest(tmp_path / "out")
+        data["command"] = command
+        data["inputs"] = {key: name if name == "rigid-init" else str(scene_files / "scene" / name)
+                          for key, name in inputs.items()}
+        if not synth:
+            del data["synth"]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data))
+        assert cli.main(["pipeline", "--manifest", str(manifest)]) == 4
+        assert "bad manifest or inputs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bodies_flag_with_file_inputs_exit_4(self, scene_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--bodies", "3", "--clusters", "2", "--out", str(out),
+                         *scene_flags(scene_files / "scene")]) == 4
+        assert "a synth block generates the scene" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliExitCodes:
     def test_success(self, tmp_path, capsys):
         code = cli.main([
@@ -688,9 +786,13 @@ class TestCliExitCodes:
             "--labels-gt", str(scene_dir / "labels_gt.txt"),
             "--s-est", str(run_dir / "S.mtx"),
             "--s-gt", str(scene_dir / "S_gt.mtx"), *measurements,
+            "--out", str(tmp_path / "eval"),
         ]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "ems: 0.0" in out
-        recorded = dict(line.split(",") for line in
-                        (run_dir / "metrics.csv").read_text().splitlines()[1:])
-        assert f"reprojection: {recorded['reprojection']}" in out
+        recorded = metric_rows(run_dir / "metrics.csv")
+        assert f"reprojection: {dict(row.split(',') for row in recorded)['reprojection']}" in out
+        # The pipeline's rows after converged and iterations, in its order, to the bit.
+        assert [row.split(",")[0] for row in recorded] == [
+            "converged", "iterations", "reprojection", "e3d", "e3d_whole", "ems"]
+        assert metric_rows(tmp_path / "eval" / "metrics.csv") == recorded[2:]
