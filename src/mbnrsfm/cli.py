@@ -23,6 +23,9 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_MANIFEST = 4
 
+# Flags that shape a generated scene; without --bodies there is none to shape.
+_SYNTH_SHAPE_FLAGS = ("frames", "points_per_body", "basis_rank", "noise_sigma")
+
 
 def _add_solver_flags(parser):
     parser.add_argument("--lambda1", type=float, default=None, help="l1 weight")
@@ -64,7 +67,7 @@ def _solver_block(args) -> dict:
 
 def _synth_block(args, n_bodies: int) -> dict:
     factory = default_two_body if n_bodies == 2 else default_three_body
-    stock = ("seed", "frames", "points_per_body", "basis_rank", "noise_sigma")
+    stock = ("seed", *_SYNTH_SHAPE_FLAGS)
     config = factory(**{key: getattr(args, key) for key in stock if getattr(args, key) is not None})
     if args.camera is not None:
         config = replace(config, camera_mode=args.camera)
@@ -98,6 +101,13 @@ def _manifest_data(args, command: str) -> dict:
     if getattr(args, "bodies", None):
         data["synth"] = _synth_block(args, args.bodies)
         data["seed"] = data["synth"]["seed"]
+    else:
+        orphans = [f"--{key.replace('_', '-')}" for key in (*_SYNTH_SHAPE_FLAGS, "camera")
+                   if getattr(args, key, None) is not None]
+        if orphans:
+            raise ManifestError(
+                f"{', '.join(orphans)} given without --bodies: there is no generated scene "
+                "to shape")
     return data
 
 

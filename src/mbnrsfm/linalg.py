@@ -53,11 +53,11 @@ All functions are pure; an operand is computed once and never changed.
 
 from __future__ import annotations
 
+import sys
 from math import inf, isfinite, sqrt
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import NumericalError, SingularPencilError
 
@@ -202,6 +202,17 @@ def _check_lapack(routine: str, info: int, shape) -> None:
         raise NumericalError(f"LAPACK {routine} failed with info={info} on a {shape} matrix")
 
 
+def _reject_sparse(value, message: str) -> None:
+    """Raise ``ValueError(message)`` if ``value`` is a scipy sparse array or matrix.
+
+    The module is looked up, not imported: a sparse input exists only if its
+    caller imported the module, and the package itself never does.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(value):
+        raise ValueError(message)
+
+
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh`` with a LAPACK failure raised as NumericalError."""
     try:
@@ -231,8 +242,7 @@ class SymmetricOperand:
     __slots__ = ("matrix", "eigenvalues", "eigenvectors", "ascending")
 
     def __init__(self, matrix):
-        if scipy.sparse.issparse(matrix):
-            raise ValueError("symmetric operand must be a dense array, got a sparse matrix")
+        _reject_sparse(matrix, "symmetric operand must be a dense array, got a sparse matrix")
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or 0 in mat.shape:
             raise ValueError(
@@ -329,8 +339,7 @@ class GramOperand:
     __slots__ = ("factor", "shift", "eigenvalues", "eigenvectors")
 
     def __init__(self, factor, shift: float = 0.0):
-        if scipy.sparse.issparse(factor):
-            raise ValueError("Gram factor must be a dense array, got a sparse matrix")
+        _reject_sparse(factor, "Gram factor must be a dense array, got a sparse matrix")
         m = np.asarray(factor, dtype=float)
         if m.ndim != 2 or not 0 < m.shape[0] < m.shape[1]:
             raise ValueError(

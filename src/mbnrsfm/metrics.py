@@ -4,19 +4,15 @@ reprojection error.
 The 3D error resolves the orthographic depth ambiguity with one global
 z-sign flip for the whole run (never per frame); the segmentation error
 takes the best bijection between estimated and ground-truth cluster ids.
-That bijection is a minimum-weight full matching on the k x k confusion
-matrix, found by ``scipy.sparse.csgraph.min_weight_full_bipartite_matching``
-rather than ``scipy.optimize.linear_sum_assignment``: ``scipy.sparse`` is
-loaded anyway, while ``scipy.optimize`` pulls in linprog, HiGHS, ``scipy.fft``
-and ``scipy.special``, which about doubles the time and adds a quarter to the
-memory of every cold start of the package.
+That bijection is an assignment on the k x k confusion matrix, solved here
+by the Hungarian method (Kuhn 1955; Munkres 1957) as shortest augmenting
+paths with integer potentials: O(k^3), exact on integer counts, and one
+path for every k. It is numpy alone, so scoring loads no scipy module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .scene import CameraMotion, project, validate_labels, validate_shapes
 
@@ -77,13 +73,48 @@ def segmentation_error(labels_est, labels_gt) -> float:
     k = int(max(est_c.max(), gt_c.max())) + 1
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (est_c, gt_c), 1)
-    # Weights >= 1 keep every pair an edge; the lightest matching is then
-    # the one with the most overlap.
-    rows, cols = min_weight_full_bipartite_matching(
-        csr_array(confusion.max() + 1 - confusion)
-    )
-    best = confusion[rows, cols].sum()
+    # The most overlap is the least cost, and every cost is non-negative.
+    rows = _min_cost_assignment(confusion.max() - confusion)
+    best = int(confusion[rows, np.arange(k)].sum())
     return float(est.size - best) / est.size
+
+
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """The row assigned to each column of a square integer ``cost``, for the least total cost.
+
+    Rows join one at a time; each takes the shortest augmenting path in
+    reduced costs ``cost[i, j] - u[i] - v[j]``, which stay non-negative and
+    exact in integers. Column ``k`` is a virtual one that holds the joining
+    row while its path grows.
+    """
+    k = cost.shape[0]
+    unreached = np.iinfo(np.int64).max
+    u = np.zeros(k, dtype=np.int64)
+    v = np.zeros(k + 1, dtype=np.int64)
+    row_of = np.full(k + 1, -1)  # row matched to each column, -1 if none
+    for row in range(k):
+        row_of[k] = row
+        col = k
+        dist = np.full(k + 1, unreached)
+        came_from = np.zeros(k + 1, dtype=int)
+        done = np.zeros(k + 1, dtype=bool)
+        while row_of[col] != -1:
+            done[col] = True
+            i = row_of[col]
+            reduced = cost[i] - u[i] - v[:k]
+            closer = ~done[:k] & (reduced < dist[:k])
+            dist[:k][closer] = reduced[closer]
+            came_from[:k][closer] = col
+            col = int(np.argmin(np.where(done, unreached, dist)))
+            delta = dist[col]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+        while col != k:
+            prev = came_from[col]
+            row_of[col] = row_of[prev]
+            col = prev
+    return row_of[:k]
 
 
 def reprojection_error(w, camera: CameraMotion, shapes) -> float:

@@ -114,6 +114,15 @@ class TestSegmentationError:
         # A single cluster on either side, or on both.
         one = np.zeros(7, dtype=int)
         cases += [(one, one), (one, rng.integers(0, 3, size=7)), (rng.integers(0, 3, size=7), one)]
+        # All ties: every id is mixed evenly with every other, so every
+        # bijection is optimal.
+        cases.append((np.repeat(np.arange(6), 6), np.tile(np.arange(6), 6)))
+        # k = 40: random ids, and a permuted labeling with a tenth relabeled.
+        cases.append(draw(40, 40, 400))
+        gt = np.repeat(np.arange(40), 10)
+        est = rng.permutation(40)[gt]
+        est[rng.choice(400, size=40, replace=False)] = rng.integers(0, 40, size=40)
+        cases.append((est, gt))
         for est, gt in cases:
             n = est.size
             k = int(max(est.max(), gt.max())) + 1

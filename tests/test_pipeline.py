@@ -546,6 +546,22 @@ class TestOneSceneSource:
         assert "a synth block generates the scene" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, named", [
+        ("solve", ["--frames", "99", "--noise-sigma", "0.5"], "--frames, --noise-sigma"),
+        ("pipeline", ["--points-per-body", "7", "--basis-rank", "2", "--camera", "identity"],
+         "--points-per-body, --basis-rank, --camera"),
+    ])
+    def test_synth_flags_without_bodies_exit_4(self, scene_files, tmp_path, capsys, command,
+                                               flags, named):
+        # Without --bodies the files are the scene, and nothing would read these flags.
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), *scene_flags(scene_files / "scene"), *flags]
+        if command == "pipeline":
+            argv += ["--clusters", "2"]
+        assert cli.main(argv) == 4
+        assert f"{named} given without --bodies" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliExitCodes:
     def test_success(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mbnrsfm
@@ -51,13 +52,25 @@ def test_exports_are_the_solver_and_scene_api():
     ]
 
 
-def test_cold_import_leaves_out_scipy_optimize():
+def test_cold_import_leaves_out_scipy_optimize(tmp_path):
     # scipy.optimize (linprog, HiGHS, scipy.fft, scipy.special) about
-    # doubles the package's cold start, and the package needs none of it.
-    # A fresh interpreter sees only what the package's own imports load.
+    # doubles the package's cold start, and scipy.sparse with its csgraph
+    # adds about 5 MB of RSS; the package needs neither. A fresh interpreter
+    # sees only what the package's own imports load: first on import, then
+    # after a whole pipeline run, which would show a lazy import.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "import sys, mbnrsfm, mbnrsfm.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    code = textwrap.dedent("""
+        import sys, mbnrsfm, mbnrsfm.cli
+        unwanted = ("scipy.sparse", "scipy.optimize")
+        print("import", [name for name in unwanted if name in sys.modules])
+        exit_code = mbnrsfm.cli.main(["pipeline", "--bodies", "2", "--frames", "4",
+                                      "--points-per-body", "5", "--clusters", "2",
+                                      "--out", sys.argv[1]])
+        print("run", exit_code, [name for name in unwanted if name in sys.modules])
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import []"
+    assert lines[-1] == "run 0 []"
