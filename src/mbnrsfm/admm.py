@@ -73,9 +73,7 @@ A formed left operand (3F+1 >= P) changes with S and is eigendecomposed
 every sweep. Shifted Cholesky, as in the shape step, cannot replace that
 ``eigh``: it takes one factor per cluster of the other operand's
 eigenvalues, and the grid Gram has eigenvalues spread over [1, 17)
-without clusters. The step functions also take a plain dense
-[I | D], each column counted once, which the tests use as the oracle; its
-Gram is a formed ``linalg.SymmetricOperand``.
+without clusters.
 
 Without a spatial term the merged operator is the identity, and ``solve``
 passes ``merged=None`` for it: the step functions then skip every product
@@ -117,11 +115,10 @@ from .scene import (
 
 
 # The merged operator [I | D] as the step functions take it: the grid's
-# EdgeOperator, None for the identity of sparse mode, or a dense [I | D]
-# with every column counted once, which is the tests' oracle.
-Merged = np.ndarray | EdgeOperator | None
+# EdgeOperator, or None for the identity of sparse mode.
+Merged = EdgeOperator | None
 # The coefficient step's right operand D diag(multiplicity) D^T.
-MergedGram = SymmetricOperand | KroneckerSumOperand | IdentityOperand
+MergedGram = KroneckerSumOperand | IdentityOperand
 
 # Diagonal shift that keeps the coefficient subproblem's left operand
 # strictly positive definite.
@@ -277,10 +274,8 @@ def _backproject(w: np.ndarray, camera: CameraMotion) -> np.ndarray:
 
 def update_shapes(
     state: AdmmState,
-    w: np.ndarray,
-    camera: CameraMotion,
-    camera_gram: SymmetricOperand | None = None,
-    backprojected: np.ndarray | None = None,
+    camera_gram: SymmetricOperand,
+    backprojected: np.ndarray,
 ) -> np.ndarray:
     """Closed-form shape update.
 
@@ -298,17 +293,13 @@ def update_shapes(
     R^T R, so it is derived from ``camera_gram``, the factored stack of
     blocks R_f^T R_f (``SymmetricOperand.scaled``), and only its matrix is
     formed. ``camera_gram`` and ``backprojected`` (R^T W) are constant over
-    a run, so ``solve`` builds them once and passes them in; when omitted
-    they are built here. The right operand is solved by Cholesky factors
+    a run, so ``solve`` builds them once, by ``_camera_gram`` and
+    ``_backproject``. The right operand is solved by Cholesky factors
     shifted by the clusters of the left eigenvalues (about 1 and 1 + 1/beta
     for orthonormal camera rows).
     """
     beta = state.duals.beta
-    points = w.shape[1]
-    if camera_gram is None:
-        camera_gram = _camera_gram(camera)
-    if backprojected is None:
-        backprojected = _backproject(w, camera)
+    points = state.coeffs.shape[0]
     left = camera_gram.scaled(1.0 / beta, 1.0)
     ic = np.eye(points) - state.coeffs
     right = CholeskyOperand(ic @ ic.T)
@@ -343,38 +334,27 @@ def update_lowrank(
 
 def _times_merged(x: np.ndarray, merged: Merged) -> np.ndarray:
     """``x @ merged``, where ``merged=None`` stands for the identity."""
-    if isinstance(merged, EdgeOperator):
-        return merged.times(x)
-    return x if merged is None else x @ merged
+    return x if merged is None else merged.times(x)
 
 
 def _times_merged_transpose(x: np.ndarray, merged: Merged) -> np.ndarray:
-    """``x @ diag(multiplicity) @ merged.T``; the multiplicity is 1 unless
-    ``merged`` is an EdgeOperator."""
-    if isinstance(merged, EdgeOperator):
-        return merged.times_weighted_transpose(x)
-    return x if merged is None else x @ merged.T
+    """``x @ diag(multiplicity) @ merged.T``; the identity has multiplicity 1."""
+    return x if merged is None else merged.times_weighted_transpose(x)
 
 
 def _weighted_sum(x: np.ndarray, merged: Merged) -> float:
     """The sum of a slack-shaped ``x``, each column counted by its multiplicity."""
-    if isinstance(merged, EdgeOperator):
-        return merged.weighted_sum(x)
-    return x.sum()
+    return x.sum() if merged is None else merged.weighted_sum(x)
 
 
 def _merged_gram(merged: Merged, points: int) -> MergedGram:
     """The coefficient step's right operand D diag(multiplicity) D^T.
 
     An EdgeOperator builds its own (``EdgeOperator.gram``), a Kronecker sum
-    equal to I + D D^T of the full 4-neighbor operator D; a dense [I | D]
-    gives a SymmetricOperand of its formed Gram.
+    equal to I + D D^T of the full 4-neighbor operator D; the identity's is
+    the identity.
     """
-    if merged is None:
-        return IdentityOperand(points)
-    if isinstance(merged, EdgeOperator):
-        return merged.gram()
-    return SymmetricOperand(merged @ merged.T)
+    return IdentityOperand(points) if merged is None else merged.gram()
 
 
 def update_slack(state: AdmmState, merged: Merged, config: SolverConfig) -> np.ndarray:
@@ -392,7 +372,7 @@ def update_slack(state: AdmmState, merged: Merged, config: SolverConfig) -> np.n
 def solve_coeff_subproblem(
     state: AdmmState,
     merged: Merged,
-    merged_gram: MergedGram | None = None,
+    merged_gram: MergedGram,
 ) -> np.ndarray:
     """Closed-form coefficient update before diagonal zeroing.
 
@@ -411,12 +391,9 @@ def solve_coeff_subproblem(
     and (E - y_slack / beta) D^T weigh each column by its multiplicity.
     ``merged_gram`` is that right operand (``_merged_gram``); it is
     constant over a run, so ``solve`` builds it once and passes it in.
-    When omitted it is built here.
     """
     beta = state.duals.beta
     points = state.coeffs.shape[0]
-    if merged_gram is None:
-        merged_gram = _merged_gram(merged, points)
     m = np.empty((state.shapes.shape[0] + 1, points))
     m[:-1] = state.shapes
     m[-1] = 1.0
@@ -426,8 +403,7 @@ def solve_coeff_subproblem(
         formed = m.T @ m
         diagonal = diagonal_view(formed)
         diagonal += COEFF_STABILIZER
-        plus_identity = isinstance(merged_gram, IdentityOperand)
-        left = (CholeskyOperand if plus_identity else SymmetricOperand)(formed)
+        left = (CholeskyOperand if merged is None else SymmetricOperand)(formed)
     # S^T (S + y_selfexpr / beta) + (E - y_slack / beta) D^T + 1 1^T
     # - 1 y_colsum / beta, summed left to right in place; IEEE addition
     # commutes, so y_selfexpr / beta + S is S + y_selfexpr / beta.
@@ -445,7 +421,7 @@ def solve_coeff_subproblem(
 def update_coefficients(
     state: AdmmState,
     merged: Merged,
-    merged_gram: MergedGram | None = None,
+    merged_gram: MergedGram,
 ) -> np.ndarray:
     """Coefficient update: subproblem solution with the diagonal zeroed exactly."""
     coeffs = solve_coeff_subproblem(state, merged, merged_gram)
@@ -493,16 +469,16 @@ def objective_value(
     camera: CameraMotion,
     state: AdmmState,
     config: SolverConfig,
-    spectrum: np.ndarray | None = None,
-    merged: Merged = None,
+    spectrum: np.ndarray | None,
+    merged: Merged,
 ) -> float:
     """The unconstrained cost: reprojection fit plus both structural penalties.
 
-    ``spectrum`` is the singular values of ``state.lowrank`` when the caller
-    already has them, as ``solve`` does from the low-rank step; without it
-    they are computed here by SVD. A zero nuclear weight needs neither.
-    ``merged`` is the operator of the slack: the l1 term counts each slack
-    column by its multiplicity, which is 1 unless it is an EdgeOperator.
+    ``spectrum`` is the singular values of ``state.lowrank``, which ``solve``
+    takes from the low-rank step; it is None only with a zero nuclear
+    weight, which needs none. ``merged`` is the operator of the slack: the
+    l1 term counts each slack column by its multiplicity, which is 1 unless
+    it is an EdgeOperator.
     """
     frames = state.lowrank.shape[0]
     points = state.coeffs.shape[0]
@@ -512,26 +488,8 @@ def objective_value(
     np.subtract(w, misfit, out=misfit)
     fit = 0.5 * frobenius_norm(misfit) ** 2
     sparsity = config.lambda1 * _weighted_sum(np.abs(state.slack), merged)
-    if lam2 == 0:
-        nuclear = 0.0
-    elif spectrum is None:
-        nuclear = lam2 * np.linalg.svd(state.lowrank, compute_uv=False).sum()
-    else:
-        nuclear = lam2 * spectrum.sum()
+    nuclear = 0.0 if lam2 == 0 else lam2 * spectrum.sum()
     return float(fit + sparsity + nuclear)
-
-
-def augmented_lagrangian(
-    w: np.ndarray, camera: CameraMotion, state: AdmmState, merged: Merged, config: SolverConfig
-) -> float:
-    """Full augmented Lagrangian value at the given state (diagnostic)."""
-    beta = state.duals.beta
-    value = objective_value(w, camera, state, config, merged=merged)
-    gaps = constraint_gaps(state, merged)
-    # Only the slack pair is weighed by the operator's multiplicity.
-    for y, gap, weigh in zip(state.duals.multipliers, gaps, (None, None, merged, None)):
-        value += _weighted_sum(y * gap, weigh) + 0.5 * beta * _weighted_sum(gap**2, weigh)
-    return float(value)
 
 
 def pseudo_inverse_shapes(w: np.ndarray, camera: CameraMotion) -> np.ndarray:
@@ -560,11 +518,13 @@ def solve(
     C with its diagonal zeroed.
 
     ``neighbors`` is the grid's merged operator from
-    ``scene.build_neighbor_matrix``; ``neighbors=None`` drops the spatial
-    term, the merged operator then degenerates to the identity, held as
-    ``merged=None``, and the slack simply mirrors the coefficients. Non-convergence within ``max_iters`` is
-    not an error: the best-so-far state is returned with ``trace.converged``
-    False, and downstream clustering remains meaningful.
+    ``scene.build_neighbor_matrix``. ``neighbors=None`` drops the spatial
+    term: the merged operator is then the identity, held as ``merged=None``,
+    and the slack simply mirrors the coefficients.
+
+    Non-convergence within ``max_iters`` is not an error: the last
+    iterate is returned with ``trace.converged`` False, and downstream
+    clustering remains meaningful.
 
     ``init_shapes`` overrides the default per-frame backprojection start,
     e.g. with an externally computed initialization.
@@ -606,7 +566,7 @@ def solve(
     trace = SolverTrace()
 
     for iteration in range(1, config.max_iters + 1):
-        state.shapes = update_shapes(state, w, camera, camera_gram, backprojected)
+        state.shapes = update_shapes(state, camera_gram, backprojected)
         state.lowrank, spectrum = update_lowrank(state, config)
         state.slack = update_slack(state, merged, config)
         state.coeffs = update_coefficients(state, merged, merged_gram)

@@ -111,6 +111,12 @@ def _manifest_data(args, command: str) -> dict:
     return data
 
 
+def _flags_beside_manifest(args) -> list:
+    """Every flag given with ``pipeline --manifest``; the manifest is the whole run."""
+    return [f"--{key.replace('_', '-')}" for key, value in vars(args).items()
+            if key not in ("command", "manifest") and value is not None]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbnrsfm",
@@ -157,6 +163,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "pipeline" and args.manifest:
+            extra = _flags_beside_manifest(args)
+            if extra:
+                raise ManifestError(
+                    f"{', '.join(extra)} given with --manifest: the manifest holds the "
+                    "whole run")
             manifest = load_manifest(args.manifest)
         else:
             if args.command == "pipeline" and args.clusters is None:

@@ -20,9 +20,10 @@ factor that serves fewer is applied by the two triangular solves of
 The solver's two Sylvester equations have symmetric operands, held in the
 operand classes below. ``solve_sylvester`` looks up the method for each
 supported pair of operand types in ``_BUILDERS`` (its docstring lists
-them) and solves two plain arrays by scipy's general Bartels-Stewart
-implementation, which stays the unrefined reference for the structured
-paths.
+them). It solves no plain arrays: scipy's general Bartels-Stewart routine,
+the unrefined reference the structured paths are tested against, is the
+tests' oracle (``bartels_stewart`` in ``tests/conftest.py``), and it is
+checked by ``_verified`` as these paths are.
 
 This module owns the contracts the rest of the package relies on: validated
 inputs, explicit failures instead of silent garbage, and a verified residual
@@ -406,8 +407,6 @@ class IdentityOperand:
         return self.n, self.n
 
 
-_OPERANDS = (SymmetricOperand, KroneckerSumOperand, GramOperand, CholeskyOperand,
-             IdentityOperand)
 # Operands held with their matrix, which products apply directly.
 _MATRIX_OPERANDS = (SymmetricOperand, CholeskyOperand)
 
@@ -540,12 +539,11 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     * ``a`` a CholeskyOperand, ``b`` an IdentityOperand: ``x`` solves
       ``(a + I) x = q`` through one Cholesky factor of ``a + I``; ``q``
       has as many columns as its order, so its inverse is applied.
-    * both operands plain arrays: scipy's Bartels-Stewart (real Schur forms
-      of both operands plus back-substitution). This is the general routine
-      and the unrefined reference the structured paths are tested against.
 
-    Any other pair, plain arrays mixed with operands included, raises
-    TypeError.
+    Any other pair, plain arrays included, raises TypeError. The general
+    Bartels-Stewart routine for two plain arrays, the unrefined reference
+    the structured paths are tested against, is the tests' oracle
+    (``bartels_stewart`` in ``tests/conftest.py``).
 
     Every structured pair solves ``q``, then, while the residual misses the
     bound, up to MAX_REFINEMENT_SWEEPS sweeps solve the same way for the
@@ -559,8 +557,6 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     offending eigenvalue pair) when the pencil is singular, NumericalError
     otherwise.
     """
-    if not isinstance(a, _OPERANDS) and not isinstance(b, _OPERANDS):
-        return _solve_bartels_stewart(a, b, q)
     builder = _BUILDERS.get((type(a), type(b)))
     if builder is None:
         raise TypeError(
@@ -575,24 +571,6 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     with _quiet():
         solve = builder(a, b, eigenvalues)
         return _verified(a, b, q, solve(q), eigenvalues, correction=solve)
-
-
-def _solve_bartels_stewart(a, b, q) -> np.ndarray:
-    """The plain-array path of solve_sylvester."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    q = as_matrix(q, "right-hand side")
-    _check_operand_shapes(a.shape, b.shape, q.shape)
-
-    def eigenvalues():
-        return np.linalg.eigvals(a), np.linalg.eigvals(b)
-
-    try:
-        x = scipy.linalg.solve_sylvester(a, b, q)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        _raise_sylvester_failure(eigenvalues, f"factorization failed: {exc}")
-    with _quiet():
-        return _verified(a, b, q, x, eigenvalues)
 
 
 def _structured_rhs(a, b, q) -> np.ndarray:
@@ -749,7 +727,7 @@ def frobenius_norm(v: np.ndarray) -> float:
     return sqrt(flat.dot(flat))
 
 
-def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:
+def _verified(a, b, q, x, eigenvalues, correction) -> np.ndarray:
     """Return ``x`` if it meets the residual bound, else diagnose and raise.
 
     ``a`` and ``b`` are operands, dense matrices or block stacks;
@@ -757,8 +735,9 @@ def _verified(a, b, q, x, eigenvalues, correction=None) -> np.ndarray:
     eigenvalues, only called on failure. ``correction`` maps a residual to
     the solution error it implies; while the bound is missed it is
     subtracted from ``x``, at most MAX_REFINEMENT_SWEEPS times. Every
-    structured solve passes its own solve; Bartels-Stewart passes none and
-    is not refined. The caller runs this under ``_quiet``.
+    structured solve passes its own solve. The tests' Bartels-Stewart
+    oracle (``tests/conftest.py``) passes None and is not refined. The
+    caller runs this under ``_quiet``.
 
     The residual comes first: every entry of ``x`` reaches the residual, so
     a non-finite ``x`` gives a non-finite norm, which meets no bound. ``x``

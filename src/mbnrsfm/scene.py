@@ -120,14 +120,6 @@ class CameraMotion:
         """The 2F x 3 vertical stack of blocks (the on-disk layout)."""
         return self.blocks.reshape(-1, 3).copy()
 
-    def block_diagonal(self) -> np.ndarray:
-        """Assemble the 2F x 3F block-diagonal motion matrix."""
-        f = self.frames
-        out = np.zeros((2 * f, 3 * f))
-        for i in range(f):
-            out[2 * i : 2 * i + 2, 3 * i : 3 * i + 3] = self.blocks[i]
-        return out
-
 
 def to_frame_rows(shapes) -> np.ndarray:
     """Reshuffle a 3F x P shape stack into the F x 3P frame-row layout."""

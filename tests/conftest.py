@@ -8,11 +8,22 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import mbnrsfm.linalg
 from mbnrsfm import SolverConfig, default_two_body, generate_scene, solve
-from mbnrsfm.admm import AdmmState, DualState
+from mbnrsfm.admm import (
+    AdmmState,
+    DualState,
+    _backproject,
+    _camera_gram,
+    _weighted_sum,
+    constraint_gaps,
+    objective_value,
+    update_shapes,
+)
+from mbnrsfm.linalg import SymmetricOperand
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +48,7 @@ def refinements(monkeypatch):
     calls = []
     original = mbnrsfm.linalg._verified
 
-    def recording(a, b, q, x, eigenvalues, correction=None):
+    def recording(a, b, q, x, eigenvalues, correction):
         def counted(residual):
             calls.append(residual.shape)
             return correction(residual)
@@ -71,6 +82,94 @@ def identity_merged(points):
     return np.eye(points)
 
 
+class DenseMerged:
+    """A formed [I | D] as the step functions take a merged operator, with
+    ``scene.EdgeOperator``'s members and every column counted once: the
+    oracle for the edge form and for ``merged=None``.
+
+    ``matrix`` is P x M, the output of ``dense_merged`` or ``identity_merged``.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    @property
+    def points(self):
+        return self.matrix.shape[0]
+
+    @property
+    def columns(self):
+        return self.matrix.shape[1]
+
+    def times(self, x):
+        return x @ self.matrix
+
+    def times_weighted_transpose(self, x):
+        return x @ self.matrix.T
+
+    def weighted_sum(self, x):
+        return x.sum()
+
+    def gram(self):
+        return SymmetricOperand(self.matrix @ self.matrix.T)
+
+
+def block_diagonal(camera):
+    """The 2F x 3F block-diagonal motion matrix of a ``CameraMotion``, assembled."""
+    f = camera.frames
+    out = np.zeros((2 * f, 3 * f))
+    for i in range(f):
+        out[2 * i : 2 * i + 2, 3 * i : 3 * i + 3] = camera.blocks[i]
+    return out
+
+
+def shape_step(state, w, camera):
+    """``admm.update_shapes`` with the run constants ``solve`` builds once."""
+    return update_shapes(state, _camera_gram(camera), _backproject(w, camera))
+
+
+def objective(w, camera, state, config, merged):
+    """``admm.objective_value`` with the nuclear norm from the SVD of the low-rank copy."""
+    spectrum = np.linalg.svd(state.lowrank, compute_uv=False)
+    return objective_value(w, camera, state, config, spectrum, merged)
+
+
+def augmented_lagrangian(w, camera, state, merged, config):
+    """Full augmented Lagrangian value at the given state (diagnostic)."""
+    beta = state.duals.beta
+    value = objective(w, camera, state, config, merged)
+    gaps = constraint_gaps(state, merged)
+    # Only the slack pair is weighed by the operator's multiplicity.
+    for y, gap, weigh in zip(state.duals.multipliers, gaps, (None, None, merged, None)):
+        value += _weighted_sum(y * gap, weigh) + 0.5 * beta * _weighted_sum(gap**2, weigh)
+    return float(value)
+
+
+def bartels_stewart(a, b, q):
+    """Solve ``a @ x + x @ b = q`` for plain arrays by scipy's Bartels-Stewart.
+
+    Real Schur forms of both operands plus back-substitution: the general,
+    unrefined reference the structured paths of ``linalg.solve_sylvester``
+    are tested against. Its result passes the same residual check, with no
+    refinement, and a failure is diagnosed the same way.
+    """
+    linalg = mbnrsfm.linalg
+    a = linalg.as_matrix(a, "left operand")
+    b = linalg.as_matrix(b, "right operand")
+    q = linalg.as_matrix(q, "right-hand side")
+    linalg._check_operand_shapes(a.shape, b.shape, q.shape)
+
+    def eigenvalues():
+        return np.linalg.eigvals(a), np.linalg.eigvals(b)
+
+    try:
+        x = scipy.linalg.solve_sylvester(a, b, q)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        linalg._raise_sylvester_failure(eigenvalues, f"factorization failed: {exc}")
+    with linalg._quiet():
+        return linalg._verified(a, b, q, x, eigenvalues, correction=None)
+
+
 # The full 4-neighborhood scan order: up, left, right, down.
 NEIGHBOR_STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
@@ -97,7 +196,8 @@ def neighbor_diff(height, width):
 
 
 def dense_merged(neighbors, num_points=None):
-    """The dense [I | D], P x 5P, of an EdgeOperator's grid: the step functions' oracle.
+    """The dense [I | D], P x 5P, of an EdgeOperator's grid, which ``DenseMerged``
+    hands the step functions as their oracle.
 
     With ``neighbors`` None (sparse tracks) it is the P x P identity.
     """

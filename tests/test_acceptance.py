@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import identity_merged, random_state
+from conftest import DenseMerged, block_diagonal, identity_merged, random_state, shape_step
 
 from mbnrsfm import (
     SolverConfig,
@@ -26,7 +26,7 @@ from mbnrsfm import (
     generate_scene,
     solve,
 )
-from mbnrsfm.admm import solve_coeff_subproblem, update_shapes, update_slack
+from mbnrsfm.admm import solve_coeff_subproblem, update_slack
 from mbnrsfm.clustering import build_affinity, spectral_cluster
 from mbnrsfm.fileio import read_labels, read_matrix
 from mbnrsfm.linalg import soft_threshold, svt
@@ -96,7 +96,7 @@ def test_criterion_1_proximal_operator_oracles():
                                  beta=float(rng.uniform(0.2, 3.0)))
             merged = identity_merged(5)
             cfg = SolverConfig(lambda1=float(rng.uniform(0.01, 0.5)))
-            out = update_slack(state, merged, cfg)
+            out = update_slack(state, DenseMerged(merged), cfg)
             beta = state.duals.beta
             target = state.coeffs @ merged
 
@@ -143,8 +143,8 @@ def test_criterion_2_sylvester_updates_match_kronecker():
         merged = identity_merged(points)
         beta = state.duals.beta
 
-        out_s = update_shapes(state, w, camera)
-        r = camera.block_diagonal()
+        out_s = shape_step(state, w, camera)
+        r = block_diagonal(camera)
         ic = np.eye(points) - state.coeffs
         a = r.T @ r / beta + np.eye(3 * frames)
         b = ic @ ic.T
@@ -156,7 +156,8 @@ def test_criterion_2_sylvester_updates_match_kronecker():
             3 * frames, points, order="F")
         worst = max(worst, np.abs(out_s - direct).max() / (1 + np.abs(direct).max()))
 
-        out_c = solve_coeff_subproblem(state, merged)
+        operator = DenseMerged(merged)
+        out_c = solve_coeff_subproblem(state, operator, operator.gram())
         gram = state.shapes.T @ state.shapes
         ones = np.ones((points, points))
         ac = gram + ones + 1e-10 * np.eye(points)

@@ -5,14 +5,19 @@ import scipy.sparse
 from dataclasses import replace
 
 from conftest import (
+    DenseMerged,
+    augmented_lagrangian,
+    block_diagonal,
     dense_merged,
     edge_csr,
     edge_expansion,
     identity_merged,
     kronecker_sum,
     neighbor_diff,
+    objective,
     path_laplacian,
     random_state,
+    shape_step,
 )
 
 import mbnrsfm.admm
@@ -22,7 +27,6 @@ from mbnrsfm.admm import (
     DualState,
     SolverConfig,
     _merged_gram,
-    augmented_lagrangian,
     constraint_gaps,
     constraint_residuals,
     objective_value,
@@ -32,7 +36,6 @@ from mbnrsfm.admm import (
     update_coefficients,
     update_duals,
     update_lowrank,
-    update_shapes,
     update_slack,
 )
 from mbnrsfm.clustering import build_affinity, spectral_cluster
@@ -85,9 +88,9 @@ class TestUpdateShapes:
         state.duals = replace(state.duals,
                               y_reshuffle=np.zeros_like(state.duals.y_reshuffle),
                               y_selfexpr=np.zeros_like(state.duals.y_selfexpr))
-        out = update_shapes(state, w, camera)
+        out = shape_step(state, w, camera)
         beta = state.duals.beta
-        r = camera.block_diagonal()
+        r = block_diagonal(camera)
         lhs = (r.T @ r / beta + np.eye(r.shape[1])) @ out + out
         rhs = r.T @ w / beta + to_point_columns(state.lowrank)
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
@@ -100,14 +103,14 @@ class TestUpdateShapes:
         frames, points = 3, 5
         camera = _smooth_random_camera(rng, frames)
         s_gt = rng.normal(size=(3 * frames, points))
-        w = camera.block_diagonal() @ s_gt
+        w = block_diagonal(camera) @ s_gt
         state = random_state(rng, frames, points, beta=0.9)
         state.lowrank = to_frame_rows(s_gt)
         state.coeffs = np.zeros((points, points))
         state.duals = DualState.zeros(frames, points, points, 0.9)
-        out = update_shapes(state, w, camera)
+        out = shape_step(state, w, camera)
 
-        r = camera.block_diagonal()
+        r = block_diagonal(camera)
         beta = state.duals.beta
 
         def subproblem(s):
@@ -129,9 +132,9 @@ class TestUpdateShapes:
 
     def test_matches_kronecker_solve(self):
         _, camera, w, state = small_problem(seed=7)
-        out = update_shapes(state, w, camera)
+        out = shape_step(state, w, camera)
         beta = state.duals.beta
-        r = camera.block_diagonal()
+        r = block_diagonal(camera)
         ic = np.eye(state.coeffs.shape[0]) - state.coeffs
         a = r.T @ r / beta + np.eye(r.shape[1])
         b = ic @ ic.T
@@ -156,7 +159,7 @@ class TestStepsMatchCopyingFormulas:
                - (state.duals.y_selfexpr / beta) @ ic.T)
         left = mbnrsfm.admm._camera_gram(camera).scaled(1.0 / beta, 1.0)
         expected = solve_sylvester(left, CholeskyOperand(ic @ ic.T), rhs)
-        assert np.array_equal(update_shapes(state, w, camera), expected)
+        assert np.array_equal(shape_step(state, w, camera), expected)
 
     @pytest.mark.parametrize("seed,frames,points", [(84, 1, 3), (85, 30, 60), (86, 120, 20)])
     def test_pseudo_inverse_shapes(self, seed, frames, points):
@@ -225,7 +228,7 @@ class TestStepsMatchCopyingFormulas:
             return original(a, b, q)
 
         monkeypatch.setattr(mbnrsfm.admm, "solve_sylvester", recording)
-        coeffs = update_coefficients(state, merged)
+        coeffs = update_coefficients(state, merged, _merged_gram(merged, points))
         ((left, q),) = seen
         assert np.array_equal(q, rhs)
         if isinstance(left, GramOperand):
@@ -316,7 +319,7 @@ class TestUpdateSlack:
         merged = identity_merged(state.coeffs.shape[0])
         state.duals = replace(state.duals, y_slack=np.zeros_like(state.duals.y_slack))
         cfg = SolverConfig(lambda1=0.3)
-        out = update_slack(state, merged, cfg)
+        out = update_slack(state, DenseMerged(merged), cfg)
         target = state.coeffs @ merged
         tau = cfg.lambda1 / state.duals.beta
         np.testing.assert_array_equal(out, np.sign(target) * np.maximum(np.abs(target) - tau, 0))
@@ -326,7 +329,7 @@ class TestUpdateSlack:
         merged = identity_merged(state.coeffs.shape[0])
         cfg = SolverConfig(lambda1=0.0)
         expected = state.coeffs @ merged + state.duals.y_slack / state.duals.beta
-        np.testing.assert_array_equal(update_slack(state, merged, cfg), expected)
+        np.testing.assert_array_equal(update_slack(state, DenseMerged(merged), cfg), expected)
 
     def test_each_entry_matches_ternary_search(self):
         # Exact-rational ternary search; float ternary search stalls at the
@@ -337,7 +340,7 @@ class TestUpdateSlack:
         merged = identity_merged(state.coeffs.shape[0])
         cfg = SolverConfig(lambda1=0.2)
         beta = state.duals.beta
-        out = update_slack(state, merged, cfg)
+        out = update_slack(state, DenseMerged(merged), cfg)
         target = state.coeffs @ merged + state.duals.y_slack / beta
 
         lam = Fraction(cfg.lambda1)
@@ -358,11 +361,17 @@ class TestUpdateSlack:
             assert abs(out[i, j] - oracle) <= 1e-9
 
 
+def dense_coeff_subproblem(state, matrix):
+    """``solve_coeff_subproblem`` with a formed [I | D] and its formed Gram."""
+    merged = DenseMerged(matrix)
+    return solve_coeff_subproblem(state, merged, merged.gram())
+
+
 class TestUpdateCoefficients:
     def test_diagonal_exactly_zero(self):
         _, _, _, state = small_problem(seed=51)
-        merged = identity_merged(state.coeffs.shape[0])
-        out = update_coefficients(state, merged)
+        merged = DenseMerged(identity_merged(state.coeffs.shape[0]))
+        out = update_coefficients(state, merged, merged.gram())
         assert np.abs(np.diag(out)).max() == 0.0
 
     def test_symmetric_two_point_case(self):
@@ -380,7 +389,7 @@ class TestUpdateCoefficients:
             duals=DualState.zeros(frames, points, points, 0.5),
         )
         merged = identity_merged(points)
-        raw = solve_coeff_subproblem(state, merged)
+        raw = dense_coeff_subproblem(state, merged)
         gram = shapes.T @ shapes
         ones = np.ones((points, points))
         a = gram + ones + 1e-10 * np.eye(points)
@@ -391,7 +400,7 @@ class TestUpdateCoefficients:
     def test_matches_kronecker_solve(self):
         _, _, _, state = small_problem(seed=52, frames=3, points=8)
         merged = identity_merged(8)
-        raw = solve_coeff_subproblem(state, merged)
+        raw = dense_coeff_subproblem(state, merged)
         beta = state.duals.beta
         gram = state.shapes.T @ state.shapes
         ones = np.ones((8, 8))
@@ -413,7 +422,7 @@ class TestUpdateCoefficients:
     def test_grid_operator_matches_kronecker_solve(self):
         # With the spatial term D D^T is no longer the identity.
         state, merged = self.grid_problem()
-        raw = solve_coeff_subproblem(state, merged)
+        raw = dense_coeff_subproblem(state, merged)
         beta = state.duals.beta
         gram = state.shapes.T @ state.shapes
         ones = np.ones((6, 6))
@@ -427,18 +436,6 @@ class TestUpdateCoefficients:
         direct = kron_solve(a, b, q)
         assert np.abs(raw - direct).max() <= 1e-7 * (1 + np.abs(direct).max())
 
-    def test_precomputed_merged_gram_is_bit_identical(self):
-        state, merged = self.grid_problem()
-        merged_gram = SymmetricOperand(merged @ merged.T)
-        np.testing.assert_array_equal(
-            solve_coeff_subproblem(state, merged, merged_gram),
-            solve_coeff_subproblem(state, merged),
-        )
-        np.testing.assert_array_equal(
-            update_coefficients(state, merged, merged_gram),
-            update_coefficients(state, merged),
-        )
-
 
 class TestUpdateDuals:
     def make_feasible_state(self, frames=3, points=4):
@@ -448,7 +445,7 @@ class TestUpdateDuals:
         for j in range(points):
             coeffs[(j + 1) % points, j] = 0.5
             coeffs[(j + 2) % points, j] = 0.5
-        merged = identity_merged(points)
+        merged = DenseMerged(identity_merged(points))
         duals = DualState(
             y_reshuffle=np.full((frames, 3 * points), 0.25),
             y_selfexpr=np.full((3 * frames, points), -0.5),
@@ -459,7 +456,7 @@ class TestUpdateDuals:
         state = AdmmState(
             shapes=np.zeros((3 * frames, points)),
             lowrank=np.zeros((frames, 3 * points)),
-            slack=coeffs @ merged,
+            slack=coeffs @ merged.matrix,
             coeffs=coeffs,
             duals=duals,
         )
@@ -576,7 +573,7 @@ class TestEdgeOperator:
         state = random_state(np.random.default_rng(72), 4, 12, slack_cols=edge.columns)
         full = replace(state, slack=state.slack @ expansion,
                        duals=replace(state.duals, y_slack=state.duals.y_slack @ expansion))
-        return camera, w, state, edge, full, dense_merged(edge), expansion
+        return camera, w, state, edge, full, DenseMerged(dense_merged(edge)), expansion
 
     def test_slack_and_gaps_are_the_expanded_edge_form(self, problem):
         _, _, state, edge, full, dense, expansion = problem
@@ -590,22 +587,19 @@ class TestEdgeOperator:
 
     def test_coefficient_step_weighs_edges_twice(self, problem):
         _, _, state, edge, full, dense, _ = problem
-        assert_close_rel(update_coefficients(state, edge),
-                         update_coefficients(full, dense), 1e-12)
-        gram = _merged_gram(edge, 12)
-        np.testing.assert_array_equal(update_coefficients(state, edge, gram),
-                                      update_coefficients(state, edge))
+        assert_close_rel(update_coefficients(state, edge, edge.gram()),
+                         update_coefficients(full, dense, dense.gram()), 1e-12)
 
     def test_objective_and_lagrangian_weigh_edges_twice(self, problem):
         camera, w, state, edge, full, dense, _ = problem
         cfg = SolverConfig(lambda1=0.3)
-        assert objective_value(w, camera, state, cfg, merged=edge) == pytest.approx(
-            objective_value(w, camera, full, cfg), rel=1e-12)
+        assert objective(w, camera, state, cfg, edge) == pytest.approx(
+            objective(w, camera, full, cfg, dense), rel=1e-12)
         assert augmented_lagrangian(w, camera, state, edge, cfg) == pytest.approx(
             augmented_lagrangian(w, camera, full, dense, cfg), rel=1e-12)
         # Without the multiplicity the l1 term would count each edge once.
-        assert objective_value(w, camera, state, cfg) < objective_value(
-            w, camera, state, cfg, merged=edge)
+        assert objective(w, camera, state, cfg, None) < objective(
+            w, camera, state, cfg, edge)
 
 
 def eigenbasis_shape_step(state, w, camera):
@@ -648,13 +642,14 @@ def eigenbasis_sweep(w, camera, merged, cfg):
         coeffs=np.zeros((points, points)),
         duals=DualState.zeros(frames, points, merged.shape[1], cfg.beta0),
     )
+    operator = DenseMerged(merged)
     for iteration in range(1, cfg.max_iters + 1):
         state.shapes = eigenbasis_shape_step(state, w, camera)
         state.lowrank, _ = update_lowrank(state, cfg)
-        state.slack = update_slack(state, merged, cfg)
+        state.slack = update_slack(state, operator, cfg)
         state.coeffs = eigenbasis_coefficient_step(state, merged)
-        residuals = constraint_residuals(constraint_gaps(state, merged))
-        state.duals = update_duals(state.duals, constraint_gaps(state, merged), cfg)
+        residuals = constraint_residuals(constraint_gaps(state, operator))
+        state.duals = update_duals(state.duals, constraint_gaps(state, operator), cfg)
         if max(residuals) <= cfg.epsilon:
             return state, iteration
     return state, cfg.max_iters
@@ -778,7 +773,7 @@ class TestSolve:
         per = shapes.reshape(frames, 3, points)
         shapes = (per - per.mean(axis=2, keepdims=True)).reshape(3 * frames, points)
         camera = _smooth_random_camera(np.random.default_rng(5), frames)
-        w = camera.block_diagonal() @ shapes
+        w = block_diagonal(camera) @ shapes
         # Weak nuclear weight: the data residual of the penalized fixed
         # point scales with lambda2, and rigid data needs little rank help.
         cfg = SolverConfig(lambda2=0.01)
@@ -818,11 +813,12 @@ class TestSolve:
             coeffs=np.zeros((points, points)),
             duals=DualState.zeros(frames, points, points, cfg.beta0),
         )
+        merged_gram = _merged_gram(merged, points)
         for iteration in range(1, cfg.max_iters + 1):
-            state.shapes = update_shapes(state, scene.w, scene.camera)
+            state.shapes = shape_step(state, scene.w, scene.camera)
             state.lowrank, _ = update_lowrank(state, cfg)
             state.slack = update_slack(state, merged, cfg)
-            state.coeffs = update_coefficients(state, merged)
+            state.coeffs = update_coefficients(state, merged, merged_gram)
             residuals = constraint_residuals(constraint_gaps(state, merged))
             state.duals = update_duals(state.duals, constraint_gaps(state, merged), cfg)
             if max(residuals) <= cfg.epsilon:
@@ -854,7 +850,8 @@ class TestSolve:
         shapes, coeffs, trace = solve(scene.w, scene.camera, None, cfg)
         assert trace.converged
 
-        oracle, iterations = self.sparse_sweep(scene, identity_merged(scene.w.shape[1]), cfg)
+        oracle, iterations = self.sparse_sweep(
+            scene, DenseMerged(identity_merged(scene.w.shape[1])), cfg)
         assert iterations == len(trace)
         assert_close_rel(shapes, oracle.shapes, 1e-9)
         assert_close_rel(coeffs, oracle.coeffs, 1e-9)
@@ -891,7 +888,8 @@ class TestSolve:
         cfg = SolverConfig()
         points = scene.w.shape[1]
         frames = scene.camera.frames
-        merged = identity_merged(points)
+        merged = DenseMerged(identity_merged(points))
+        merged_gram = merged.gram()
         shapes = pseudo_inverse_shapes(scene.w, scene.camera)
         state = AdmmState(
             shapes=shapes,
@@ -906,7 +904,7 @@ class TestSolve:
 
         for _ in range(25):
             before = lagrangian()
-            state.shapes = update_shapes(state, scene.w, scene.camera)
+            state.shapes = shape_step(state, scene.w, scene.camera)
             after_shapes = lagrangian()
             assert after_shapes <= before + 1e-9
 
@@ -918,13 +916,13 @@ class TestSolve:
             after_slack = lagrangian()
             assert after_slack <= after_lowrank + 1e-9
 
-            raw = solve_coeff_subproblem(state, merged)
+            raw = solve_coeff_subproblem(state, merged, merged_gram)
             saved = state.coeffs
             state.coeffs = raw
             assert lagrangian() <= after_slack + 1e-9
             state.coeffs = saved
 
-            state.coeffs = update_coefficients(state, merged)
+            state.coeffs = update_coefficients(state, merged, merged_gram)
             state.duals = update_duals(state.duals, constraint_gaps(state, merged), cfg)
 
     def test_dimension_mismatch_rejected(self):
@@ -969,8 +967,8 @@ class TestSolve:
         """
         points = scene.w.shape[1]
         frames = scene.camera.frames
-        merged = dense_merged(neighbors)
-        merged_gram = SymmetricOperand(merged @ merged.T)
+        merged = DenseMerged(dense_merged(neighbors))
+        merged_gram = merged.gram()
         shapes = pseudo_inverse_shapes(scene.w, scene.camera)
         state = AdmmState(
             shapes=shapes,
@@ -980,7 +978,7 @@ class TestSolve:
             duals=DualState.zeros(frames, points, 5 * points, cfg.beta0),
         )
         for iteration in range(1, cfg.max_iters + 1):
-            state.shapes = update_shapes(state, scene.w, scene.camera)
+            state.shapes = shape_step(state, scene.w, scene.camera)
             state.lowrank, _ = update_lowrank(state, cfg)
             state.slack = update_slack(state, merged, cfg)
             state.coeffs = update_coefficients(state, merged, merged_gram)
@@ -1007,7 +1005,7 @@ class TestSolve:
 
         objectives = []
         for _, state in self.dense_grid_sweeps(scene, neighbors, cfg):
-            objectives.append(objective_value(scene.w, scene.camera, state, cfg))
+            objectives.append(objective(scene.w, scene.camera, state, cfg, None))
         assert len(trace) == len(objectives)
         assert_close_rel(shapes, state.shapes, 1e-9)
         assert_close_rel(coeffs, state.coeffs, 1e-9)
@@ -1258,8 +1256,8 @@ class TestSolve:
     def test_objective_fit_matches_block_diagonal_oracle(self):
         _, camera, w, state = small_problem(seed=61)
         cfg = SolverConfig(lambda1=0.0, lambda2=0.0)
-        fit = 0.5 * np.linalg.norm(w - camera.block_diagonal() @ state.shapes) ** 2
-        assert objective_value(w, camera, state, cfg) == pytest.approx(fit, rel=1e-12)
+        fit = 0.5 * np.linalg.norm(w - block_diagonal(camera) @ state.shapes) ** 2
+        assert objective(w, camera, state, cfg, None) == pytest.approx(fit, rel=1e-12)
 
     @pytest.mark.parametrize("lambda2", [None, 0.0], ids=["default", "zero"])
     @pytest.mark.parametrize("grid", [False, True], ids=["sparse", "grid"])
@@ -1334,9 +1332,9 @@ class TestSolve:
         reference = []
         original = mbnrsfm.admm.objective_value
 
-        def recording(w, camera, state, config, *rest):
-            reference.append(original(w, camera, state, config))
-            return original(w, camera, state, config, *rest)
+        def recording(w, camera, state, config, spectrum, merged):
+            reference.append(objective(w, camera, state, config, merged))
+            return original(w, camera, state, config, spectrum, merged)
 
         monkeypatch.setattr(mbnrsfm.admm, "objective_value", recording)
         scene = generate_scene(default_two_body(frames=6, points_per_body=5))

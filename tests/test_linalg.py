@@ -4,7 +4,15 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from conftest import dense_merged, identity_merged, kronecker_sum, path_laplacian, random_state
+from conftest import (
+    DenseMerged,
+    bartels_stewart,
+    dense_merged,
+    identity_merged,
+    kronecker_sum,
+    path_laplacian,
+    random_state,
+)
 
 import mbnrsfm.admm
 import mbnrsfm.linalg
@@ -301,17 +309,21 @@ class TestSvt:
 
 
 class TestSolveSylvester:
+    """The plain-array oracle the structured paths are checked against,
+    ``conftest.bartels_stewart``: its result passes the same residual check
+    and its failures are diagnosed the same way."""
+
     def test_identity_against_zero(self):
         rng = np.random.default_rng(3)
         q = rng.normal(size=(3, 5))
-        x = solve_sylvester(np.eye(3), np.zeros((5, 5)), q)
+        x = bartels_stewart(np.eye(3), np.zeros((5, 5)), q)
         np.testing.assert_allclose(x, q, atol=1e-10)
 
     def test_diagonal_closed_form(self):
         a = np.diag([1.0, 2.0])
         b = np.diag([3.0, 4.0])
         q = np.array([[1.0, 2.0], [3.0, 4.0]])
-        x = solve_sylvester(a, b, q)
+        x = bartels_stewart(a, b, q)
         expected = q / (np.array([[1.0], [2.0]]) + np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(x, expected, atol=1e-12)
 
@@ -322,7 +334,7 @@ class TestSolveSylvester:
         a = g1 @ g1.T + 0.5 * np.eye(5)
         b = g2 @ g2.T + 0.5 * np.eye(5)
         q = rng.normal(size=(5, 5))
-        x = solve_sylvester(a, b, q)
+        x = bartels_stewart(a, b, q)
         system = np.kron(np.eye(5), a) + np.kron(b.T, np.eye(5))
         direct = np.linalg.solve(system, q.flatten(order="F")).reshape(5, 5, order="F")
         assert np.abs(x - direct).max() <= 1e-8 * (1 + np.abs(direct).max())
@@ -337,7 +349,7 @@ class TestSolveSylvester:
             a = ga @ ga.T + 0.1 * np.eye(n)
             b = gb @ gb.T + 0.1 * np.eye(m)
             q = rng.normal(size=(n, m))
-            x = solve_sylvester(a, b, q)
+            x = bartels_stewart(a, b, q)
             residual = np.linalg.norm(a @ x + x @ b - q)
             assert residual <= 1e-8 * (1 + np.linalg.norm(q))
 
@@ -346,7 +358,7 @@ class TestSolveSylvester:
         b = np.diag([3.0, -1.0])
         q = np.ones((2, 2))
         with pytest.raises(SingularPencilError) as err:
-            solve_sylvester(a, b, q)
+            bartels_stewart(a, b, q)
         message = str(err.value)
         assert "eigenvalue" in message and "sum" in message
 
@@ -355,11 +367,11 @@ class TestSolveSylvester:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve_sylvester(np.eye(3), np.eye(2), np.zeros((2, 3)))
+            bartels_stewart(np.eye(3), np.eye(2), np.zeros((2, 3)))
 
     def test_nonsquare_operand(self):
         with pytest.raises(ValueError):
-            solve_sylvester(np.zeros((3, 2)), np.eye(2), np.zeros((3, 2)))
+            bartels_stewart(np.zeros((3, 2)), np.eye(2), np.zeros((3, 2)))
 
 
 def random_spd(rng, n, shift=0.1):
@@ -382,7 +394,7 @@ class TestSymmetricOperandSylvester:
             a, b = random_spd(rng, n), random_spd(rng, m)
             q = rng.normal(size=(n, m))
             x = solve_sylvester(SymmetricOperand(a), SymmetricOperand(b), q)
-            dense = solve_sylvester(a, b, q)
+            dense = bartels_stewart(a, b, q)
             direct = kron_solve(a, b, q)
             scale = 1 + np.abs(direct).max()
             assert np.abs(x - dense).max() <= 1e-9 * scale
@@ -403,7 +415,7 @@ class TestSymmetricOperandSylvester:
             else:
                 a, b, q = other, block_matrix, rng.normal(size=(m, 3 * k))
                 x = solve_sylvester(SymmetricOperand(a), SymmetricOperand(blocks), q)
-            dense = solve_sylvester(a, b, q)
+            dense = bartels_stewart(a, b, q)
             direct = kron_solve(a, b, q)
             scale = 1 + np.abs(direct).max()
             assert np.abs(x - dense).max() <= 1e-9 * scale
@@ -461,8 +473,11 @@ class TestSymmetricOperandSylvester:
         assert SymmetricOperand(np.eye(5)).shape == (5, 5)
 
     def test_mixed_operands_rejected(self):
-        with pytest.raises(TypeError):
-            solve_sylvester(SymmetricOperand(np.eye(2)), np.eye(2), np.ones((2, 2)))
+        # Plain arrays are the tests' oracle (conftest.bartels_stewart), not
+        # a path of solve_sylvester.
+        for a, b in [(SymmetricOperand(np.eye(2)), np.eye(2)), (np.eye(2), np.eye(2))]:
+            with pytest.raises(TypeError):
+                solve_sylvester(a, b, np.ones((2, 2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -572,7 +587,7 @@ class TestGramOperandSylvester:
             assert np.abs(dense_b - np.eye(points)).max() > 0
         direct = kron_solve(dense_a, dense_b, q)
         scale = 1 + np.abs(direct).max()
-        assert np.abs(x - solve_sylvester(dense_a, dense_b, q)).max() <= 1e-9 * scale
+        assert np.abs(x - bartels_stewart(dense_a, dense_b, q)).max() <= 1e-9 * scale
         assert np.abs(x - direct).max() <= 1e-9 * scale
 
     def test_full_branch_is_the_symmetric_operand_path(self, monkeypatch):
@@ -589,7 +604,8 @@ class TestGramOperandSylvester:
             return original(a, b, q)
 
         monkeypatch.setattr(mbnrsfm.admm, "solve_sylvester", recording)
-        x = solve_coeff_subproblem(state, identity_merged(20))
+        merged = DenseMerged(identity_merged(20))
+        x = solve_coeff_subproblem(state, merged, merged.gram())
         ((a, b, q),) = seen
         assert type(a) is SymmetricOperand
         m = np.vstack([state.shapes, np.ones(20)])
@@ -710,7 +726,7 @@ class TestKroneckerSumOperand:
         dense_a = m.T @ m + 1e-10 * np.eye(12)
         direct = kron_solve(dense_a, matrix, q)
         scale = 1 + np.abs(direct).max()
-        assert np.abs(x - solve_sylvester(dense_a, matrix, q)).max() <= 1e-9 * scale
+        assert np.abs(x - bartels_stewart(dense_a, matrix, q)).max() <= 1e-9 * scale
         assert np.abs(x - direct).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("rows", [3, 15], ids=["woodbury", "eigenbases"])
@@ -934,7 +950,7 @@ class TestShiftedCholeskySylvester:
         direct = kron_solve(left, right, q)
         scale = 1 + np.abs(direct).max()
         assert np.abs(x - direct).max() <= 1e-9 * scale
-        assert np.abs(x - solve_sylvester(left, right, q)).max() <= 1e-9 * scale
+        assert np.abs(x - bartels_stewart(left, right, q)).max() <= 1e-9 * scale
 
     def test_route_is_selected_by_cluster_rows_against_order(self, monkeypatch):
         # Clusters of 4, 5 and 6 rows against a right operand of order 5:

@@ -562,6 +562,21 @@ class TestOneSceneSource:
         assert f"{named} given without --bodies" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--out", "elsewhere"], "--out"),
+        (["--clusters", "3", "--seed", "1"], "--clusters, --seed"),
+        (["--grid", "2x3", "--bodies", "2", "--frames", "99"], "--grid, --bodies, --frames"),
+        (["--lambda1", "5", "--max-iters", "3"], "--lambda1, --max-iters"),
+    ], ids=["out", "clusters_seed", "scene", "solver"])
+    def test_flags_beside_manifest_exit_4(self, tmp_path, capsys, monkeypatch, flags, named):
+        # The manifest holds the whole run: a flag given with it would be ignored.
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(pipeline_manifest(tmp_path / "out")))
+        assert cli.main(["pipeline", "--manifest", str(manifest), *flags]) == 4
+        assert f"{named} given with --manifest" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
 
 class TestCliExitCodes:
     def test_success(self, tmp_path, capsys):

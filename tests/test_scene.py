@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_merged, neighbor_diff
+from conftest import block_diagonal, dense_merged, neighbor_diff
 from mbnrsfm.scene import (
     CameraMotion,
     EdgeOperator,
@@ -95,7 +95,7 @@ class TestCameraMotion:
 
     def test_block_diagonal_layout(self):
         camera = random_camera(np.random.default_rng(4), 3)
-        r = camera.block_diagonal()
+        r = block_diagonal(camera)
         assert r.shape == (6, 9)
         for f in range(3):
             np.testing.assert_array_equal(
