@@ -16,16 +16,28 @@ capped at ``beta_max``. Convergence is declared when all four constraint
 residuals fall below ``epsilon`` in the elementwise max norm.
 
 The four constraint gaps are written out once, in ``constraint_gaps``, and
-``solve`` evaluates them once per sweep, after the coefficient step; the
-residuals (their max-abs values) go to the trace, and dual ascent moves each
-multiplier by beta times its own gap, in that gap's array, which nothing
-reads afterwards. The steps reshuffle between the F x 3P and 3F x P layouts
-by reshape views and build their right-hand sides in place, in the order
-of the written formulas; the copying, validating ``scene.to_frame_rows``
-runs in set-up only. The trace's objective takes its
-nuclear norm from the low-rank step: the singular values that SVT
-thresholded are the spectrum of the new low-rank copy, so each sweep takes
-one partial SVD, and none when ``lambda2`` is 0.
+``solve`` evaluates them once per sweep, after the coefficient step and the
+objective; the residuals (their max-abs values) go to the trace, and dual
+ascent moves each multiplier by beta times its own gap, in that gap's array,
+which nothing reads afterwards. The steps reshuffle between the F x 3P and
+3F x P layouts by reshape views and build their right-hand sides in place,
+in the order of the written formulas; the copying, validating
+``scene.to_frame_rows`` runs in set-up only.
+
+The slack E and its multiplier are P x M arrays, with M = P plus the edge
+count on a grid: the largest arrays of the state. Each sweep writes into the
+buffers it replaces, with the operations of the written formulas in their
+order, so at most one temporary of that size is alive at a time. The slack
+step forms and shrinks its target in the old slack's buffer
+(``update_slack``); the coefficient step frees its E - y_slack / beta as
+soon as it is contracted; the objective's |E| is freed before the gaps are
+formed; the slack gap is formed in the buffer of its product C @ merged
+(``constraint_gaps``); and dual ascent turns each gap into the new
+multiplier.
+
+The trace's objective takes its nuclear norm from the low-rank step: the
+singular values that SVT thresholded are the spectrum of the new low-rank
+copy, so each sweep takes one partial SVD, and none when ``lambda2`` is 0.
 
 That partial SVD forms only the singular triplets the threshold keeps
 (``linalg.svt``, which returns them with the new copy): one LAPACK
@@ -123,6 +135,8 @@ MergedGram = KroneckerSumOperand | IdentityOperand
 # Diagonal shift that keeps the coefficient subproblem's left operand
 # strictly positive definite.
 COEFF_STABILIZER = 1e-10
+# Frames per batch of the initial backprojection (``pseudo_inverse_shapes``).
+PSEUDO_INVERSE_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -358,15 +372,18 @@ def _merged_gram(merged: Merged, points: int) -> MergedGram:
 
 
 def update_slack(state: AdmmState, merged: Merged, config: SolverConfig) -> np.ndarray:
-    """Elementwise shrinkage update of the l1 slack.
+    """Elementwise shrinkage update of the l1 slack, written over ``state.slack``.
 
-    Returns soft_threshold(C @ merged + y_slack / beta, lambda1 / beta).
+    Returns soft_threshold(C @ merged + y_slack / beta, lambda1 / beta),
+    formed and shrunk in the buffer of ``state.slack``, which it uses up: no
+    step reads the old slack once the previous sweep's objective and gaps
+    have.
     """
     beta = state.duals.beta
     # y_slack / beta + C merged, the same sum: IEEE addition commutes.
-    target = state.duals.y_slack / beta
+    target = np.divide(state.duals.y_slack, beta, out=state.slack)
     target += _times_merged(state.coeffs, merged)
-    return soft_threshold(target, config.lambda1 / beta)
+    return soft_threshold(target, config.lambda1 / beta, out=target)
 
 
 def solve_coeff_subproblem(
@@ -391,9 +408,26 @@ def solve_coeff_subproblem(
     and (E - y_slack / beta) D^T weigh each column by its multiplicity.
     ``merged_gram`` is that right operand (``_merged_gram``); it is
     constant over a run, so ``solve`` builds it once and passes it in.
+
+    The step changes nothing in ``state``. Its E - y_slack / beta and
+    S + y_selfexpr / beta temporaries are freed once contracted into the
+    right-hand side, and the left operand is built after it.
     """
     beta = state.duals.beta
     points = state.coeffs.shape[0]
+    # S^T (S + y_selfexpr / beta) + (E - y_slack / beta) D^T + 1 1^T
+    # - 1 y_colsum / beta, summed left to right in place; IEEE addition
+    # commutes, so y_selfexpr / beta + S is S + y_selfexpr / beta.
+    shifted = state.duals.y_selfexpr / beta
+    shifted += state.shapes
+    rhs = state.shapes.T @ shifted
+    del shifted
+    slack = state.duals.y_slack / beta
+    np.subtract(state.slack, slack, out=slack)
+    rhs += _times_merged_transpose(slack, merged)
+    del slack
+    rhs += 1.0
+    rhs -= state.duals.y_colsum / beta
     m = np.empty((state.shapes.shape[0] + 1, points))
     m[:-1] = state.shapes
     m[-1] = 1.0
@@ -404,17 +438,6 @@ def solve_coeff_subproblem(
         diagonal = diagonal_view(formed)
         diagonal += COEFF_STABILIZER
         left = (CholeskyOperand if merged is None else SymmetricOperand)(formed)
-    # S^T (S + y_selfexpr / beta) + (E - y_slack / beta) D^T + 1 1^T
-    # - 1 y_colsum / beta, summed left to right in place; IEEE addition
-    # commutes, so y_selfexpr / beta + S is S + y_selfexpr / beta.
-    shifted = state.duals.y_selfexpr / beta
-    shifted += state.shapes
-    rhs = state.shapes.T @ shifted
-    slack = state.duals.y_slack / beta
-    np.subtract(state.slack, slack, out=slack)
-    rhs += _times_merged_transpose(slack, merged)
-    rhs += 1.0
-    rhs -= state.duals.y_colsum / beta
     return solve_sylvester(left, merged_gram, rhs)
 
 
@@ -430,15 +453,21 @@ def update_coefficients(
 
 
 def constraint_gaps(state: AdmmState, merged: Merged) -> tuple:
-    """The four constraint gaps, in ``DualState.multipliers`` order."""
+    """The four constraint gaps, in ``DualState.multipliers`` order.
+
+    Each gap is a new array; ``state`` is unchanged. The slack gap is formed
+    in the buffer of the product C @ merged, except in sparse mode, where
+    that product is C itself.
+    """
     selfexpr = state.shapes @ state.coeffs
     np.subtract(state.shapes, selfexpr, out=selfexpr)
     colsum = state.coeffs.sum(axis=0)
     colsum -= 1.0
+    product = _times_merged(state.coeffs, merged)
     return (
         state.lowrank - state.shapes.reshape(state.lowrank.shape),
         selfexpr,
-        _times_merged(state.coeffs, merged) - state.slack,
+        np.subtract(product, state.slack, out=None if merged is None else product),
         colsum,
     )
 
@@ -495,14 +524,21 @@ def objective_value(
 def pseudo_inverse_shapes(w: np.ndarray, camera: CameraMotion) -> np.ndarray:
     """Per-frame minimum-norm backprojection S_f = R_f^T (R_f R_f^T)^-1 W_f.
 
-    All frames at once: one ``np.linalg.solve`` on the (F, 2, 2) stack of
-    Grams R_f R_f^T and one stacked product with the R_f^T.
+    In batches of ``PSEUDO_INVERSE_BATCH`` frames: one ``np.linalg.solve`` on
+    the stack of 2 x 2 Grams R_f R_f^T and one stacked product with the
+    R_f^T, written into the output. Each frame takes the same operations as
+    alone, and only one batch's (k, 2, P) solve result lives beside the
+    (F, 3, P) output.
     """
     frames, points = camera.frames, w.shape[1]
-    blocks = camera.blocks
-    grams = np.matmul(blocks, blocks.swapaxes(1, 2))
-    solved = np.linalg.solve(grams, w.reshape(frames, 2, points))
-    return np.matmul(blocks.swapaxes(1, 2), solved).reshape(3 * frames, points)
+    transposed = camera.blocks.swapaxes(1, 2)
+    grams = np.matmul(camera.blocks, transposed)
+    rows = w.reshape(frames, 2, points)
+    out = np.empty((frames, 3, points))
+    for start in range(0, frames, PSEUDO_INVERSE_BATCH):
+        batch = slice(start, start + PSEUDO_INVERSE_BATCH)
+        np.matmul(transposed[batch], np.linalg.solve(grams[batch], rows[batch]), out=out[batch])
+    return out.reshape(3 * frames, points)
 
 
 def solve(
@@ -570,9 +606,11 @@ def solve(
         state.lowrank, spectrum = update_lowrank(state, config)
         state.slack = update_slack(state, merged, config)
         state.coeffs = update_coefficients(state, merged, merged_gram)
+        # The objective is a pure function of the state: taken before the
+        # gaps, its |E| temporary is freed before they are formed.
+        objective = objective_value(w, camera, state, config, spectrum, merged)
         gaps = constraint_gaps(state, merged)
         residuals = constraint_residuals(gaps)
-        objective = objective_value(w, camera, state, config, spectrum, merged)
         trace.append(iteration, objective, residuals, state.duals.beta)
         state.duals = update_duals(state.duals, gaps, config)
         # Freed now so the gaps never coexist with the next sweep's temporaries.

@@ -49,7 +49,11 @@ largest magnitude, so the bound stays finite. Norms are
 ``frobenius_norm``, the same sum of squares in memory order that
 ``np.linalg.norm`` takes.
 
-All functions are pure; an operand is computed once and never changed.
+All functions are pure, except that ``soft_threshold`` writes into an
+``out`` it is given; an operand is computed once and never changed. The
+Woodbury solve and the residual check accumulate in place only into
+arrays they made themselves, never into a product with or a rotation by an
+operand, which for an ``IdentityOperand`` is the input itself.
 """
 
 from __future__ import annotations
@@ -110,17 +114,19 @@ def diagonal_view(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, order="A")[:: a.shape[0] + 1]
 
 
-def soft_threshold(x, tau: float):
+def soft_threshold(x, tau: float, out=None):
     """Shrink ``x`` toward zero: sign(x) * max(|x| - tau, 0).
 
     Computed in two array passes as ``x - clip(x, -tau, tau)``, which gives
     the same bits as the formula above except that a negative value inside
     the dead zone maps to +0.0 instead of -0.0. Works elementwise on arrays
-    and on plain scalars. ``tau`` must be nonnegative.
+    and on plain scalars. ``tau`` must be nonnegative. ``out`` is the array
+    the difference is written to, as in a ufunc; ``out=x`` shrinks ``x`` in
+    place, with the clipped copy as the one temporary.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    return x - np.clip(x, -tau, tau)
+    return np.subtract(x, np.clip(x, -tau, tau), out=out)
 
 
 def svt(m, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
@@ -414,7 +420,9 @@ _MATRIX_OPERANDS = (SymmetricOperand, CholeskyOperand)
 def _left(op, x: np.ndarray) -> np.ndarray:
     """``op @ x`` for a left operand of ``_BUILDERS``, a dense matrix or a (k, m, m) block stack."""
     if isinstance(op, GramOperand):
-        return op.factor.T @ (op.factor @ x) + op.shift * x
+        out = op.factor.T @ (op.factor @ x)
+        out += op.shift * x
+        return out
     if isinstance(op, _MATRIX_OPERANDS):
         op = op.matrix
     if op.ndim == 2:
@@ -618,7 +626,14 @@ def _woodbury(a: GramOperand, b, eigenvalues):
         rotated = _into_eigenbasis(r, b)
         inner = basis.T @ rotated
         inner /= sums
-        return _out_of_eigenbasis((rotated - basis @ inner) / shifts, b)
+        # (rotated - basis inner) / shifts, formed in the product's buffer
+        # (``rotated`` is ``r`` itself against the identity); ``rotated`` is
+        # dropped before the rotation back.
+        solved = basis @ inner
+        np.subtract(rotated, solved, out=solved)
+        del rotated
+        solved /= shifts
+        return _out_of_eigenbasis(solved, b)
     return solve
 
 
@@ -756,7 +771,9 @@ def _verified(a, b, q, x, eigenvalues, correction) -> np.ndarray:
         q_norm = frobenius_norm(q / unit)
     bound = SYLVESTER_RTOL * (1.0 / unit + q_norm)
     for sweep in range(sweeps + 1):
-        residual = _left(a, x) + _right(x, b)
+        # _left returns a new array; _right may return ``x`` itself.
+        residual = _left(a, x)
+        residual += _right(x, b)
         residual -= q
         norm = frobenius_norm(residual if unit == 1.0 else residual / unit)
         if norm <= bound:

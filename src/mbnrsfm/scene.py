@@ -263,6 +263,8 @@ class EdgeOperator:
             weighted = self.EDGE_MULTIPLICITY * edges
             head += weighted
             tail -= weighted
+            # Freed before the next direction's is formed.
+            del weighted
         return out
 
 

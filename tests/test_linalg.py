@@ -83,6 +83,26 @@ class TestSoftThreshold:
         expected = np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
         assert np.array_equal(soft_threshold(x, tau), expected, equal_nan=True)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 3.0])
+    def test_in_place_form_equals_the_copying_form(self, tau):
+        # out=x shrinks x in its own buffer to the copying call's bits,
+        # dead-zone negatives at +0.0 included.
+        rng = np.random.default_rng(12)
+        x = rng.normal(scale=2.0, size=(12, 30))
+        x[0, :4] = [-0.0, -tau, np.nextafter(-tau, 0.0), -np.nextafter(tau, np.inf)]
+        expected = soft_threshold(x, tau)
+        assert soft_threshold(x, tau, out=x) is x
+        assert x.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("x,tau", [(0.5, 1.0), (-2.0, 0.5), (3.0, 0.0), (-0.25, 0.5),
+                                       (-0.0, 0.0), (7, 2.5)])
+    def test_scalar_calls_keep_the_two_pass_form(self, x, tau):
+        # Acceptance 1 checks scalar calls against its oracle: they return
+        # the numpy scalar x - clip(x, -tau, tau), bit for bit.
+        out = soft_threshold(x, tau)
+        reference = x - np.clip(x, -tau, tau)
+        assert type(out) is type(reference) and out.tobytes() == reference.tobytes()
+
     def test_negative_dead_zone_gives_positive_zero(self):
         out = soft_threshold(np.array([-0.25, 0.25]), 0.5)
         assert np.array_equal(out, [0.0, 0.0])
@@ -818,6 +838,29 @@ class TestIdentityOperandSylvester:
         x = solve_sylvester(CholeskyOperand(formed), IdentityOperand(15), q)
         oracle = solve_sylvester(SymmetricOperand(formed), SymmetricOperand(np.eye(15)), q)
         assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("kind", ["gram", "cholesky"])
+    def test_solve_and_residual_check_leave_their_inputs_unchanged(self, kind):
+        # The identity's product and rotation return their operand itself,
+        # so neither the Woodbury solve nor the residual check may write into
+        # it: q and x keep their bits through a solve, through a check that
+        # accepts x and through one that refines a perturbed x.
+        rng = np.random.default_rng(46)
+        m, formed = self.left_operands(rng, 3, 10)
+        a = GramOperand(m, COEFF_STABILIZER) if kind == "gram" else CholeskyOperand(formed)
+        b = IdentityOperand(10)
+        q = rng.normal(size=(10, 10))
+        q_bits = q.tobytes()
+        x = solve_sylvester(a, b, q)
+        perturbed = x + 1e-3
+        x_bits, perturbed_bits = x.tobytes(), perturbed.tobytes()
+        solve = mbnrsfm.linalg._BUILDERS[type(a), type(b)](a, b, None)
+        with mbnrsfm.linalg._quiet():
+            assert mbnrsfm.linalg._verified(a, b, q, x, None, correction=solve) is x
+            refined = mbnrsfm.linalg._verified(a, b, q, perturbed, None, correction=solve)
+        assert q.tobytes() == q_bits and x.tobytes() == x_bits
+        assert perturbed.tobytes() == perturbed_bits
+        assert np.abs(refined - x).max() <= 1e-9 * np.abs(x).max()
 
     @pytest.mark.parametrize("kind", ["gram", "cholesky"])
     def test_singular_pencil_names_the_pair(self, kind):

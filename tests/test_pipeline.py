@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbnrsfm import cli, fileio, pipeline
+from mbnrsfm import SolverConfig, cli, fileio, pipeline, solve
 from mbnrsfm.errors import ManifestError
 from mbnrsfm.fileio import read_labels, read_matrix, write_labels, write_matrix
 from mbnrsfm.metrics import segmentation_error
 from mbnrsfm.pipeline import RunManifest, load_manifest, manifest_from_dict, run_pipeline
-from mbnrsfm.scene import CameraMotion, project, to_frame_rows
+from mbnrsfm.scene import CameraMotion, build_neighbor_matrix, project, to_frame_rows
 from mbnrsfm.synth import (
     assemble_body, default_three_body, default_two_body, generate_scene, _smooth_random_camera,
 )
@@ -318,6 +318,27 @@ class TestPipelineRun:
         run_pipeline(manifest_from_dict(pipeline_manifest(first, seed=4)))
         run_pipeline(manifest_from_dict(pipeline_manifest(second, seed=4)))
         assert hash_tree(first) == hash_tree(second)
+
+    @pytest.mark.parametrize("frames,ppb,grid", [
+        (4, 10, [4, 5]),   # 3F + 1 = 13 < P = 20: Woodbury left operand
+        (10, 6, [3, 4]),   # 3F + 1 = 31 >= P = 12: formed left operand
+    ], ids=["woodbury", "formed"])
+    def test_byte_identical_grid_reruns(self, tmp_path, frames, ppb, grid):
+        # A grid sweep writes into the buffers it replaces: nothing of one
+        # run may leak into the next, in the artifacts or out of solve.
+        trees = []
+        for name in ("a", "b"):
+            data = {**pipeline_manifest(tmp_path / name),
+                    "synth": synth_block(frames=frames, ppb=ppb), "inputs": {"grid": grid}}
+            run_pipeline(manifest_from_dict(data))
+            trees.append(hash_tree(tmp_path / name))
+        assert trees[0] == trees[1] and "trace.csv" in trees[0]
+        scene = generate_scene(default_two_body(seed=3, frames=frames, points_per_body=ppb))
+        neighbors = build_neighbor_matrix(*grid)
+        (s1, c1, t1), (s2, c2, t2) = (solve(scene.w, scene.camera, neighbors, SolverConfig())
+                                      for _ in range(2))
+        assert s1.tobytes() == s2.tobytes() and c1.tobytes() == c2.tobytes()
+        assert vars(t1) == vars(t2) and len(t1) > 1
 
 
 class TestSolveFromFiles:
