@@ -135,8 +135,6 @@ MergedGram = KroneckerSumOperand | IdentityOperand
 # Diagonal shift that keeps the coefficient subproblem's left operand
 # strictly positive definite.
 COEFF_STABILIZER = 1e-10
-# Frames per batch of the initial backprojection (``pseudo_inverse_shapes``).
-PSEUDO_INVERSE_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -524,21 +522,14 @@ def objective_value(
 def pseudo_inverse_shapes(w: np.ndarray, camera: CameraMotion) -> np.ndarray:
     """Per-frame minimum-norm backprojection S_f = R_f^T (R_f R_f^T)^-1 W_f.
 
-    In batches of ``PSEUDO_INVERSE_BATCH`` frames: one ``np.linalg.solve`` on
-    the stack of 2 x 2 Grams R_f R_f^T and one stacked product with the
-    R_f^T, written into the output. Each frame takes the same operations as
-    alone, and only one batch's (k, 2, P) solve result lives beside the
-    (F, 3, P) output.
+    One ``np.linalg.solve`` on the (F, 2, 2) stack of Grams R_f R_f^T and
+    one stacked product with the R_f^T; each frame gets the bits it gets alone.
     """
     frames, points = camera.frames, w.shape[1]
     transposed = camera.blocks.swapaxes(1, 2)
     grams = np.matmul(camera.blocks, transposed)
-    rows = w.reshape(frames, 2, points)
-    out = np.empty((frames, 3, points))
-    for start in range(0, frames, PSEUDO_INVERSE_BATCH):
-        batch = slice(start, start + PSEUDO_INVERSE_BATCH)
-        np.matmul(transposed[batch], np.linalg.solve(grams[batch], rows[batch]), out=out[batch])
-    return out.reshape(3 * frames, points)
+    solved = np.linalg.solve(grams, w.reshape(frames, 2, points))
+    return np.matmul(transposed, solved).reshape(3 * frames, points)
 
 
 def solve(
@@ -554,9 +545,9 @@ def solve(
     C with its diagonal zeroed.
 
     ``neighbors`` is the grid's merged operator from
-    ``scene.build_neighbor_matrix``. ``neighbors=None`` drops the spatial
-    term: the merged operator is then the identity, held as ``merged=None``,
-    and the slack simply mirrors the coefficients.
+    ``scene.build_neighbor_matrix``; anything else but None raises TypeError.
+    ``neighbors=None`` drops the spatial term: the merged operator is then
+    the identity, held as ``merged=None``, and the slack mirrors C.
 
     Non-convergence within ``max_iters`` is not an error: the last
     iterate is returned with ``trace.converged`` False, and downstream
@@ -572,10 +563,12 @@ def solve(
             f"measurement matrix has {w.shape[0]} rows but camera has {frames} frames"
         )
     points = w.shape[1]
+    if neighbors is not None and not isinstance(neighbors, EdgeOperator):
+        raise TypeError("neighbors must be None or the EdgeOperator of "
+                        f"scene.build_neighbor_matrix, got {type(neighbors).__name__}")
     if neighbors is not None and neighbors.points != points:
-        raise ValueError(
-            f"neighbor matrix covers {neighbors.points} points, scene has {points}"
-        )
+        raise ValueError(f"neighbor grid {neighbors.height} x {neighbors.width} covers "
+                         f"{neighbors.points} points, scene has {points}")
     merged = neighbors
     slack_cols = points if merged is None else merged.columns
     merged_gram = _merged_gram(merged, points)

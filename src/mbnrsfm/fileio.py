@@ -27,9 +27,7 @@ threes and the point-cloud frames split them.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -123,40 +121,13 @@ class MatrixText:
 def format_matrix(matrix) -> MatrixText:
     """Format a finite matrix for MBNR1 files: the one place matrix values become text.
 
-    A square matrix equal to its transpose bit for bit, as the affinity
-    |C| + |C^T| is (IEEE addition commutes), has each value of its upper
-    triangle formatted once (``_symmetric_rows``).
+    Each value's repr, row by row. The symmetric affinity |C| + |C^T| needs
+    no other path: its mirrored values, equal bit for bit, give equal tokens.
     """
     mat = as_matrix(matrix, "matrix")
-    # Compared as integers: == on floats takes -0.0 for 0.0, whose reprs differ.
-    bits = mat.view(np.int64)
-    if mat.shape[0] == mat.shape[1] and np.array_equal(bits, bits.T):
-        return MatrixText(mat, _symmetric_rows(mat))
     # One row at a time: tolist() gives Python floats, whose repr is _fmt's,
     # without a whole-matrix list of floats in memory.
     return MatrixText(mat, [" ".join(map(repr, row.tolist())) for row in mat])
-
-
-def _symmetric_rows(mat: np.ndarray) -> list[str]:
-    """The data lines of a matrix equal to its transpose, each value formatted once.
-
-    Line i formats its values from the diagonal rightwards and slices the
-    ones left of it, the values (j, i), out of the lines above.
-    ``before[j * (n + 1) + c]`` is the total length of line j's tokens left
-    of column c; that token starts c characters (the spaces) later. Keeping
-    a token object per value until its mirror is written would add about
-    3 MB to the peak at n = 240; this int32 buffer and one line's tokens
-    add about 0.3 MB.
-    """
-    n = mat.shape[0]
-    lines, before = [], array("i", bytes(4 * n * (n + 1)))
-    for i, row in enumerate(mat):
-        tokens = [line[before[at] + i : before[at + 1] + i]
-                  for line, at in zip(lines, range(i, i * (n + 1), n + 1))]
-        tokens += map(repr, row[i:].tolist())
-        lines.append(" ".join(tokens))
-        before[i * (n + 1) + 1 : (i + 1) * (n + 1)] = array("i", accumulate(map(len, tokens)))
-    return lines
 
 
 def write_matrix(path, matrix) -> MatrixText:

@@ -51,7 +51,7 @@ largest magnitude, so the bound stays finite. Norms are
 
 All functions are pure, except that ``soft_threshold`` writes into an
 ``out`` it is given; an operand is computed once and never changed. The
-Woodbury solve and the residual check accumulate in place only into
+Woodbury solve and the residual check add in place only into
 arrays they made themselves, never into a product with or a rotation by an
 operand, which for an ``IdentityOperand`` is the input itself.
 """

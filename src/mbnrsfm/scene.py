@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * frame-row layout: F x 3P, row f is the concatenation
   [x_1..x_P | y_1..y_P | z_1..z_P] of frame f.
 
-Tracks are assumed zero-centered per frame (no translation); the CLI
-applies that centering when importing measurement files.
+Tracks are assumed zero-centered per frame (no translation). ``admm.solve``
+centres nothing: ``pipeline._acquire_scene`` row-centres every W, synth or
+file, and the solve and pipeline commands write the means to centering.mtx.
 
 Grid-organized tracks add a spatial term through ``EdgeOperator``, the
 merged operator [I | D_e] over the unique 4-neighbor edges of a row-major

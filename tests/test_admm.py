@@ -165,7 +165,7 @@ class TestStepsMatchCopyingFormulas:
 
     @pytest.mark.parametrize("seed,frames,points", [(84, 1, 3), (85, 30, 60), (86, 120, 20)])
     def test_pseudo_inverse_shapes(self, seed, frames, points):
-        # The batched solve and product give the per-frame loop's bits.
+        # The stacked solve and product give the per-frame loop's bits.
         _, camera, w, _ = small_problem(seed=seed, frames=frames, points=points)
         expected = np.empty((3 * frames, points))
         for f in range(frames):
@@ -949,6 +949,17 @@ class TestSolve:
         scene = generate_scene(default_two_body(frames=6, points_per_body=5))
         with pytest.raises(ValueError):
             solve(scene.w[:-2], scene.camera, None, SolverConfig())
+
+    @pytest.mark.parametrize("neighbors", [np.eye(10), (2, 5)], ids=["dense", "tuple"])
+    def test_neighbors_other_than_an_edge_operator_rejected(self, neighbors):
+        scene = generate_scene(default_two_body(frames=6, points_per_body=5))
+        with pytest.raises(TypeError, match="build_neighbor_matrix"):
+            solve(scene.w, scene.camera, neighbors, SolverConfig())
+
+    def test_grid_of_another_size_rejected(self):
+        scene = generate_scene(default_two_body(frames=6, points_per_body=5))
+        with pytest.raises(ValueError, match=r"neighbor grid 4 x 6 covers 24 points, scene has 10"):
+            solve(scene.w, scene.camera, build_neighbor_matrix(4, 6), SolverConfig())
 
     def test_bad_init_shape_rejected(self):
         scene = generate_scene(default_two_body(frames=6, points_per_body=5))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -74,3 +75,56 @@ def test_cold_import_leaves_out_scipy_optimize(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "import []"
     assert lines[-1] == "run 0 []"
+
+
+def _top_level_names(statement) -> set[str]:
+    """The names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if not isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        return set()
+    targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def _referenced_names(node) -> set[str]:
+    """Every name ``node`` reads: bare names, attributes and names imported from a module."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            found |= {alias.name for alias in child.names}
+    return found
+
+
+def test_no_unused_import_or_private_name():
+    # A dead-code guard, as no linter runs in CI: every module but
+    # __init__.py uses each name it imports, and each module-level _private
+    # name is read by some other module-level statement in the package, so a
+    # deleted path cannot leave its helpers or imports behind.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted((SRC / "mbnrsfm").glob("*.py"))}
+    reads = [(statement, _referenced_names(statement))
+             for tree in trees.values() for statement in tree.body]
+    unused_imports, unread_private = [], []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused_imports += [f"{module}: {name}" for name in bound if name not in used]
+        for statement in tree.body:
+            for name in _top_level_names(statement):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(name in names for other, names in reads if other is not statement):
+                    unread_private.append(f"{module}: {name}")
+    assert unused_imports == []
+    assert unread_private == []
