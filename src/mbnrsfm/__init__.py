@@ -4,7 +4,7 @@ spectral clustering of the learned self-expression coefficients."""
 
 from .admm import SolverConfig, SolverTrace, solve
 from .clustering import build_affinity, spectral_cluster
-from .errors import ManifestError, NumericalError, ParseError, SingularPencilError
+from .errors import ManifestError, NumericalError, ParseError
 from .metrics import (
     reconstruction_error,
     reconstruction_error_whole,
@@ -39,7 +39,6 @@ __all__ = [
     "NumericalError",
     "ParseError",
     "SceneData",
-    "SingularPencilError",
     "SolverConfig",
     "SolverTrace",
     "SynthConfig",

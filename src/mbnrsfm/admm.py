@@ -110,6 +110,7 @@ from .linalg import (
     IdentityOperand,
     KroneckerSumOperand,
     SymmetricOperand,
+    _quiet,
     diagonal_view,
     frobenius_norm,
     solve_sylvester,
@@ -313,16 +314,17 @@ def update_shapes(
     beta = state.duals.beta
     points = state.coeffs.shape[0]
     left = camera_gram.scaled(1.0 / beta, 1.0)
-    ic = np.eye(points) - state.coeffs
-    right = CholeskyOperand(ic @ ic.T)
-    # R^T W / beta + ginv(lowrank) + ginv(y_reshuffle) / beta
-    # - (y_selfexpr / beta)(I - C^T), summed left to right in place.
-    rhs = backprojected / beta
-    rhs += state.lowrank.reshape(rhs.shape)
-    scaled_dual = np.divide(state.duals.y_reshuffle.reshape(rhs.shape), beta)
-    rhs += scaled_dual
-    np.divide(state.duals.y_selfexpr, beta, out=scaled_dual)
-    rhs -= scaled_dual @ ic.T
+    with _quiet():
+        ic = np.eye(points) - state.coeffs
+        right = CholeskyOperand(ic @ ic.T)
+        # R^T W / beta + ginv(lowrank) + ginv(y_reshuffle) / beta
+        # - (y_selfexpr / beta)(I - C^T), summed left to right in place.
+        rhs = backprojected / beta
+        rhs += state.lowrank.reshape(rhs.shape)
+        scaled_dual = np.divide(state.duals.y_reshuffle.reshape(rhs.shape), beta)
+        rhs += scaled_dual
+        np.divide(state.duals.y_selfexpr, beta, out=scaled_dual)
+        rhs -= scaled_dual @ ic.T
     return solve_sylvester(left, right, rhs)
 
 
@@ -413,29 +415,32 @@ def solve_coeff_subproblem(
     """
     beta = state.duals.beta
     points = state.coeffs.shape[0]
-    # S^T (S + y_selfexpr / beta) + (E - y_slack / beta) D^T + 1 1^T
-    # - 1 y_colsum / beta, summed left to right in place; IEEE addition
-    # commutes, so y_selfexpr / beta + S is S + y_selfexpr / beta.
-    shifted = state.duals.y_selfexpr / beta
-    shifted += state.shapes
-    rhs = state.shapes.T @ shifted
-    del shifted
-    slack = state.duals.y_slack / beta
-    np.subtract(state.slack, slack, out=slack)
-    rhs += _times_merged_transpose(slack, merged)
-    del slack
-    rhs += 1.0
-    rhs -= state.duals.y_colsum / beta
-    m = np.empty((state.shapes.shape[0] + 1, points))
-    m[:-1] = state.shapes
-    m[-1] = 1.0
-    if m.shape[0] < points:
-        left = GramOperand(m, COEFF_STABILIZER)
-    else:
-        formed = m.T @ m
-        diagonal = diagonal_view(formed)
-        diagonal += COEFF_STABILIZER
-        left = (CholeskyOperand if merged is None else SymmetricOperand)(formed)
+    # S far from unit scale overflows the products, silently (``_quiet``):
+    # the operand or the solve then raises NumericalError.
+    with _quiet():
+        # S^T (S + y_selfexpr / beta) + (E - y_slack / beta) D^T + 1 1^T
+        # - 1 y_colsum / beta, summed left to right in place; IEEE addition
+        # commutes, so y_selfexpr / beta + S is S + y_selfexpr / beta.
+        shifted = state.duals.y_selfexpr / beta
+        shifted += state.shapes
+        rhs = state.shapes.T @ shifted
+        del shifted
+        slack = state.duals.y_slack / beta
+        np.subtract(state.slack, slack, out=slack)
+        rhs += _times_merged_transpose(slack, merged)
+        del slack
+        rhs += 1.0
+        rhs -= state.duals.y_colsum / beta
+        m = np.empty((state.shapes.shape[0] + 1, points))
+        m[:-1] = state.shapes
+        m[-1] = 1.0
+        if m.shape[0] < points:
+            left = GramOperand(m, COEFF_STABILIZER)
+        else:
+            formed = m.T @ m
+            diagonal = diagonal_view(formed)
+            diagonal += COEFF_STABILIZER
+            left = (CholeskyOperand if merged is None else SymmetricOperand)(formed)
     return solve_sylvester(left, merged_gram, rhs)
 
 

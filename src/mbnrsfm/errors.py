@@ -5,10 +5,6 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to produce a trustworthy result."""
 
 
-class SingularPencilError(NumericalError):
-    """A Sylvester solve hit a (near-)singular operator pencil."""
-
-
 class ParseError(Exception):
     """A data file violates the MBNR1 text format.
 

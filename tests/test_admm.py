@@ -1168,11 +1168,12 @@ class TestSolve:
         (6, 5, None, CholeskyOperand, IdentityOperand),
         (4, 10, None, GramOperand, IdentityOperand),    # P = 20 > 13: Woodbury
         (3, 6, (3, 4), GramOperand, KroneckerSumOperand),  # P = 12 > 10: Woodbury
-    ], ids=["sparse_narrow", "sparse_wide", "grid"])
+        (10, 6, (3, 4), SymmetricOperand, KroneckerSumOperand),  # P = 12 <= 31: formed
+    ], ids=["sparse_narrow", "sparse_wide", "grid", "grid_formed"])
     def test_sylvester_operand_types(self, monkeypatch, frames, per_body, grid, coeff_left,
                                      coeff_right):
-        # Which operand each of the two solves per sweep gets; all looked
-        # up on mbnrsfm.admm.
+        # Which operand each of the two solves per sweep gets, for all five
+        # pairs that solve reaches; all looked up on mbnrsfm.admm.
         calls = []
         original = mbnrsfm.admm.solve_sylvester
 

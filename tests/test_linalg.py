@@ -17,7 +17,7 @@ from conftest import (
 import mbnrsfm.admm
 import mbnrsfm.linalg
 from mbnrsfm.admm import COEFF_STABILIZER, solve_coeff_subproblem
-from mbnrsfm.errors import NumericalError, SingularPencilError
+from mbnrsfm.errors import NumericalError
 from mbnrsfm.linalg import (
     SVT_GRAM_MAX_RATIO,
     SYLVESTER_RTOL,
@@ -373,17 +373,12 @@ class TestSolveSylvester:
             residual = np.linalg.norm(a @ x + x @ b - q)
             assert residual <= 1e-8 * (1 + np.linalg.norm(q))
 
-    def test_singular_pencil_names_the_pair(self):
+    def test_singular_pencil_raises_numerical_error(self):
         a = np.diag([1.0, -3.0])
         b = np.diag([3.0, -1.0])
         q = np.ones((2, 2))
-        with pytest.raises(SingularPencilError) as err:
+        with pytest.raises(NumericalError, match="residual .* exceeds bound"):
             bartels_stewart(a, b, q)
-        message = str(err.value)
-        assert "eigenvalue" in message and "sum" in message
-
-    def test_singular_pencil_is_numerical_error(self):
-        assert issubclass(SingularPencilError, NumericalError)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -461,21 +456,19 @@ class TestSymmetricOperandSylvester:
         residual = np.linalg.norm(left @ x + x @ right - q)
         assert residual <= SYLVESTER_RTOL * (1 + np.linalg.norm(q))
 
-    def test_singular_pencil_names_the_pair(self):
+    def test_singular_pencil_raises_numerical_error(self):
+        # -3 + 3 = 0: the division by that sum leaves a non-finite solution.
         a = SymmetricOperand(np.diag([1.0, -3.0]))
         b = SymmetricOperand(np.diag([3.0, -1.0]))
-        with pytest.raises(SingularPencilError) as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(a, b, np.ones((2, 2)))
-        assert ("eigenvalue -3.0 of the left operand and 3.0 of the right "
-                "operand sum to 0.0") in str(err.value)
 
     def test_singular_pencil_in_a_block_stack(self):
         blocks = np.stack([np.eye(3), np.diag([1.0, 2.0, -2.0])])
         a = SymmetricOperand(blocks)
         b = SymmetricOperand(np.diag([2.0, 5.0]))
-        with pytest.raises(SingularPencilError) as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(a, b, np.ones((6, 2)))
-        assert "eigenvalue -2.0 of the left operand and 2.0" in str(err.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rhs_raises_numerical_error(self, bad):
@@ -484,9 +477,8 @@ class TestSymmetricOperandSylvester:
         b = SymmetricOperand(np.stack([random_spd(rng, 3), random_spd(rng, 3)]))
         q = rng.normal(size=(4, 6))
         q[2, 3] = bad
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(a, b, q)
-        assert not isinstance(err.value, SingularPencilError)
 
     def test_shape_is_the_full_matrix(self):
         assert SymmetricOperand(np.stack([np.eye(3)] * 4)).shape == (12, 12)
@@ -505,10 +497,15 @@ class TestSymmetricOperandSylvester:
                             np.zeros((2, 3)))
 
     @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros((2, 3, 3, 3)),
-                                        np.zeros((0, 0)), np.array([[np.nan]])])
+                                        np.zeros((0, 0))])
     def test_rejects_malformed_operands(self, matrix):
         with pytest.raises(ValueError):
             SymmetricOperand(matrix)
+
+    def test_nonfinite_operand_is_numerical_error(self):
+        # Operands are built from solver state: a non-finite entry is an overflow.
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            SymmetricOperand(np.array([[np.nan]]))
 
     @pytest.mark.parametrize("storage", ["stack", "dense"])
     def test_scaled_operand_equals_a_fresh_factorization(self, storage):
@@ -656,29 +653,35 @@ class TestGramOperandSylvester:
         direct = kron_solve(m.T @ m + 0.5 * np.eye(9), scipy.linalg.block_diag(*blocks), q)
         assert np.abs(x - direct).max() <= 1e-9 * (1 + np.abs(direct).max())
 
-    def test_singular_pencil_names_the_pair(self):
+    def test_singular_pencil_raises_numerical_error(self):
         # m^T m has eigenvalues 4 and 0 (twice); the shift moves them to 3 and
         # -1, and the right operand's 1 cancels the -1.
         a = GramOperand(np.array([[2.0, 0.0, 0.0]]), -1.0)
         b = SymmetricOperand(np.diag([1.0, 5.0, 6.0]))
-        with pytest.raises(SingularPencilError) as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(a, b, np.ones((3, 3)))
-        assert "eigenvalue -1.0 of the left operand and 1.0 of the right" in str(err.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_rhs_raises_numerical_error(self, bad):
         rng = np.random.default_rng(34)
         q = rng.normal(size=(8, 8))
         q[1, 2] = bad
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(GramOperand(coefficient_factor(rng, 3, 8), 1e-10),
                             SymmetricOperand(np.eye(8)), q)
-        assert not isinstance(err.value, SingularPencilError)
 
-    @pytest.mark.parametrize("factor", [np.zeros(4), np.zeros((0, 3)), np.array([[np.nan, 1.0]])])
+    @pytest.mark.parametrize("factor", [np.zeros(4), np.zeros((0, 3))])
     def test_rejects_malformed_factor(self, factor):
         with pytest.raises(ValueError):
             GramOperand(factor)
+
+    @pytest.mark.parametrize("factor", [[[np.nan, 1.0]], [[1e200, 1.0]]],
+                             ids=["nan", "gram_overflows"])
+    def test_nonfinite_gram_is_numerical_error(self, factor):
+        # The Gram of a finite factor can overflow; the coefficient step
+        # forms it under the solve's errstate, as here.
+        with mbnrsfm.linalg._quiet(), pytest.raises(NumericalError, match="non-finite entries"):
+            GramOperand(np.array(factor))
 
     @pytest.mark.parametrize("factor", [
         np.ones((4, 4)),
@@ -758,10 +761,9 @@ class TestKroneckerSumOperand:
         first, second = random_spd(rng, 3), random_spd(rng, 4)
         first[0, 2] += 1.0
         a = coefficient_operand(coefficient_factor(rng, rows, 12), 1e-10)
-        with pytest.raises(NumericalError, match="exceeds bound") as err:
+        with pytest.raises(NumericalError, match="exceeds bound"):
             solve_sylvester(a, KroneckerSumOperand(first, second),
                             rng.normal(size=(12, 12)))
-        assert not isinstance(err.value, SingularPencilError)
 
     @pytest.mark.parametrize("rows", [3, 15], ids=["woodbury", "eigenbases"])
     def test_mild_asymmetry_is_refined_against_the_terms(self, refinements, rows):
@@ -778,24 +780,28 @@ class TestKroneckerSumOperand:
         residual = (m.T @ m + 1e-10 * np.eye(12)) @ x + x @ kronecker_sum(first, second) - q
         assert np.linalg.norm(residual) <= SYLVESTER_RTOL * (1 + np.linalg.norm(q))
 
-    def test_singular_pencil_names_the_pair(self):
+    def test_singular_pencil_raises_numerical_error(self):
         # Eigenvalues 1 + 1 and 2 + 1 on the right; -3 on the left cancels 3.
         b = KroneckerSumOperand(np.diag([1.0, 2.0]), np.eye(1))
-        with pytest.raises(SingularPencilError) as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(SymmetricOperand(np.diag([1.0, -3.0])), b, np.ones((2, 2)))
-        assert "eigenvalue -3.0 of the left operand and 3.0 of the right" in str(err.value)
 
     @pytest.mark.parametrize("first,second", [
         (np.ones((2, 3)), np.eye(3)),
         (np.eye(2), np.zeros((0, 0))),
-        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)),
-        (np.eye(2), np.full((2, 2), np.inf)),
         (np.ones(4), np.eye(2)),
         (np.eye(2), np.ones((2, 2, 2))),
-    ], ids=["term_not_square", "empty_term", "nan_term", "inf_term", "one_dimensional_term",
-            "three_dimensional_term"])
+    ], ids=["term_not_square", "empty_term", "one_dimensional_term", "three_dimensional_term"])
     def test_rejects_malformed_operands(self, first, second):
         with pytest.raises(ValueError):
+            KroneckerSumOperand(first, second)
+
+    @pytest.mark.parametrize("first,second", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)),
+        (np.eye(2), np.full((2, 2), np.inf)),
+    ], ids=["nan_term", "inf_term"])
+    def test_nonfinite_term_is_numerical_error(self, first, second):
+        with pytest.raises(NumericalError, match="non-finite entries"):
             KroneckerSumOperand(first, second)
 
 
@@ -854,24 +860,26 @@ class TestIdentityOperandSylvester:
         x = solve_sylvester(a, b, q)
         perturbed = x + 1e-3
         x_bits, perturbed_bits = x.tobytes(), perturbed.tobytes()
-        solve = mbnrsfm.linalg._BUILDERS[type(a), type(b)](a, b, None)
+        solve = mbnrsfm.linalg._BUILDERS[type(a), type(b)](a, b)
         with mbnrsfm.linalg._quiet():
-            assert mbnrsfm.linalg._verified(a, b, q, x, None, correction=solve) is x
-            refined = mbnrsfm.linalg._verified(a, b, q, perturbed, None, correction=solve)
+            assert mbnrsfm.linalg._verified(a, b, q, x, correction=solve) is x
+            refined = mbnrsfm.linalg._verified(a, b, q, perturbed, correction=solve)
         assert q.tobytes() == q_bits and x.tobytes() == x_bits
         assert perturbed.tobytes() == perturbed_bits
         assert np.abs(refined - x).max() <= 1e-9 * np.abs(x).max()
 
-    @pytest.mark.parametrize("kind", ["gram", "cholesky"])
-    def test_singular_pencil_names_the_pair(self, kind):
+    @pytest.mark.parametrize("kind,detail", [
+        ("gram", "non-finite solution"),
+        ("cholesky", "left operand shifted by 1.0 is not positive definite"),
+    ], ids=["gram", "cholesky"])
+    def test_singular_pencil_raises_numerical_error(self, kind, detail):
         # Left eigenvalues 3 and -1 (twice): the identity's 1 cancels the -1.
         if kind == "gram":
             a = GramOperand(np.array([[2.0, 0.0, 0.0]]), -1.0)
         else:
             a = CholeskyOperand(np.diag([3.0, -1.0, -1.0]))
-        with pytest.raises(SingularPencilError) as err:
+        with pytest.raises(NumericalError, match=detail):
             solve_sylvester(a, IdentityOperand(3), np.ones((3, 3)))
-        assert "eigenvalue -1.0 of the left operand and 1.0 of the right" in str(err.value)
 
     @pytest.mark.parametrize("kind", ["gram", "cholesky"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -881,9 +889,8 @@ class TestIdentityOperandSylvester:
         a = GramOperand(m, COEFF_STABILIZER) if kind == "gram" else CholeskyOperand(formed)
         q = rng.normal(size=(8, 8))
         q[1, 2] = bad
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(a, IdentityOperand(8), q)
-        assert not isinstance(err.value, SingularPencilError)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -1043,16 +1050,15 @@ class TestShiftedCholeskySylvester:
         # error. The pencil itself is regular (smallest sum 1e-4).
         a = SymmetricOperand(np.diag([1.0, 1.0009]))
         b = CholeskyOperand(np.diag([-0.9999, 5.0]))
-        with pytest.raises(NumericalError, match="exceeds bound") as err:
+        with pytest.raises(NumericalError, match="exceeds bound"):
             solve_sylvester(a, b, np.ones((2, 2)))
-        assert not isinstance(err.value, SingularPencilError)
 
-    def test_singular_pencil_names_the_pair(self):
+    def test_singular_pencil_raises_numerical_error(self):
         a = SymmetricOperand(np.stack([np.eye(3), np.diag([1.0, 2.0, -2.0])]))
         b = CholeskyOperand(np.diag([2.0, 5.0]))
-        with pytest.raises(SingularPencilError) as err:
+        with pytest.raises(NumericalError,
+                           match="right operand shifted by -2.0 is not positive definite"):
             solve_sylvester(a, b, np.ones((6, 2)))
-        assert "eigenvalue -2.0 of the left operand and 2.0" in str(err.value)
 
     # Each route's operands: the shape problem's 3- and 6-row clusters are
     # both fewer than 10 points and both at least 3, and a plus-identity
@@ -1088,34 +1094,32 @@ class TestShiftedCholeskySylvester:
     @pytest.mark.parametrize("singular", [False, True],
                              ids=["regular-shifted_inverse", "singular-plus_identity"])
     def test_positive_dpotri_info_is_diagnosed_like_dpotrf(self, monkeypatch, singular):
-        # A positive dpotri info (a zero pivot in the factor) is diagnosed
-        # like dpotrf's: a regular pencil raises NumericalError naming the
-        # shifted operand, a singular one (a + I = diag(4, 2^-52)) raises
-        # SingularPencilError naming the pair.
+        # A positive dpotri info (a zero pivot in the factor) is raised like
+        # dpotrf's, as NumericalError naming the shifted operand, whether
+        # the pencil is regular or singular (a + I = diag(4, 2^-52)).
         original = scipy.linalg.lapack.dpotri
         monkeypatch.setattr(scipy.linalg.lapack, "dpotri",
                             lambda *args, **kwargs: (original(*args, **kwargs)[0], 1))
         if singular:
-            with pytest.raises(SingularPencilError, match="and 1.0 of the right operand"):
-                solve_sylvester(CholeskyOperand(np.diag([3.0, -1.0 + 2.0**-52])),
-                                IdentityOperand(2), np.ones((2, 2)))
+            problem = (CholeskyOperand(np.diag([3.0, -1.0 + 2.0**-52])),
+                       IdentityOperand(2), np.ones((2, 2)))
+            detail = "left operand shifted by 1.0 is not positive definite"
         else:
-            with pytest.raises(NumericalError, match="not positive definite") as err:
-                solve_sylvester(*self.route_problem("shifted-inverse"))
-            assert not isinstance(err.value, SingularPencilError)
+            problem = self.route_problem("shifted-inverse")
+            detail = "right operand shifted by .* is not positive definite"
+        with pytest.raises(NumericalError, match=detail):
+            solve_sylvester(*problem)
 
     @pytest.mark.parametrize("kind", ["shifted", "plus_identity"])
     def test_indefinite_regular_pencil_is_numerical_error(self, kind):
         # The shifted operand diag(-2, 3) is indefinite, so dpotrf stops with
-        # a positive info; no eigenvalue pair sums to zero, so the error is
-        # a NumericalError and not a SingularPencilError.
+        # a positive info, raised as NumericalError naming that operand.
         if kind == "shifted":
             a, b = SymmetricOperand(np.eye(2)), CholeskyOperand(np.diag([-3.0, 2.0]))
         else:
             a, b = CholeskyOperand(np.diag([-3.0, 2.0])), IdentityOperand(2)
-        with pytest.raises(NumericalError, match="not positive definite") as err:
+        with pytest.raises(NumericalError, match="not positive definite"):
             solve_sylvester(a, b, np.ones((2, 2)))
-        assert not isinstance(err.value, SingularPencilError)
 
     @staticmethod
     def poison_cholesky_solves(monkeypatch, routine, bad):
@@ -1139,9 +1143,8 @@ class TestShiftedCholeskySylvester:
         # non-finite entry makes the residual miss its bound, and the failure
         # is then named a non-finite solution of a regular pencil.
         self.poison_cholesky_solves(monkeypatch, self.APPLY[route], bad)
-        with pytest.raises(NumericalError, match="non-finite solution") as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(*self.route_problem(route))
-        assert not isinstance(err.value, SingularPencilError)
 
     @pytest.mark.parametrize("route,scale,poison", [
         ("shifted-solve", 1.0, False), ("shifted-solve", 1e300, False),
@@ -1154,7 +1157,7 @@ class TestShiftedCholeskySylvester:
     def test_singular_pencil_found_by_the_residual_check(self, monkeypatch, route, scale,
                                                          poison):
         # Each shifted operand factors, so the singular pencil shows only in
-        # the residual check.
+        # the residual check, which raises NumericalError with its detail.
         # - shifted: left eigenvalues -2 and -1.999 share one factor of
         #   b - 1.9995 I; -2 + 2 = 0, so refinement cannot meet the bound.
         #   Its two rows are fewer than the order 3 of diag(2, 5, 7) and as
@@ -1169,31 +1172,38 @@ class TestShiftedCholeskySylvester:
         if route == "plus_identity":
             a = CholeskyOperand(np.diag([3.0, -1.0 + 2.0**-52]))
             b = IdentityOperand(2)
-            pair = "and 1.0 of the right operand sum to 2.22"
         else:
             a = SymmetricOperand(np.diag([-2.0, -1.999]))
             b = CholeskyOperand(np.diag([2.0, 5.0, 7.0] if route == "shifted-solve"
                                         else [2.0, 5.0]))
-            pair = "eigenvalue -2.0 of the left operand and 2.0 of the right"
-        with pytest.raises(SingularPencilError, match=pair):
+        if poison or route == "plus_identity":
+            detail = "non-finite solution"
+        elif scale == 1.0:
+            detail = r"exceeds bound \d\.\d{3}e-08\)"
+        else:
+            detail = r"exceeds bound .* in units of max\|q\| = 1\.000e\+300"
+        with pytest.raises(NumericalError, match=detail):
             solve_sylvester(a, b, np.full((2, b.shape[0]), scale))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rhs_raises_numerical_error(self, bad):
         blocks, right, q = self.shape_problem(14, 1e-2, frames=3, points=5)
         q[4, 2] = bad
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(SymmetricOperand(blocks), CholeskyOperand(right), q)
-        assert not isinstance(err.value, SingularPencilError)
 
     def test_shape_is_the_matrix(self):
         assert CholeskyOperand(np.eye(4)).shape == (4, 4)
 
     @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros((2, 2, 2)),
-                                        np.zeros((0, 0)), np.array([[np.inf]])])
+                                        np.zeros((0, 0))])
     def test_rejects_malformed_operands(self, matrix):
         with pytest.raises(ValueError):
             CholeskyOperand(matrix)
+
+    def test_nonfinite_operand_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            CholeskyOperand(np.array([[np.inf]]))
 
     @pytest.mark.parametrize("pair", [
         "cholesky-symmetric", "cholesky-cholesky", "gram-cholesky",

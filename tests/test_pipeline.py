@@ -494,6 +494,27 @@ def metric_rows(path):
     return path.read_text().splitlines()[1:]
 
 
+class TestSolverOverflow:
+    @pytest.mark.parametrize("frames,per_body,grid,scale", [
+        (10, 8, None, 1e200), (4, 10, None, 1e200), (10, 6, "3x4", 1e200),
+        (10, 8, None, 1e307),
+    ], ids=["sparse_cholesky", "sparse_woodbury", "grid_formed", "shape_step"])
+    def test_overflowing_solve_exits_3(self, tmp_path, capsys, frames, per_body, grid, scale):
+        # W x 1e200: the coefficient step's S^T S overflows; W x 1e307: the
+        # shape step's R^T W / beta already does. The operands are built from
+        # solver state, so that is a numerical failure, not bad input, and no
+        # overflow warning escapes the solve (the suite turns a
+        # RuntimeWarning into an error).
+        scene = tmp_path / "scene"
+        assert cli.main(["synth", "--out", str(scene), "--frames", str(frames),
+                         "--points-per-body", str(per_body)]) == 0
+        write_matrix(scene / "W.mtx", scale * read_matrix(scene / "W.mtx"))
+        grid_flags = ["--grid", grid] if grid else []
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--clusters", "2",
+                         *grid_flags, *scene_flags(scene)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
 class TestOneLoaderOneScorer:
     """solve, pipeline and eval read through one loader and score through one scorer."""
 

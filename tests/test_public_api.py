@@ -29,7 +29,6 @@ def test_exports_are_the_solver_and_scene_api():
         "NumericalError",
         "ParseError",
         "SceneData",
-        "SingularPencilError",
         "SolverConfig",
         "SolverTrace",
         "SynthConfig",
