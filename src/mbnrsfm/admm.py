@@ -12,8 +12,19 @@ stack (a Sylvester equation), the low-rank copy (singular value
 thresholding), the sparsity slack (elementwise shrinkage), and the
 coefficients (a second Sylvester equation followed by exact diagonal
 zeroing), then performs dual ascent with a geometrically growing penalty
-capped at ``beta_max``. Convergence is declared when all four constraint
-residuals fall below ``epsilon`` in the elementwise max norm.
+capped at ``beta_max``. Convergence is declared when two tests pass on the
+same sweep. Feasibility: all four constraint residuals fall to ``epsilon``
+in the elementwise max norm. Drift: the iterate has stopped moving. The
+relative steps ||dS||_F / ||S||_F and ||dC||_F / ||C||_F of the sweep, the
+larger of them priced by rho / (rho - 1), fall to ``DRIFT_TOL``. The price
+is the geometric tail of a step that shrinks by 1 / rho per sweep, as it
+does while beta grows by rho: it is the change still to come. The residuals
+alone are no stop rule, since the growing beta pushes them down whether or
+not S and C have settled. ``epsilon`` is absolute; the drift is relative,
+so scale-free. ``_converged`` holds the rule, and the trace records the
+drift and the dual residuals beta ||dS||_F and beta ||dC||_F beside it.
+Each step of S and C is measured right after it, in the buffer of the
+iterate it replaced (``_step``), so the test holds no array of its own.
 
 The four constraint gaps are written out once, in ``constraint_gaps``, and
 ``solve`` evaluates them once per sweep, after the coefficient step and the
@@ -137,6 +148,10 @@ MergedGram = KroneckerSumOperand | IdentityOperand
 # strictly positive definite.
 COEFF_STABILIZER = 1e-10
 
+# The stop's bound on the drift, rho / (rho - 1) times the larger relative
+# step of S and C in a sweep (see the module docstring).
+DRIFT_TOL = 0.03
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -145,8 +160,11 @@ class SolverConfig:
     ``lambda1`` weighs the l1 sparsity term, ``lambda2`` the nuclear norm;
     ``lambda2=None`` resolves to 1/sqrt(3 * max(F, P)) at solve time. The
     penalty starts at ``beta0`` and grows by ``rho`` per iteration up to
-    ``beta_max``. These defaults are tuning starting points, not values
-    carried over from any reference; override freely.
+    ``beta_max``. ``epsilon`` bounds the max-abs primal residual at the
+    stop; the run stops on the first sweep that also has its drift within
+    the module's ``DRIFT_TOL``, a relative bound that no config changes.
+    These defaults are tuning starting points, not values carried over from
+    any reference; override freely.
 
     The ADMM is deterministic, so there is no seed here; the run manifest's
     ``seed`` drives scene generation and the k-means restarts of clustering.
@@ -157,7 +175,7 @@ class SolverConfig:
     beta0: float = 1e-2
     rho: float = 1.05
     beta_max: float = 1e6
-    epsilon: float = 1e-4
+    epsilon: float = 1e-3
     max_iters: int = 500
 
     def __post_init__(self):
@@ -238,10 +256,12 @@ class AdmmState:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration history: objective, the four residuals, and the penalty.
+    """Per-iteration history: objective, the residuals, the penalty and the drift.
 
-    Residual columns: r1 = reshuffle coupling, r2 = self-expression,
+    Primal residual columns: r1 = reshuffle coupling, r2 = self-expression,
     r3 = slack split, r4 = affine column sums (all elementwise max norms).
+    Dual residual columns: dual_s = beta ||dS||_F and dual_c = beta ||dC||_F,
+    with beta the penalty of the sweep. ``drift`` is the stop's drift.
     """
 
     iterations: list = field(default_factory=list)
@@ -251,9 +271,13 @@ class SolverTrace:
     r3: list = field(default_factory=list)
     r4: list = field(default_factory=list)
     beta: list = field(default_factory=list)
+    dual_s: list = field(default_factory=list)
+    dual_c: list = field(default_factory=list)
+    drift: list = field(default_factory=list)
     converged: bool = False
 
-    def append(self, iteration, objective, residuals, beta):
+    def append(self, iteration, objective, residuals, beta, steps, drift):
+        """One row; ``steps`` is (||dS||_F, ||dC||_F) of the sweep."""
         self.iterations.append(iteration)
         self.objective.append(objective)
         r1, r2, r3, r4 = residuals
@@ -262,6 +286,10 @@ class SolverTrace:
         self.r3.append(r3)
         self.r4.append(r4)
         self.beta.append(beta)
+        shape_step, coeff_step = steps
+        self.dual_s.append(beta * shape_step)
+        self.dual_c.append(beta * coeff_step)
+        self.drift.append(drift)
 
     def __len__(self):
         return len(self.iterations)
@@ -482,6 +510,33 @@ def constraint_residuals(gaps: tuple) -> tuple:
     return tuple(abs(max(gap.max(), -gap.min())) for gap in gaps)
 
 
+def _step(new: np.ndarray, old: np.ndarray) -> tuple[float, float]:
+    """(||new - old||_F, ||new - old||_F / ||new||_F): a sweep's step and relative step.
+
+    The difference is formed in ``old``'s buffer, which it uses up. Far
+    from unit scale the squares overflow to inf, silently (``_quiet``); the
+    next Sylvester solve then fails on the same overflow. A zero or
+    overflowed ||new||_F gives an infinite relative step: such an iterate
+    is not settled.
+    """
+    with _quiet():
+        norm = frobenius_norm(new)
+        step = frobenius_norm(np.subtract(new, old, out=old))
+    return step, step / norm if 0 < norm < inf else inf
+
+
+def _converged(residuals: tuple, relative_steps: tuple, config: SolverConfig
+               ) -> tuple[float, bool]:
+    """The drift of a sweep, and whether the run stops after it.
+
+    The drift is rho / (rho - 1) times the larger relative step of S and C.
+    The run stops when the max primal residual is at most ``epsilon`` and
+    the drift at most ``DRIFT_TOL``.
+    """
+    drift = config.rho / (config.rho - 1.0) * max(relative_steps)
+    return drift, max(residuals) <= config.epsilon and drift <= DRIFT_TOL
+
+
 def update_duals(duals: DualState, gaps: tuple, config: SolverConfig) -> DualState:
     """Dual ascent y + beta * gap on all four constraints, then the capped penalty growth.
 
@@ -600,20 +655,27 @@ def solve(
     trace = SolverTrace()
 
     for iteration in range(1, config.max_iters + 1):
+        previous = state.shapes
         state.shapes = update_shapes(state, camera_gram, backprojected)
+        shape_step, shape_change = _step(state.shapes, previous)
         state.lowrank, spectrum = update_lowrank(state, config)
         state.slack = update_slack(state, merged, config)
+        previous = state.coeffs
         state.coeffs = update_coefficients(state, merged, merged_gram)
+        coeff_step, coeff_change = _step(state.coeffs, previous)
+        del previous
         # The objective is a pure function of the state: taken before the
         # gaps, its |E| temporary is freed before they are formed.
         objective = objective_value(w, camera, state, config, spectrum, merged)
         gaps = constraint_gaps(state, merged)
         residuals = constraint_residuals(gaps)
-        trace.append(iteration, objective, residuals, state.duals.beta)
+        drift, converged = _converged(residuals, (shape_change, coeff_change), config)
+        trace.append(iteration, objective, residuals, state.duals.beta,
+                     (shape_step, coeff_step), drift)
         state.duals = update_duals(state.duals, gaps, config)
         # Freed now so the gaps never coexist with the next sweep's temporaries.
         del gaps
-        if max(residuals) <= config.epsilon:
+        if converged:
             trace.converged = True
             break
 

@@ -34,7 +34,8 @@ def _add_solver_flags(parser):
     parser.add_argument("--beta0", type=float, default=None, help="initial penalty")
     parser.add_argument("--rho", type=float, default=None, help="penalty growth factor")
     parser.add_argument("--beta-max", type=float, default=None, help="penalty cap")
-    parser.add_argument("--epsilon", type=float, default=None, help="convergence tolerance")
+    parser.add_argument("--epsilon", type=float, default=None,
+                        help="max-abs primal residual tolerance")
     parser.add_argument("--max-iters", type=int, default=None, help="iteration cap")
 
 

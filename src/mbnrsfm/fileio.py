@@ -211,7 +211,8 @@ def read_labels(path) -> np.ndarray:
 
 # trace.csv columns, in order: (header, SolverTrace attribute, value formatter).
 _TRACE_COLUMNS = [("iteration", "iterations", str)] + [
-    (name, name, _fmt) for name in ("objective", "r1", "r2", "r3", "r4", "beta")
+    (name, name, _fmt)
+    for name in ("objective", "r1", "r2", "r3", "r4", "beta", "dual_s", "dual_c", "drift")
 ]
 
 

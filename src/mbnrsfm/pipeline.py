@@ -24,10 +24,11 @@ every file input is a regular file, and that the scene has one source: a
 synth block (not on eval) or the files ``w`` and ``rotations`` (which may
 be "rigid-init"), never both. So a rejected manifest creates no output
 directory. The checks that need the scene run after it is read or
-generated and before any artifact is written: W has the 2F rows of the
-rotations' F frames, ``s_gt``, ``init_s`` and ``s_est`` are 3F x P,
-``labels_gt`` and ``labels_est`` hold P labels, the grid covers the
-points, and a pipeline's cluster count is at most its point count.
+generated and before any artifact is written: W centres without
+overflow and has the 2F rows of the rotations' F frames, ``s_gt``,
+``init_s`` and ``s_est`` are 3F x P, ``labels_gt`` and ``labels_est`` hold
+P labels, the grid covers the points, and a pipeline's cluster count is at
+most its point count.
 
 Exit-code policy (applied by the CLI): 0 success, 2 parse error,
 3 numerical failure, 4 bad manifest. Non-convergence is not a failure; the
@@ -348,8 +349,9 @@ def run_pipeline(manifest: RunManifest) -> dict:
 def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
     """Generate or read the scene and every input the manifest names, checked against W.
 
-    W comes back row-centred, next to its row ``means``. A synth scene's
-    ground truth is written to ``out`` once every check has passed.
+    W comes back row-centred, next to its row ``means``; a W whose centring
+    overflows raises ManifestError. A synth scene's ground truth is written
+    to ``out`` once every check has passed.
     """
     inputs = manifest.inputs
     scene = dict.fromkeys(("w", "means", "camera", "neighbors", *_SHAPE_INPUTS, *_LABEL_INPUTS))
@@ -361,8 +363,13 @@ def _acquire_scene(manifest: RunManifest, out: Path | None) -> dict:
     else:
         w = fileio.read_matrix(inputs["w"]) if "w" in inputs else None
     if w is not None:
-        scene["means"] = w.mean(axis=1, keepdims=True)
-        scene["w"] = w - scene["means"]
+        # Near the float maximum the row sums, or the centred entries,
+        # overflow: that is bad input, refused here without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scene["means"] = w.mean(axis=1, keepdims=True)
+            scene["w"] = w - scene["means"]
+        if not (np.isfinite(scene["means"]).all() and np.isfinite(scene["w"]).all()):
+            raise ManifestError("centring W overflows the float range: scale W down")
     if "rotations" in inputs:
         rotations = inputs["rotations"]
         scene["camera"] = (estimate_rigid_rotations(scene["w"]) if rotations == RIGID_INIT

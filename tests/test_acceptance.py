@@ -26,7 +26,7 @@ from mbnrsfm import (
     generate_scene,
     solve,
 )
-from mbnrsfm.admm import solve_coeff_subproblem, update_slack
+from mbnrsfm.admm import DRIFT_TOL, solve_coeff_subproblem, update_slack
 from mbnrsfm.clustering import build_affinity, spectral_cluster
 from mbnrsfm.fileio import read_labels, read_matrix
 from mbnrsfm.linalg import soft_threshold, svt
@@ -186,10 +186,11 @@ def test_criterion_3_convergence_on_default_scene():
     curve = trace.max_residuals()
     ok = (trace.converged and len(trace) <= 500
           and curve[-1] <= cfg.epsilon and curve[-1] < curve[0]
+          and trace.drift[-1] <= DRIFT_TOL
           and elapsed < 120.0)
     report(3, "convergence on the default scene", ok,
            f"({len(trace)} iterations, residual {curve[0]:.2e} -> {curve[-1]:.2e}, "
-           f"{elapsed:.1f}s)")
+           f"drift {trace.drift[-1]:.2e}, {elapsed:.1f}s)")
 
 
 def test_criterion_4_joint_reconstruction_and_segmentation():

@@ -27,8 +27,11 @@ from mbnrsfm.admm import (
     COEFF_STABILIZER,
     AdmmState,
     DualState,
+    DRIFT_TOL,
     SolverConfig,
+    _converged,
     _merged_gram,
+    _step,
     constraint_gaps,
     constraint_residuals,
     objective_value,
@@ -49,6 +52,7 @@ from mbnrsfm.linalg import (
     IdentityOperand,
     KroneckerSumOperand,
     SymmetricOperand,
+    frobenius_norm,
     soft_threshold,
     solve_sylvester,
     svt,
@@ -651,6 +655,15 @@ def eigenbasis_coefficient_step(state, merged):
     return coeffs
 
 
+def stops(residuals, previous, state, cfg):
+    """``solve``'s stop rule after an oracle sweep.
+
+    ``previous`` is the (S, C) pair that the sweep replaced; it is used up.
+    """
+    changes = (_step(state.shapes, previous[0])[1], _step(state.coeffs, previous[1])[1])
+    return _converged(residuals, changes, cfg)[1]
+
+
 def eigenbasis_sweep(w, camera, merged, cfg):
     """A whole ADMM run over the eigenbasis oracles; returns (state, iterations)."""
     points, frames = w.shape[1], camera.frames
@@ -664,13 +677,14 @@ def eigenbasis_sweep(w, camera, merged, cfg):
     )
     operator = DenseMerged(merged)
     for iteration in range(1, cfg.max_iters + 1):
+        previous = state.shapes, state.coeffs
         state.shapes = eigenbasis_shape_step(state, w, camera)
         state.lowrank, _ = update_lowrank(state, cfg)
         state.slack = update_slack(state, operator, cfg)
         state.coeffs = eigenbasis_coefficient_step(state, merged)
         residuals = constraint_residuals(constraint_gaps(state, operator))
         state.duals = update_duals(state.duals, constraint_gaps(state, operator), cfg)
-        if max(residuals) <= cfg.epsilon:
+        if stops(residuals, previous, state, cfg):
             return state, iteration
     return state, cfg.max_iters
 
@@ -760,7 +774,7 @@ class TestSolverConfig:
         "lambda1", "lambda2", "beta0", "rho", "beta_max", "epsilon",
     ])
     def test_rejects_infinity(self, field):
-        # epsilon=inf would report convergence after one sweep; infinite
+        # epsilon=inf would leave the stop to the drift test alone; infinite
         # weights or penalties drive the objective to NaN.
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: float("inf")})
@@ -835,13 +849,14 @@ class TestSolve:
         )
         merged_gram = _merged_gram(merged, points)
         for iteration in range(1, cfg.max_iters + 1):
+            previous = state.shapes, state.coeffs
             state.shapes = shape_step(state, scene.w, scene.camera)
             state.lowrank, _ = update_lowrank(state, cfg)
             state.slack = update_slack(state, merged, cfg)
             state.coeffs = update_coefficients(state, merged, merged_gram)
             residuals = constraint_residuals(constraint_gaps(state, merged))
             state.duals = update_duals(state.duals, constraint_gaps(state, merged), cfg)
-            if max(residuals) <= cfg.epsilon:
+            if stops(residuals, previous, state, cfg):
                 return state, iteration
         return state, cfg.max_iters
 
@@ -893,11 +908,51 @@ class TestSolve:
         assert len(trace) == 3 and not trace.converged
 
     def test_trace_crosses_epsilon_only_at_the_end(self, default_run):
+        # The run stops on the first sweep whose residual is within epsilon
+        # and whose drift is within DRIFT_TOL: every earlier row misses one.
         _, _, _, trace = default_run
         curve = trace.max_residuals()
         eps = SolverConfig().epsilon
-        assert curve[-1] <= eps
-        assert all(value > eps for value in curve[:-1])
+        assert curve[-1] <= eps and trace.drift[-1] <= DRIFT_TOL
+        assert all(value > eps or drift > DRIFT_TOL
+                   for value, drift in zip(curve[:-1], trace.drift[:-1]))
+
+    def test_drift_holds_the_stop_after_the_residual_passes(self, default_run):
+        # Not vacuous on the stock scene: the residual is within epsilon
+        # sweeps before the drift is, so the drift test ends the run.
+        _, _, _, trace = default_run
+        eps = SolverConfig().epsilon
+        held = [d for r, d in zip(trace.max_residuals(), trace.drift) if r <= eps]
+        assert len(held) > 1 and all(d > DRIFT_TOL for d in held[:-1])
+
+    def test_trace_dual_residuals_and_drift_are_the_sweep_steps(self):
+        # Sweep k's row holds beta_k ||S_k - S_{k-1}||_F, the same for C, and
+        # rho / (rho - 1) times the larger relative step: recomputed here
+        # from the iterates of runs cut after k - 1 and k sweeps.
+        scene = generate_scene(default_two_body(frames=6, points_per_body=5))
+        cfg = SolverConfig()
+        k = 6
+        (s0, c0, _), (s1, c1, trace) = (
+            solve(scene.w, scene.camera, None, replace(cfg, max_iters=n)) for n in (k - 1, k))
+        shape_step, coeff_step = frobenius_norm(s1 - s0), frobenius_norm(c1 - c0)
+        assert trace.dual_s[-1] == trace.beta[-1] * shape_step
+        assert trace.dual_c[-1] == trace.beta[-1] * coeff_step
+        relative = max(shape_step / frobenius_norm(s1), coeff_step / frobenius_norm(c1))
+        assert trace.drift[-1] == cfg.rho / (cfg.rho - 1.0) * relative
+        assert len(trace.dual_s) == len(trace.dual_c) == len(trace.drift) == k
+
+    def test_a_zero_iterate_is_not_settled(self):
+        # A zero ||X|| reads as an infinite relative step, with no NaN and
+        # no warning (the suite turns a RuntimeWarning into an error).
+        old = np.zeros((4, 4))
+        assert _step(np.zeros((4, 4)), old) == (0.0, np.inf)
+        drift, stop = _converged((0.0,) * 4, (0.0, np.inf), SolverConfig())
+        assert drift == np.inf and not stop
+
+    def test_step_writes_the_difference_over_the_old_iterate(self):
+        new, old = np.array([[3.0, 8.0]]), np.array([[0.0, 4.0]])
+        assert _step(new, old) == (5.0, 5.0 / np.sqrt(73.0))
+        np.testing.assert_array_equal(old, [[3.0, 4.0]])
 
     def test_each_update_weakly_decreases_the_lagrangian(self):
         # Every primal update is the exact minimizer of the augmented
@@ -994,7 +1049,7 @@ class TestSolve:
         """Sweeps over the update functions with the dense P x 5P [I | D].
 
         Yields (iteration, state) after each dual step, and stops after the
-        sweep whose residuals fall below epsilon.
+        sweep that meets ``solve``'s stop rule.
         """
         points = scene.w.shape[1]
         frames = scene.camera.frames
@@ -1009,14 +1064,16 @@ class TestSolve:
             duals=DualState.zeros(frames, points, 5 * points, cfg.beta0),
         )
         for iteration in range(1, cfg.max_iters + 1):
+            previous = state.shapes, state.coeffs
             state.shapes = shape_step(state, scene.w, scene.camera)
             state.lowrank, _ = update_lowrank(state, cfg)
             state.slack = update_slack(state, merged, cfg)
             state.coeffs = update_coefficients(state, merged, merged_gram)
             residuals = constraint_residuals(constraint_gaps(state, merged))
             state.duals = update_duals(state.duals, constraint_gaps(state, merged), cfg)
+            stop = stops(residuals, previous, state, cfg)
             yield iteration, state
-            if max(residuals) <= cfg.epsilon:
+            if stop:
                 return
 
     @pytest.mark.parametrize("frames,per_body,grid", [

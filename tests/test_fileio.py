@@ -300,14 +300,16 @@ class TestLabelFormat:
 class TestAuxiliaryWriters:
     def test_trace_csv_rows(self, tmp_path):
         trace = SolverTrace()
-        trace.append(1, 10.0, (1.0, 0.5, 0.25, 0.125), 0.01)
-        trace.append(2, 9.0, (0.9, 0.4, 0.2, 0.1), 0.011)
+        trace.append(1, 10.0, (1.0, 0.5, 0.25, 0.125), 0.5, (3.0, 5.0), float("inf"))
+        trace.append(2, 9.0, (0.9, 0.4, 0.2, 0.1), 0.525, (2.0, 4.0), 0.75)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,objective,r1,r2,r3,r4,beta"
+        assert lines[0] == "iteration,objective,r1,r2,r3,r4,beta,dual_s,dual_c,drift"
         assert len(lines) == 3
-        assert lines[1].startswith("1,10.0,1.0,0.5,0.25,0.125,")
+        # dual_s and dual_c are beta times the steps of S and C.
+        assert lines[1] == "1,10.0,1.0,0.5,0.25,0.125,0.5,1.5,2.5,inf"
+        assert lines[2] == "2,9.0,0.9,0.4,0.2,0.1,0.525,1.05,2.1,0.75"
 
     def test_metrics_csv_rendering(self, tmp_path):
         path = tmp_path / "metrics.csv"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mbnrsfm import SolverConfig, cli, fileio, pipeline, solve
+from mbnrsfm.admm import DRIFT_TOL
 from mbnrsfm.errors import ManifestError
 from mbnrsfm.fileio import read_labels, read_matrix, write_labels, write_matrix
 from mbnrsfm.metrics import segmentation_error
@@ -298,9 +299,11 @@ class TestPipelineRun:
 
     def test_converged_flag_consistent_with_trace(self, finished):
         out, summary = finished
-        last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
-        max_residual = max(float(v) for v in last[2:6])
-        assert summary["metrics"]["converged"] == (max_residual <= 1e-4)
+        header, *_, last = (out / "trace.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), map(float, last.split(","))))
+        max_residual = max(row[name] for name in ("r1", "r2", "r3", "r4"))
+        assert summary["metrics"]["converged"] == (
+            max_residual <= SolverConfig().epsilon and row["drift"] <= DRIFT_TOL)
 
     def test_zero_iteration_budget_emits_initialization(self, tmp_path):
         manifest = manifest_from_dict(
@@ -513,6 +516,23 @@ class TestSolverOverflow:
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--clusters", "2",
                          *grid_flags, *scene_flags(scene)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frames,per_body,grid", [(4, 10, None), (10, 6, "3x4")],
+                             ids=["sparse", "grid"])
+    def test_w_near_the_float_maximum_exits_4(self, tmp_path, capsys, frames, per_body, grid):
+        # Centring W takes its row sums, which overflow near the float
+        # maximum: that is refused as bad input, before any solve and with
+        # no overflow warning (the suite turns a RuntimeWarning into an error).
+        scene = tmp_path / "scene"
+        assert cli.main(["synth", "--out", str(scene), "--frames", str(frames),
+                         "--points-per-body", str(per_body)]) == 0
+        w = read_matrix(scene / "W.mtx")
+        write_matrix(scene / "W.mtx", w / np.abs(w).max() * 1.7e308)
+        grid_flags = ["--grid", grid] if grid else []
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--clusters", "2",
+                         *grid_flags, *scene_flags(scene)]) == 4
+        assert "[scene] centring W overflows" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "centering.mtx").exists()
 
 
 class TestOneLoaderOneScorer:
