@@ -393,17 +393,13 @@ class IdentityOperand:
         return self.n, self.n
 
 
-# Operands held with their matrix, which products apply directly.
-_MATRIX_OPERANDS = (SymmetricOperand, CholeskyOperand)
-
-
 def _left(op, x: np.ndarray) -> np.ndarray:
     """``op @ x`` for a left operand of ``_BUILDERS``, a dense matrix or a (k, m, m) block stack."""
     if isinstance(op, GramOperand):
         out = op.factor.T @ (op.factor @ x)
         out += op.shift * x
         return out
-    if isinstance(op, _MATRIX_OPERANDS):
+    if isinstance(op, (SymmetricOperand, CholeskyOperand)):
         op = op.matrix
     if op.ndim == 2:
         return op @ x
@@ -412,18 +408,14 @@ def _left(op, x: np.ndarray) -> np.ndarray:
 
 
 def _right(x: np.ndarray, op) -> np.ndarray:
-    """``x @ op`` for a right operand of ``_BUILDERS``, a dense matrix or a (k, m, m) block stack."""
+    """``x @ op`` for a right operand of ``_BUILDERS`` or a dense matrix."""
     if isinstance(op, IdentityOperand):
         return x
     if isinstance(op, KroneckerSumOperand):
         return _kronecker_sum_right(x, op.first, op.second)
-    if isinstance(op, _MATRIX_OPERANDS):
+    if isinstance(op, CholeskyOperand):
         op = op.matrix
-    if op.ndim == 2:
-        return x @ op
-    k, m, _ = op.shape
-    per_block = np.matmul(x.reshape(-1, k, m).swapaxes(0, 1), op)
-    return per_block.swapaxes(0, 1).reshape(x.shape[0], k * m)
+    return x @ op
 
 
 def _kronecker_right(x: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -457,22 +449,18 @@ def _kronecker_sum_right(x: np.ndarray, first: np.ndarray, second: np.ndarray) -
 
 
 def _into_eigenbasis(x: np.ndarray, op) -> np.ndarray:
-    """``x @ V`` for V the eigenvectors of a SymmetricOperand, a
-    KroneckerSumOperand or an IdentityOperand (V = I: ``x`` itself)."""
+    """``x @ V`` for V the eigenvectors of a KroneckerSumOperand or an
+    IdentityOperand (V = I: ``x`` itself)."""
     if isinstance(op, IdentityOperand):
         return x
-    if isinstance(op, KroneckerSumOperand):
-        return _kronecker_right(x, *op.bases)
-    return _right(x, op.eigenvectors)
+    return _kronecker_right(x, *op.bases)
 
 
 def _out_of_eigenbasis(x: np.ndarray, op) -> np.ndarray:
     """``x @ V^T``, undoing ``_into_eigenbasis``."""
     if isinstance(op, IdentityOperand):
         return x
-    if isinstance(op, KroneckerSumOperand):
-        return _kronecker_right(x, *(basis.T for basis in op.bases))
-    return _right(x, op.eigenvectors.swapaxes(-1, -2))
+    return _kronecker_right(x, *(basis.T for basis in op.bases))
 
 
 def _check_operand_shapes(a_shape, b_shape, q_shape) -> None:
@@ -496,23 +484,22 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     a positive-semidefinite right one), so every eigenvalue pair sums to at
     least 1.
 
-    The operand pair picks the method (``_BUILDERS``). ``admm.solve``
-    reaches five pairs: (Symmetric, Cholesky) in the shape step, and in the
-    coefficient step (Gram, Identity) or (Cholesky, Identity) without a
-    spatial term, (Gram, KroneckerSum) or (Symmetric, KroneckerSum) on a
-    grid. (Symmetric, Symmetric) and (Gram, Symmetric) serve only the
-    tests, which form the merged-operator Gram as one SymmetricOperand
-    (``DenseMerged`` in ``tests/conftest.py``).
+    The operand pair picks the method (``_BUILDERS``). It holds the five
+    pairs ``admm.solve`` reaches: (Symmetric, Cholesky) in the shape step,
+    and in the coefficient step (Gram, Identity) or (Cholesky, Identity)
+    without a spatial term, (Gram, KroneckerSum) or (Symmetric,
+    KroneckerSum) on a grid. A dense symmetric right operand B is the
+    one-term sum ``KroneckerSumOperand(B, np.zeros((1, 1)))``.
 
-    * ``a`` a SymmetricOperand, ``b`` a SymmetricOperand or a
-      KroneckerSumOperand: with ``a = U diag(l) U^T`` and
-      ``b = V diag(m) V^T``, ``x = U [(U^T q V) / (l_i + m_j)] V^T``, using
-      the stored factorizations. Block-stack operands are applied per
-      block; for a KroneckerSumOperand V is ``kron(V_first, V_second)``,
-      applied by two small products and never formed.
-    * ``a`` a GramOperand, ``b`` a SymmetricOperand, a KroneckerSumOperand
-      or an IdentityOperand (V = I, every m_j = 1): column j of ``q V`` is
-      solved against ``m^T m + (shift + m_j) I`` by the Woodbury identity.
+    * ``a`` a SymmetricOperand, ``b`` a KroneckerSumOperand: with
+      ``a = U diag(l) U^T`` and ``b = V diag(m) V^T``,
+      ``x = U [(U^T q V) / (l_i + m_j)] V^T``, using the stored
+      factorizations. A block-stack ``a`` is applied per block; V is
+      ``kron(V_first, V_second)``, applied by two small products and never
+      formed.
+    * ``a`` a GramOperand, ``b`` a KroneckerSumOperand or an IdentityOperand
+      (V = I, every m_j = 1): column j of ``q V`` is solved against
+      ``m^T m + (shift + m_j) I`` by the Woodbury identity.
     * ``a`` a SymmetricOperand, ``b`` a CholeskyOperand: row i of ``U^T q``
       is solved against ``b + l_i I`` through the Cholesky factor of ``b``
       shifted by the center of the cluster holding l_i (eigenvalues within
@@ -587,8 +574,8 @@ def _quiet():
     return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _in_eigenbases(a: SymmetricOperand, b):
-    """A SymmetricOperand left of a SymmetricOperand or a KroneckerSumOperand."""
+def _in_eigenbases(a: SymmetricOperand, b: KroneckerSumOperand):
+    """A SymmetricOperand left of a KroneckerSumOperand."""
     u = a.eigenvectors
     sums = a.eigenvalues[:, None] + b.eigenvalues[None, :]
 
@@ -600,7 +587,7 @@ def _in_eigenbases(a: SymmetricOperand, b):
 
 
 def _woodbury(a: GramOperand, b):
-    """A GramOperand left of a SymmetricOperand, a KroneckerSumOperand or the identity."""
+    """A GramOperand left of a KroneckerSumOperand or the identity."""
     basis = a.eigenvectors
     shifts = a.shift + b.eigenvalues
     sums = a.eigenvalues[:, None] + shifts
@@ -706,12 +693,9 @@ def _check_factor(routine: str, info: int, shape, detail: str) -> None:
 # The builder of each structured (left, right) operand pair: given the operands,
 # it returns a function that solves the pair for any right-hand side without
 # changing it, which ``solve_sylvester`` applies to ``q`` and, in refinement,
-# to residuals. ``admm.solve`` reaches five pairs; (Symmetric, Symmetric) and
-# (Gram, Symmetric) serve only the tests' formed merged-operator Gram.
+# to residuals. These are the five pairs ``admm.solve`` reaches.
 _BUILDERS = {
-    (SymmetricOperand, SymmetricOperand): _in_eigenbases,
     (SymmetricOperand, KroneckerSumOperand): _in_eigenbases,
-    (GramOperand, SymmetricOperand): _woodbury,
     (GramOperand, KroneckerSumOperand): _woodbury,
     (GramOperand, IdentityOperand): _woodbury,
     (SymmetricOperand, CholeskyOperand): _shifted_cholesky_rows,
@@ -730,7 +714,7 @@ def _verified(a, b, q, x, correction) -> np.ndarray:
     """Return ``x`` if it meets the residual bound, refined as
     ``solve_sylvester`` describes; else raise NumericalError.
 
-    ``a`` and ``b`` are operands, dense matrices or block stacks.
+    ``a`` and ``b`` are a ``_BUILDERS`` pair or two dense matrices.
     ``correction`` maps a residual to the solution error it implies: every
     structured solve passes its own solve. The tests' Bartels-Stewart
     oracle (``tests/conftest.py``) passes None and is not refined. The

@@ -24,7 +24,7 @@ from mbnrsfm.admm import (
     update_shapes,
 )
 from mbnrsfm.errors import NumericalError
-from mbnrsfm.linalg import SymmetricOperand
+from mbnrsfm.linalg import KroneckerSumOperand
 
 
 @pytest.fixture(scope="session")
@@ -83,12 +83,20 @@ def identity_merged(points):
     return np.eye(points)
 
 
+def dense_right_operand(matrix):
+    """A dense symmetric matrix as a right Sylvester operand: the one-term
+    Kronecker sum ``matrix (x) 1 + I (x) 0``, one ``eigh`` of ``matrix``."""
+    return KroneckerSumOperand(matrix, np.zeros((1, 1)))
+
+
 class DenseMerged:
     """A formed [I | D] as the step functions take a merged operator, with
     ``scene.EdgeOperator``'s members and every column counted once: the
     oracle for the edge form and for ``merged=None``.
 
     ``matrix`` is P x M, the output of ``dense_merged`` or ``identity_merged``.
+    Its Gram is the formed P x P matrix [I | D][I | D]^T as a one-term
+    Kronecker sum (``dense_right_operand``), factored by one P x P ``eigh``.
     """
 
     def __init__(self, matrix):
@@ -112,7 +120,7 @@ class DenseMerged:
         return x.sum()
 
     def gram(self):
-        return SymmetricOperand(self.matrix @ self.matrix.T)
+        return dense_right_operand(self.matrix @ self.matrix.T)
 
 
 def block_diagonal(camera):
@@ -242,6 +250,14 @@ def edge_expansion(neighbors):
         k, sign = match[0]
         expansion[points + k, points + c] = sign
     return expansion
+
+
+def kron_solve(a, b, q):
+    """Solve ``a @ x + x @ b = q`` for plain arrays through the formed
+    (n m) x (n m) Kronecker system."""
+    n, m = q.shape
+    system = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
+    return np.linalg.solve(system, q.flatten(order="F")).reshape(n, m, order="F")
 
 
 def kronecker_sum(first, second):

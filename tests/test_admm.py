@@ -11,9 +11,11 @@ from conftest import (
     augmented_lagrangian,
     block_diagonal,
     dense_merged,
+    dense_right_operand,
     edge_csr,
     edge_expansion,
     identity_merged,
+    kron_solve,
     kronecker_sum,
     neighbor_diff,
     objective,
@@ -79,12 +81,6 @@ def small_problem(seed=42, frames=4, points=6):
     w = rng.normal(size=(2 * frames, points))
     state = random_state(rng, frames, points)
     return rng, camera, w, state
-
-
-def kron_solve(a, b, q):
-    n, m = q.shape
-    system = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
-    return np.linalg.solve(system, q.flatten(order="F")).reshape(n, m, order="F")
 
 
 class TestUpdateShapes:
@@ -638,7 +634,7 @@ def eigenbasis_shape_step(state, w, camera):
            + to_point_columns(state.duals.y_reshuffle) / beta
            - (state.duals.y_selfexpr / beta) @ ic.T)
     left = SymmetricOperand(np.einsum("fji,fjk->fik", blocks, blocks) / beta + np.eye(3))
-    return solve_sylvester(left, SymmetricOperand(ic @ ic.T), rhs)
+    return solve_sylvester(left, dense_right_operand(ic @ ic.T), rhs)
 
 
 def eigenbasis_coefficient_step(state, merged):
@@ -650,7 +646,7 @@ def eigenbasis_coefficient_step(state, merged):
     rhs = (shapes.T @ (shapes + state.duals.y_selfexpr / beta)
            + (state.slack - state.duals.y_slack / beta) @ merged.T
            + 1.0 - state.duals.y_colsum / beta)
-    coeffs = solve_sylvester(left, SymmetricOperand(merged @ merged.T), rhs)
+    coeffs = solve_sylvester(left, dense_right_operand(merged @ merged.T), rhs)
     np.fill_diagonal(coeffs, 0.0)
     return coeffs
 
@@ -830,9 +826,13 @@ class TestSolve:
         assert np.abs(np.diag(coeffs)).max() == 0.0
 
     def test_column_sums_near_one_at_convergence(self, default_run):
+        # The stop rule bounds the last sweep's residuals, and the returned C
+        # is that sweep's: its column-sum defect is the traced r4, bit for bit.
         _, _, coeffs, trace = default_run
         assert trace.converged
-        assert np.abs(coeffs.sum(axis=0) - 1.0).max() <= 1e-4
+        defect = np.abs(coeffs.sum(axis=0) - 1.0).max()
+        assert defect == trace.r4[-1]
+        assert defect <= SolverConfig().epsilon
 
     @staticmethod
     def sparse_sweep(scene, merged, cfg):
@@ -1109,8 +1109,9 @@ class TestSolve:
     def test_grid_solve_matches_the_dense_eigenbasis_route(self, monkeypatch, frames,
                                                            per_body, grid):
         # The oracle is the route the Kronecker-sum operand replaced: the
-        # same grid Gram formed densely and eigendecomposed as one P x P
-        # SymmetricOperand. Only the rotations' rounding differs.
+        # same grid Gram formed densely and eigendecomposed by one P x P
+        # eigh, as a one-term Kronecker sum. Only the rotations' rounding
+        # differs.
         scene, neighbors = self.grid_scene(frames, per_body, grid)
         cfg = SolverConfig(lambda1=1e-2)
         runs = [solve(scene.w, scene.camera, neighbors, cfg)]
@@ -1119,7 +1120,7 @@ class TestSolve:
         def dense_eigenbasis(merged, points):
             gram = original(merged, points)
             assert isinstance(gram, KroneckerSumOperand)
-            return SymmetricOperand(kronecker_sum(gram.first, gram.second))
+            return dense_right_operand(kronecker_sum(gram.first, gram.second))
 
         monkeypatch.setattr(mbnrsfm.admm, "_merged_gram", dense_eigenbasis)
         runs.append(solve(scene.w, scene.camera, neighbors, cfg))
@@ -1244,6 +1245,17 @@ class TestSolve:
         _, _, trace = solve(scene.w, scene.camera, neighbors, SolverConfig(max_iters=3))
         assert len(trace) == 3
         assert calls == [(SymmetricOperand, CholeskyOperand), (coeff_left, coeff_right)] * 3
+
+    def test_sylvester_builds_only_the_pairs_solve_reaches(self):
+        # The five pairs of test_sylvester_operand_types, and no pair that
+        # only a test would reach.
+        assert set(mbnrsfm.linalg._BUILDERS) == {
+            (SymmetricOperand, CholeskyOperand),
+            (CholeskyOperand, IdentityOperand),
+            (GramOperand, IdentityOperand),
+            (GramOperand, KroneckerSumOperand),
+            (SymmetricOperand, KroneckerSumOperand),
+        }
 
     @pytest.mark.parametrize("frames,per_body", [(6, 5), (4, 10)],
                              ids=["formed_left", "woodbury"])

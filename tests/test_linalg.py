@@ -8,7 +8,9 @@ from conftest import (
     DenseMerged,
     bartels_stewart,
     dense_merged,
+    dense_right_operand,
     identity_merged,
+    kron_solve,
     kronecker_sum,
     path_laplacian,
     random_state,
@@ -394,12 +396,6 @@ def random_spd(rng, n, shift=0.1):
     return g @ g.T + shift * np.eye(n)
 
 
-def kron_solve(a, b, q):
-    n, m = q.shape
-    system = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
-    return np.linalg.solve(system, q.flatten(order="F")).reshape(n, m, order="F")
-
-
 class TestSymmetricOperandSylvester:
     def test_dense_operands_match_bartels_stewart_and_kronecker(self):
         rng = np.random.default_rng(7)
@@ -408,28 +404,24 @@ class TestSymmetricOperandSylvester:
             m = int(rng.integers(1, 16))
             a, b = random_spd(rng, n), random_spd(rng, m)
             q = rng.normal(size=(n, m))
-            x = solve_sylvester(SymmetricOperand(a), SymmetricOperand(b), q)
+            x = solve_sylvester(SymmetricOperand(a), dense_right_operand(b), q)
             dense = bartels_stewart(a, b, q)
             direct = kron_solve(a, b, q)
             scale = 1 + np.abs(direct).max()
             assert np.abs(x - dense).max() <= 1e-9 * scale
             assert np.abs(x - direct).max() <= 1e-9 * scale
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_block_stack_matches_bartels_stewart_and_kronecker(self, side):
-        rng = np.random.default_rng(8 if side == "left" else 9)
+    def test_block_stack_matches_bartels_stewart_and_kronecker(self):
+        # Only a left operand is ever a block stack: the shape step's camera
+        # blocks.
+        rng = np.random.default_rng(8)
         for _ in range(20):
             k = int(rng.integers(1, 8))
             m = int(rng.integers(1, 12))
             blocks = np.stack([random_spd(rng, 3) for _ in range(k)])
-            block_matrix = scipy.linalg.block_diag(*blocks)
-            other = random_spd(rng, m)
-            if side == "left":
-                a, b, q = block_matrix, other, rng.normal(size=(3 * k, m))
-                x = solve_sylvester(SymmetricOperand(blocks), SymmetricOperand(b), q)
-            else:
-                a, b, q = other, block_matrix, rng.normal(size=(m, 3 * k))
-                x = solve_sylvester(SymmetricOperand(a), SymmetricOperand(blocks), q)
+            a, b = scipy.linalg.block_diag(*blocks), random_spd(rng, m)
+            q = rng.normal(size=(3 * k, m))
+            x = solve_sylvester(SymmetricOperand(blocks), dense_right_operand(b), q)
             dense = bartels_stewart(a, b, q)
             direct = kron_solve(a, b, q)
             scale = 1 + np.abs(direct).max()
@@ -451,7 +443,7 @@ class TestSymmetricOperandSylvester:
         ic = np.eye(points) - 0.1 * rng.normal(size=(points, points))
         right = ic @ ic.T
         q = 100.0 * rng.normal(size=(3 * frames, points))
-        x = solve_sylvester(SymmetricOperand(blocks), SymmetricOperand(right), q)
+        x = solve_sylvester(SymmetricOperand(blocks), dense_right_operand(right), q)
         left = scipy.linalg.block_diag(*blocks)
         residual = np.linalg.norm(left @ x + x @ right - q)
         assert residual <= SYLVESTER_RTOL * (1 + np.linalg.norm(q))
@@ -459,14 +451,14 @@ class TestSymmetricOperandSylvester:
     def test_singular_pencil_raises_numerical_error(self):
         # -3 + 3 = 0: the division by that sum leaves a non-finite solution.
         a = SymmetricOperand(np.diag([1.0, -3.0]))
-        b = SymmetricOperand(np.diag([3.0, -1.0]))
+        b = dense_right_operand(np.diag([3.0, -1.0]))
         with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(a, b, np.ones((2, 2)))
 
     def test_singular_pencil_in_a_block_stack(self):
         blocks = np.stack([np.eye(3), np.diag([1.0, 2.0, -2.0])])
         a = SymmetricOperand(blocks)
-        b = SymmetricOperand(np.diag([2.0, 5.0]))
+        b = dense_right_operand(np.diag([2.0, 5.0]))
         with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(a, b, np.ones((6, 2)))
 
@@ -474,7 +466,7 @@ class TestSymmetricOperandSylvester:
     def test_nonfinite_rhs_raises_numerical_error(self, bad):
         rng = np.random.default_rng(5)
         a = SymmetricOperand(random_spd(rng, 4))
-        b = SymmetricOperand(np.stack([random_spd(rng, 3), random_spd(rng, 3)]))
+        b = dense_right_operand(random_spd(rng, 6))
         q = rng.normal(size=(4, 6))
         q[2, 3] = bad
         with pytest.raises(NumericalError, match="non-finite solution"):
@@ -486,14 +478,17 @@ class TestSymmetricOperandSylvester:
 
     def test_mixed_operands_rejected(self):
         # Plain arrays are the tests' oracle (conftest.bartels_stewart), not
-        # a path of solve_sylvester.
-        for a, b in [(SymmetricOperand(np.eye(2)), np.eye(2)), (np.eye(2), np.eye(2))]:
+        # a path of solve_sylvester; no solve has a SymmetricOperand on the
+        # right, which dense_right_operand holds as a one-term Kronecker sum.
+        symmetric = SymmetricOperand(np.eye(2))
+        for a, b in [(symmetric, np.eye(2)), (np.eye(2), np.eye(2)), (symmetric, symmetric),
+                     (GramOperand(np.ones((1, 2))), symmetric)]:
             with pytest.raises(TypeError):
                 solve_sylvester(a, b, np.ones((2, 2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve_sylvester(SymmetricOperand(np.eye(3)), SymmetricOperand(np.eye(2)),
+            solve_sylvester(SymmetricOperand(np.eye(3)), dense_right_operand(np.eye(2)),
                             np.zeros((2, 3)))
 
     @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros((2, 3, 3, 3)),
@@ -528,7 +523,7 @@ class TestSymmetricOperandSylvester:
         left = mbnrsfm.linalg._left
         rotated = left(vectors.swapaxes(-1, -2), x) * derived.eigenvalues[:, None]
         np.testing.assert_allclose(left(vectors, rotated), left(fresh, x), rtol=0, atol=1e-12)
-        right = SymmetricOperand(random_spd(rng, 4))
+        right = dense_right_operand(random_spd(rng, 4))
         np.testing.assert_allclose(solve_sylvester(derived, right, x),
                                    solve_sylvester(fresh, right, x), rtol=0, atol=1e-12)
 
@@ -565,15 +560,16 @@ def coefficient_operand(m, shift):
 
 def merged_gram_operands(merged, grid):
     """The right operand D D^T of a 3 x 4 grid's [I | D], or of the identity
-    without a grid: formed from the factor D^T, formed directly, and as the
-    Kronecker sum of I + 2 L_3 and 2 L_4 (I_3 and 0 without a grid)."""
+    without a grid: formed from the factor D^T and formed directly, each as
+    a one-term Kronecker sum, and as the Kronecker sum of I + 2 L_3 and
+    2 L_4 (I_3 and 0 without a grid)."""
     factor = merged.T
     weight = 2.0 if grid else 0.0
     return {
-        "gram": SymmetricOperand(factor.T @ factor),
+        "gram": dense_right_operand(factor.T @ factor),
         "kronecker": KroneckerSumOperand(np.eye(3) + weight * path_laplacian(3),
                                          weight * path_laplacian(4)),
-        "symmetric": SymmetricOperand(merged @ merged.T),
+        "symmetric": dense_right_operand(merged @ merged.T),
     }
 
 
@@ -641,23 +637,27 @@ class TestGramOperandSylvester:
         monkeypatch.setattr(mbnrsfm.linalg.np.linalg, "eigh", recording)
         rng = np.random.default_rng(32)
         a = GramOperand(coefficient_factor(rng, 9, 40), 1e-10)
-        solve_sylvester(a, SymmetricOperand(np.eye(40)), rng.normal(size=(40, 40)))
-        assert shapes == [(10, 10), (40, 40)]
+        solve_sylvester(a, dense_right_operand(np.eye(40)), rng.normal(size=(40, 40)))
+        assert shapes == [(10, 10), (40, 40), (1, 1)]
 
-    def test_block_stack_right_operand(self):
+    @pytest.mark.parametrize("kind", ["gram", "symmetric"])
+    def test_block_stack_right_operand_rejected(self, kind):
+        # No solve has a block stack on the right: the camera blocks stand
+        # only on the left of the shape step.
         rng = np.random.default_rng(33)
-        m = coefficient_factor(rng, 3, 9)
         blocks = np.stack([random_spd(rng, 3) for _ in range(3)])
-        q = rng.normal(size=(9, 9))
-        x = solve_sylvester(GramOperand(m, 0.5), SymmetricOperand(blocks), q)
-        direct = kron_solve(m.T @ m + 0.5 * np.eye(9), scipy.linalg.block_diag(*blocks), q)
-        assert np.abs(x - direct).max() <= 1e-9 * (1 + np.abs(direct).max())
+        if kind == "gram":
+            a = GramOperand(coefficient_factor(rng, 3, 9), 0.5)
+        else:
+            a = SymmetricOperand(random_spd(rng, 9))
+        with pytest.raises(TypeError, match="SymmetricOperand right operand"):
+            solve_sylvester(a, SymmetricOperand(blocks), rng.normal(size=(9, 9)))
 
     def test_singular_pencil_raises_numerical_error(self):
         # m^T m has eigenvalues 4 and 0 (twice); the shift moves them to 3 and
         # -1, and the right operand's 1 cancels the -1.
         a = GramOperand(np.array([[2.0, 0.0, 0.0]]), -1.0)
-        b = SymmetricOperand(np.diag([1.0, 5.0, 6.0]))
+        b = dense_right_operand(np.diag([1.0, 5.0, 6.0]))
         with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(a, b, np.ones((3, 3)))
 
@@ -668,7 +668,7 @@ class TestGramOperandSylvester:
         q[1, 2] = bad
         with pytest.raises(NumericalError, match="non-finite solution"):
             solve_sylvester(GramOperand(coefficient_factor(rng, 3, 8), 1e-10),
-                            SymmetricOperand(np.eye(8)), q)
+                            dense_right_operand(np.eye(8)), q)
 
     @pytest.mark.parametrize("factor", [np.zeros(4), np.zeros((0, 3))])
     def test_rejects_malformed_factor(self, factor):
@@ -835,14 +835,14 @@ class TestIdentityOperandSylvester:
         a = GramOperand(coefficient_factor(rng, 6, 30), COEFF_STABILIZER)
         q = rng.normal(size=(30, 30))
         np.testing.assert_array_equal(solve_sylvester(a, IdentityOperand(30), q),
-                                      solve_sylvester(a, SymmetricOperand(np.eye(30)), q))
+                                      solve_sylvester(a, dense_right_operand(np.eye(30)), q))
 
     def test_cholesky_pair_matches_the_eigenbasis_path(self):
         rng = np.random.default_rng(44)
         _, formed = self.left_operands(rng, 20, 15)
         q = rng.normal(size=(15, 15))
         x = solve_sylvester(CholeskyOperand(formed), IdentityOperand(15), q)
-        oracle = solve_sylvester(SymmetricOperand(formed), SymmetricOperand(np.eye(15)), q)
+        oracle = solve_sylvester(SymmetricOperand(formed), dense_right_operand(np.eye(15)), q)
         assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("kind", ["gram", "cholesky"])
